@@ -5,77 +5,36 @@ Bogoliubov diagonalization, squeezed-state statistics) with a truncated
 Fock-space numerical oracle and a scenario-driven CLI. Frequencies are
 ordinary frequencies in Hz throughout; quadratures are normalized so
 the vacuum variance is 1/2.
+
+The package exports what the CLI and the end-to-end guarantees use;
+everything else is imported from its submodule.
 """
 
-from .bogoliubov import (
-    BogoliubovCoeffs,
-    SqueezeSpec,
-    diagonalize,
-    hamiltonian_coefficients,
-    transform_coeffs,
-)
-from .errors import (
-    CutoffTooSmall,
-    DegenerateLinewidth,
-    NoSolution,
-    PhysicsError,
-    ScenarioError,
-    Unstable,
-    ZeroProbability,
-)
+from .bogoliubov import diagonalize
+from .errors import PhysicsError, ScenarioError, Unstable
 from .focksim import (
-    BogoliubovResiduals,
-    HeraldResult,
-    LadderOperators,
     TruncatedFockSpace,
-    TruncationReport,
-    TwoModeState,
     apply_squeeze_factorized,
     bogoliubov_check,
-    choose_cutoff,
-    dump_state,
-    fock_state,
     herald,
-    ladder_operators,
-    load_state,
-    lowering_matrix,
     measure_moments,
     squeeze_operator,
     squeezed_vacuum,
-    truncation_report,
     vacuum_state,
 )
 from .pipeline import (
-    OracleConfig,
     RunReport,
     Scenario,
-    SweepConfig,
     SweepReport,
-    decibel_table,
     flatten,
     load_scenario,
-    parse_frequency,
     reference_checks,
     reference_scenario,
     run,
     sweep,
 )
-from .pump import (
-    PumpDrive,
-    PumpSteadyState,
-    effective_coupling,
-    pump_detuning,
-    pump_steady_amplitude,
-    pump_steady_state,
-)
 from .squeezing import (
-    CROSS_KEYS,
-    MODE_KEYS,
-    QUAD_KEYS,
-    MomentTable,
     ThermalEnv,
-    bell_expansion,
-    correlation_moments,
     full_moment_table,
     independent_moments,
     mixed_moments,
@@ -84,82 +43,35 @@ from .squeezing import (
     table_deviation,
     thermal_occupation,
 )
-from .waveguide import (
-    BACKWARD,
-    FORWARD,
-    BrillouinTriple,
-    WaveguideParams,
-    allowed_wavenumbers,
-    phase_match,
-    phonon_frequency,
-    photon_frequency,
-)
+from .waveguide import BACKWARD, FORWARD, WaveguideParams, phase_match
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKWARD",
     "FORWARD",
-    "BogoliubovCoeffs",
-    "BogoliubovResiduals",
-    "BrillouinTriple",
-    "CROSS_KEYS",
-    "CutoffTooSmall",
-    "DegenerateLinewidth",
-    "HeraldResult",
-    "LadderOperators",
-    "MODE_KEYS",
-    "MomentTable",
-    "NoSolution",
-    "OracleConfig",
     "PhysicsError",
-    "PumpDrive",
-    "PumpSteadyState",
-    "QUAD_KEYS",
     "RunReport",
     "Scenario",
     "ScenarioError",
-    "SqueezeSpec",
-    "SweepConfig",
     "SweepReport",
     "ThermalEnv",
     "TruncatedFockSpace",
-    "TruncationReport",
-    "TwoModeState",
     "Unstable",
     "WaveguideParams",
-    "ZeroProbability",
-    "allowed_wavenumbers",
     "apply_squeeze_factorized",
-    "bell_expansion",
     "bogoliubov_check",
-    "choose_cutoff",
-    "correlation_moments",
-    "decibel_table",
-    "flatten",
     "diagonalize",
-    "dump_state",
-    "effective_coupling",
-    "fock_state",
+    "flatten",
     "full_moment_table",
-    "hamiltonian_coefficients",
     "herald",
     "independent_moments",
-    "ladder_operators",
     "load_scenario",
-    "load_state",
-    "lowering_matrix",
     "measure_moments",
     "mixed_moments",
     "pair_probability",
     "pair_tail",
-    "parse_frequency",
     "phase_match",
-    "phonon_frequency",
-    "photon_frequency",
-    "pump_detuning",
-    "pump_steady_amplitude",
-    "pump_steady_state",
     "reference_checks",
     "reference_scenario",
     "run",
@@ -168,7 +80,5 @@ __all__ = [
     "sweep",
     "table_deviation",
     "thermal_occupation",
-    "transform_coeffs",
-    "truncation_report",
     "vacuum_state",
 ]

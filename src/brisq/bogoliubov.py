@@ -42,14 +42,6 @@ class SqueezeSpec:
     omega_zero: float
 
 
-@dataclass(frozen=True)
-class BogoliubovCoeffs:
-    """Hyperbolic coefficients (cosh r, sinh r) of the mode rotation."""
-
-    cosh_r: float
-    sinh_r: float
-
-
 def diagonalize(omega: float, Omega: float, f: float) -> SqueezeSpec:
     """Diagonalize H by a two-mode squeeze rotation.
 
@@ -95,15 +87,6 @@ def diagonalize(omega: float, Omega: float, f: float) -> SqueezeSpec:
         omega_beta=gap - delta,
         omega_zero=gap - omega_bar,
     )
-
-
-def transform_coeffs(r: float) -> BogoliubovCoeffs:
-    """Coefficients (cosh r, sinh r) of the Bogoliubov rotation.
-
-    These satisfy cosh^2 - sinh^2 = 1 and, at the diagonalizing r,
-    cosh(r)*sinh(r) = f / (2*gap).
-    """
-    return BogoliubovCoeffs(cosh_r=math.cosh(r), sinh_r=math.sinh(r))
 
 
 def hamiltonian_coefficients(omega: float, Omega: float, f: float,

@@ -8,8 +8,9 @@ Verbs:
 
 Exit codes: 0 success, 2 malformed scenario or arguments, 3 physical
 failure (no phase-matching solution, unstable coupling, degenerate
-linewidth, cutoff too small), 4 oracle deviation beyond tolerance or a
-failed reference check.
+linewidth, cutoff too small, a result beyond the float range), 4 oracle
+deviation beyond tolerance (in a run or in any sweep row) or a failed
+reference check.
 
 Identical inputs produce bit-identical outputs on one platform: the
 pipeline is deterministic and serialization uses repr-exact floats.
@@ -109,9 +110,13 @@ def _emit(text: str, out: str | None) -> None:
             stream.write(text)
 
 
+def _json_text(payload: Any) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
 def _render_run(report: RunReport, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2)
+        return _json_text(report.to_dict())
     return _csv_text([flatten(report.to_dict())])
 
 
@@ -120,7 +125,7 @@ def _render_sweep(report: SweepReport, fmt: str) -> str:
         payload = {"parameter": report.parameter,
                    "scenario": report.scenario,
                    "rows": list(report.rows)}
-        return json.dumps(payload, indent=2)
+        return _json_text(payload)
     return _csv_text([dict(row) for row in report.rows])
 
 
@@ -146,6 +151,11 @@ def main(argv: list[str] | None = None) -> int:
                                               args.oracle)
             report = sweep(scenario, with_decibels=args.db)
             _emit(_render_sweep(report, args.format), args.out)
+            misses = sum(row.get("oracle_ok") is False for row in report.rows)
+            if misses:
+                print(f"oracle deviation beyond tolerance in {misses} of "
+                      f"{len(report.rows)} rows", file=sys.stderr)
+                return EXIT_MISMATCH
             return EXIT_OK
 
         # check
@@ -157,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"(value {row['value']:.6g}, expected {row['expected']:.6g}, "
                   f"{row['kind']} tolerance {row['tolerance']:.2g})")
         if args.out:
-            _emit(json.dumps(rows, indent=2), args.out)
+            _emit(_json_text(rows) if args.format == "json" else _csv_text(rows),
+                  args.out)
         return EXIT_OK if all(row["ok"] for row in rows) else EXIT_MISMATCH
 
     except ScenarioError as err:

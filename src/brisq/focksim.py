@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -96,22 +96,6 @@ class HeraldResult(NamedTuple):
 
     distribution: np.ndarray
     probability: float
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """How well a truncated basis holds a squeezed vacuum at parameter r.
-
-    tail_mass is the closed-form weight tanh(r)^(2*cutoff) outside the
-    basis; edge_weight is the measured probability on the outermost
-    occupation of either mode; ok records tail_mass <= tail_tol.
-    """
-
-    cutoff: int
-    tail_mass: float
-    edge_weight: float
-    tail_tol: float
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -333,13 +317,6 @@ def apply_squeeze_factorized(space: TruncatedFockSpace, r: float,
     return TwoModeState(amplitudes=grid.reshape(-1), cutoff=n)
 
 
-def _low_block(space: TruncatedFockSpace) -> np.ndarray:
-    """Flat indices of the low-occupation block n_a, n_b < cutoff/2."""
-    half = space.cutoff // 2
-    na = np.arange(half)
-    return (na[:, None] * space.cutoff + np.arange(half)[None, :]).reshape(-1)
-
-
 def _conjugation_block(space: TruncatedFockSpace, r: float) -> int:
     """Largest count of leading Fock columns safe for conjugation checks.
 
@@ -463,51 +440,3 @@ def herald(state: TwoModeState, n_detected: int) -> HeraldResult:
             f"no amplitude on photon number {n_detected}")
     return HeraldResult(distribution=joint[n_detected, :] / probability,
                         probability=probability)
-
-
-def truncation_report(state: TwoModeState, r: float,
-                      tail_tol: float = TAIL_TOL) -> TruncationReport:
-    """Closed-form tail mass at this r plus the measured edge weight of
-    the state (probability of either mode sitting at cutoff - 1)."""
-    joint = np.abs(state.grid()) ** 2
-    edge = float(joint[-1, :].sum() + joint[:, -1].sum() - joint[-1, -1])
-    tail = pair_tail(r, state.cutoff)
-    return TruncationReport(
-        cutoff=state.cutoff,
-        tail_mass=tail,
-        edge_weight=edge,
-        tail_tol=tail_tol,
-        ok=tail <= tail_tol,
-    )
-
-
-def dump_state(state: TwoModeState, stream: TextIO) -> None:
-    """Write a state as a plain-text table of (n_a, n_b, Re, Im) rows in
-    basis order, suitable for regression goldens."""
-    stream.write(f"# two-mode state, cutoff = {state.cutoff}\n")
-    stream.write("# n_a n_b re im\n")
-    grid = state.grid()
-    for n_a in range(state.cutoff):
-        for n_b in range(state.cutoff):
-            amp = grid[n_a, n_b]
-            stream.write(f"{n_a} {n_b} {float(amp.real)!r} {float(amp.imag)!r}\n")
-
-
-def load_state(stream: TextIO) -> TwoModeState:
-    """Read a state written by dump_state."""
-    rows = []
-    for line in stream:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        n_a, n_b, re, im = line.split()
-        rows.append((int(n_a), int(n_b), float(re), float(im)))
-    if not rows:
-        raise ValueError("no state rows found")
-    cutoff = max(max(n_a, n_b) for n_a, n_b, _, _ in rows) + 1
-    if len(rows) != cutoff * cutoff:
-        raise ValueError("state table does not cover a full square basis")
-    amp = np.zeros(cutoff * cutoff, dtype=complex)
-    for n_a, n_b, re, im in rows:
-        amp[n_a * cutoff + n_b] = complex(re, im)
-    return TwoModeState(amplitudes=amp, cutoff=cutoff)

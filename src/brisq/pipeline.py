@@ -1,26 +1,29 @@
 """Scenario-driven runs from waveguide parameters to squeezing statistics.
 
 A scenario is a JSON document naming the waveguide, the drive, the
-scattering geometry, and optional oracle / thermal / sweep blocks.
-Frequencies may be given as numbers in Hz or as strings with a unit
-suffix ("10 GHz"); recognized suffixes are mHz, Hz, kHz, MHz, GHz, THz
-(case sensitive). run() resolves one scenario end to end; sweep() runs
-a grid over one numeric scenario field, recording per-row failures
-without aborting the grid.
+scattering geometry, and optional oracle / thermal / sweep blocks; a
+null entry counts as absent. Every numeric field is either a NUMBER or
+a FREQUENCY, which may also be a string with a unit suffix ("10 GHz");
+recognized suffixes are mHz, Hz, kHz, MHz, GHz, THz (case sensitive).
+Non-finite values are rejected. run() resolves one scenario end to end;
+sweep() runs a grid over one numeric scenario field, recording per-row
+failures without aborting the grid.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
-from .bogoliubov import SqueezeSpec, diagonalize, transform_coeffs
+from .bogoliubov import SqueezeSpec, diagonalize
 from .errors import PhysicsError, ScenarioError, Unstable
 from .focksim import (
+    CUTOFF_CAP,
     TruncatedFockSpace,
     choose_cutoff,
     measure_moments,
@@ -47,50 +50,54 @@ UNIT_SCALES = {
     "GHz": 1e9,
     "THz": 1e12,
 }
-_FREQ_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]+)\s*$")
+_FREQ_RE = re.compile(
+    r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]+)\s*$")
 
 PAIR_PROBABILITY_ORDERS = 6
 
-_WAVEGUIDE_FREQ_FIELDS = ("omega0", "g", "u", "gamma")
-_WAVEGUIDE_NUM_FIELDS = ("vg", "va", "length")
-_SWEEPABLE = (
-    ("k_pump",)
-    + tuple(f"waveguide.{name}" for name in _WAVEGUIDE_FREQ_FIELDS + _WAVEGUIDE_NUM_FIELDS)
-    + ("drive.omega_p", "drive.flux_in")
-)
+FREQUENCY = "frequency"
+NUMBER = "number"
 
 
-def parse_frequency(value: Any, where: str = "value") -> float:
-    """Number in Hz, or string with a case-sensitive unit suffix."""
-    if isinstance(value, bool):
-        raise ScenarioError(f"{where}: expected a frequency, got a bool")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+def parse_value(value: Any, kind: str, where: str = "value") -> float:
+    """Finite float from a scenario value of the given kind.
+
+    NUMBER takes a JSON number. FREQUENCY takes a number in Hz or a
+    string with a case-sensitive unit suffix ("10 GHz").
+    """
+    if isinstance(value, str) and kind == FREQUENCY:
         match = _FREQ_RE.match(value)
-        if match and match.group(2) in UNIT_SCALES:
-            return float(match.group(1)) * UNIT_SCALES[match.group(2)]
-        raise ScenarioError(
-            f"{where}: cannot parse frequency {value!r}; expected e.g. '10 GHz'")
-    raise ScenarioError(f"{where}: expected a number or unit string")
-
-
-def _number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not (match and match.group(2) in UNIT_SCALES):
+            raise ScenarioError(
+                f"{where}: cannot parse frequency {value!r}; expected e.g. '10 GHz'")
+        number = float(match.group(1)) * UNIT_SCALES[match.group(2)]
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+    elif kind == FREQUENCY:
+        raise ScenarioError(f"{where}: expected a number or unit string")
+    else:
         raise ScenarioError(f"{where}: expected a number")
-    return float(value)
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where}: {value!r} is not a finite {kind}")
+    return number
 
 
-def _require_keys(block: dict, allowed: set[str], required: set[str],
-                  where: str) -> None:
+def _require_keys(block: Any, allowed: Iterable[str], required: set[str],
+                  where: str) -> dict:
+    """The block's entries that are not null (null counts as absent)."""
     if not isinstance(block, dict):
         raise ScenarioError(f"{where}: expected an object")
-    unknown = set(block) - allowed
+    unknown = set(block) - set(allowed)
     if unknown:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(block)
+    given = {key: value for key, value in block.items() if value is not None}
+    missing = required - set(given)
     if missing:
         raise ScenarioError(f"{where}: missing keys {sorted(missing)}")
+    return given
 
 
 @dataclass(frozen=True)
@@ -104,11 +111,40 @@ class OracleConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.cutoff is not None and (not isinstance(self.cutoff, int)
-                                        or isinstance(self.cutoff, bool)):
-            raise ScenarioError("oracle.cutoff: expected an integer")
+        if not isinstance(self.enabled, bool):
+            raise ValueError("enabled: expected true or false")
+        if self.cutoff is not None and (type(self.cutoff) is not int
+                                        or not 2 <= self.cutoff <= CUTOFF_CAP):
+            raise ValueError(f"cutoff: expected an integer in [2, {CUTOFF_CAP}]")
         if not self.tolerance > 0:
-            raise ScenarioError("oracle.tolerance: must be positive")
+            raise ValueError("tolerance: must be positive")
+
+
+# block -> (dataclass, field -> kind), each in report key order. A kind of
+# None passes the value to the dataclass unchanged, which checks it.
+_BLOCKS = {
+    "waveguide": (WaveguideParams, {
+        "omega0": FREQUENCY, "g": FREQUENCY, "u": FREQUENCY, "gamma": FREQUENCY,
+        "vg": NUMBER, "va": NUMBER, "length": NUMBER}),
+    "drive": (PumpDrive, {"omega_p": FREQUENCY, "flux_in": NUMBER}),
+    "oracle": (OracleConfig, {"enabled": None, "cutoff": None, "tolerance": NUMBER}),
+    "thermal": (ThermalEnv, {
+        "Omega": FREQUENCY, "temperature": NUMBER, "Gamma": FREQUENCY}),
+}
+
+# sweepable parameter -> kind of its values
+_SWEEPABLE = {"k_pump": NUMBER} | {
+    f"{block}.{name}": kind
+    for block in ("waveguide", "drive") for name, kind in _BLOCKS[block][1].items()}
+
+
+def _sweep_kind(parameter: Any) -> str:
+    kind = _SWEEPABLE.get(parameter) if isinstance(parameter, str) else None
+    if kind is None:
+        raise ScenarioError(
+            f"sweep.parameter: {parameter!r} is not sweepable; "
+            f"choose one of {list(_SWEEPABLE)}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -119,12 +155,51 @@ class SweepConfig:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.parameter not in _SWEEPABLE:
-            raise ScenarioError(
-                f"sweep.parameter: {self.parameter!r} is not sweepable; "
-                f"choose one of {list(_SWEEPABLE)}")
+        _sweep_kind(self.parameter)
         if not self.values:
             raise ScenarioError("sweep: empty value grid")
+
+
+def _parse_block(block: str, raw: Any) -> Any:
+    cls, kinds = _BLOCKS[block]
+    required = {f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING}
+    given = _require_keys(raw, kinds, required, block)
+    fields = {name: value if kinds[name] is None
+              else parse_value(value, kinds[name], f"{block}.{name}")
+              for name, value in given.items()}
+    try:
+        return cls(**fields)
+    except ValueError as err:
+        raise ScenarioError(f"{block}: {err}") from err
+
+
+def _parse_sweep(raw: Any) -> SweepConfig:
+    block = _require_keys(raw, {"parameter", "values", "start", "stop", "steps"},
+                          {"parameter"}, "sweep")
+    kind = _sweep_kind(block["parameter"])
+    if "values" in block:
+        if set(block) & {"start", "stop", "steps"}:
+            raise ScenarioError("sweep: give either values or start/stop/steps")
+        values = block["values"]
+        if not isinstance(values, list):
+            raise ScenarioError("sweep.values: expected a list")
+    else:
+        for key in ("start", "stop", "steps"):
+            if key not in block:
+                raise ScenarioError(f"sweep: missing {key}")
+        steps = block["steps"]
+        if type(steps) is not int or steps < 1:
+            raise ScenarioError("sweep.steps: expected a positive int")
+        start = parse_value(block["start"], kind, "sweep.start")
+        stop = parse_value(block["stop"], kind, "sweep.stop")
+        if steps == 1:
+            values = [start]
+        else:
+            width = (stop - start) / (steps - 1)
+            values = [start + i * width for i in range(steps)]
+    return SweepConfig(parameter=block["parameter"], values=tuple(
+        parse_value(value, kind, "sweep.values") for value in values))
 
 
 @dataclass(frozen=True)
@@ -141,133 +216,39 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
-        _require_keys(raw, {"waveguide", "drive", "geometry", "k_pump",
-                            "oracle", "thermal", "sweep"},
-                      {"waveguide", "drive"}, "scenario")
-
-        block = raw["waveguide"]
-        _require_keys(block, set(_WAVEGUIDE_FREQ_FIELDS + _WAVEGUIDE_NUM_FIELDS),
-                      set(_WAVEGUIDE_FREQ_FIELDS + _WAVEGUIDE_NUM_FIELDS),
-                      "waveguide")
-        fields = {name: parse_frequency(block[name], f"waveguide.{name}")
-                  for name in _WAVEGUIDE_FREQ_FIELDS}
-        fields.update({name: _number(block[name], f"waveguide.{name}")
-                       for name in _WAVEGUIDE_NUM_FIELDS})
-        try:
-            waveguide = WaveguideParams(**fields)
-        except ValueError as err:
-            raise ScenarioError(f"waveguide: {err}") from err
-
-        block = raw["drive"]
-        _require_keys(block, {"omega_p", "flux_in"}, {"omega_p", "flux_in"},
-                      "drive")
-        try:
-            drive = PumpDrive(
-                omega_p=parse_frequency(block["omega_p"], "drive.omega_p"),
-                flux_in=_number(block["flux_in"], "drive.flux_in"),
-            )
-        except ValueError as err:
-            raise ScenarioError(f"drive: {err}") from err
-
-        geometry = raw.get("geometry", BACKWARD)
+        given = _require_keys(raw, _SCENARIO_KEYS, {"waveguide", "drive"},
+                              "scenario")
+        fields = {key: _parse_block(key, value) for key, value in given.items()
+                  if key in _BLOCKS}
+        geometry = given.get("geometry", BACKWARD)
         if geometry not in (FORWARD, BACKWARD):
             raise ScenarioError(f"geometry: expected 'forward' or 'backward', "
                                 f"got {geometry!r}")
-
-        k_pump = raw.get("k_pump")
-        if k_pump is not None:
-            k_pump = _number(k_pump, "k_pump")
-
-        oracle = OracleConfig()
-        if "oracle" in raw:
-            block = raw["oracle"]
-            _require_keys(block, {"enabled", "cutoff", "tolerance"}, set(),
-                          "oracle")
-            enabled = block.get("enabled", False)
-            if not isinstance(enabled, bool):
-                raise ScenarioError("oracle.enabled: expected true or false")
-            tolerance = block.get("tolerance", 1e-8)
-            oracle = OracleConfig(
-                enabled=enabled,
-                cutoff=block.get("cutoff"),
-                tolerance=_number(tolerance, "oracle.tolerance"),
-            )
-
-        thermal = None
-        if raw.get("thermal") is not None:
-            block = raw["thermal"]
-            _require_keys(block, {"Omega", "temperature", "Gamma"},
-                          {"Omega", "temperature", "Gamma"}, "thermal")
-            try:
-                thermal = ThermalEnv(
-                    Omega=parse_frequency(block["Omega"], "thermal.Omega"),
-                    temperature=_number(block["temperature"],
-                                        "thermal.temperature"),
-                    Gamma=parse_frequency(block["Gamma"], "thermal.Gamma"),
-                )
-            except ValueError as err:
-                raise ScenarioError(f"thermal: {err}") from err
-
-        sweep_config = None
-        if raw.get("sweep") is not None:
-            block = raw["sweep"]
-            _require_keys(block, {"parameter", "values", "start", "stop",
-                                  "steps"}, {"parameter"}, "sweep")
-            parameter = block["parameter"]
-            if not isinstance(parameter, str):
-                raise ScenarioError("sweep.parameter: expected a string")
-            if "values" in block:
-                if set(block) & {"start", "stop", "steps"}:
-                    raise ScenarioError(
-                        "sweep: give either values or start/stop/steps")
-                values = block["values"]
-                if not isinstance(values, list):
-                    raise ScenarioError("sweep.values: expected a list")
-                grid = tuple(parse_frequency(v, "sweep.values") for v in values)
-            else:
-                for key in ("start", "stop", "steps"):
-                    if key not in block:
-                        raise ScenarioError(f"sweep: missing {key}")
-                steps = block["steps"]
-                if isinstance(steps, bool) or not isinstance(steps, int) \
-                        or steps < 1:
-                    raise ScenarioError("sweep.steps: expected a positive int")
-                start = parse_frequency(block["start"], "sweep.start")
-                stop = parse_frequency(block["stop"], "sweep.stop")
-                if steps == 1:
-                    grid = (start,)
-                else:
-                    width = (stop - start) / (steps - 1)
-                    grid = tuple(start + i * width for i in range(steps))
-            sweep_config = SweepConfig(parameter=parameter, values=grid)
-
-        return cls(waveguide=waveguide, drive=drive, geometry=geometry,
-                   k_pump=k_pump, oracle=oracle, thermal=thermal,
-                   sweep=sweep_config)
+        if "k_pump" in given:
+            fields["k_pump"] = parse_value(given["k_pump"], NUMBER, "k_pump")
+        if "sweep" in given:
+            fields["sweep"] = _parse_sweep(given["sweep"])
+        return cls(geometry=geometry, **fields)
 
     def to_dict(self) -> dict:
         """Re-emittable scenario fragment; running it reproduces the run."""
-        out: dict[str, Any] = {
-            "waveguide": {
-                name: getattr(self.waveguide, name)
-                for name in _WAVEGUIDE_FREQ_FIELDS + _WAVEGUIDE_NUM_FIELDS
-            },
-            "drive": {"omega_p": self.drive.omega_p,
-                      "flux_in": self.drive.flux_in},
-            "geometry": self.geometry,
-            "k_pump": self.k_pump,
-            "oracle": {"enabled": self.oracle.enabled,
-                       "cutoff": self.oracle.cutoff,
-                       "tolerance": self.oracle.tolerance},
-        }
-        if self.thermal is not None:
-            out["thermal"] = {"Omega": self.thermal.Omega,
-                              "temperature": self.thermal.temperature,
-                              "Gamma": self.thermal.Gamma}
+        out: dict[str, Any] = {}
+        for key in _SCENARIO_KEYS:
+            value = getattr(self, key)
+            if key in _BLOCKS:
+                if value is not None:
+                    out[key] = {name: getattr(value, name)
+                                for name in _BLOCKS[key][1]}
+            elif key != "sweep":
+                out[key] = value
         if self.sweep is not None:
             out["sweep"] = {"parameter": self.sweep.parameter,
                             "values": list(self.sweep.values)}
         return out
+
+
+# the scenario's keys, in report key order
+_SCENARIO_KEYS = tuple(f.name for f in dataclasses.fields(Scenario))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -277,10 +258,9 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(stream)
     except OSError as err:
         raise ScenarioError(f"cannot read scenario {path!r}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # bad JSON or UTF-8, an oversized integer, or nesting too deep to decode
         raise ScenarioError(f"scenario {path!r} is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario root must be an object")
     return Scenario.from_dict(raw)
 
 
@@ -377,14 +357,20 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
         # drive carrier on the forward branch fixes the pump mode
         k_pump = (drive.omega_p - waveguide.omega0) / waveguide.vg
     triple = phase_match(waveguide, k_pump, scenario.geometry)
-    pump = pump_steady_state(waveguide, drive, triple.omega_pump)
+    try:
+        pump = pump_steady_state(waveguide, drive, triple.omega_pump)
+    except OverflowError as err:
+        raise PhysicsError(f"pump steady state overflows: {err}") from err
     omega = triple.omega_pump - triple.omega_signal
     Omega = triple.Omega_phonon
+    _require_finite("phase-matched frequencies", omega, Omega)
     if omega <= 0 or Omega <= 0:
         raise Unstable(
             f"{scenario.geometry} geometry leaves no positive-frequency "
             "signal/phonon pair to squeeze")
     squeeze = diagonalize(omega, Omega, abs(pump.coupling))
+    _require_finite("pump and squeeze values", *vars(pump).values(),
+                    *vars(squeeze).values())
     analytic = full_moment_table(squeeze.r)
     pair_probs = tuple(pair_probability(squeeze.r, n)
                        for n in range(PAIR_PROBABILITY_ORDERS))
@@ -416,6 +402,7 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
             "n_bar": thermal_occupation(scenario.thermal),
             "quality": scenario.thermal.quality,
         }
+        _require_finite("thermal occupation and quality", *thermal_block.values())
 
     decibels = decibel_table(analytic) if with_decibels else None
     return RunReport(
@@ -431,18 +418,20 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
     )
 
 
+def _require_finite(what: str, *values: complex) -> None:
+    if not all(map(cmath.isfinite, values)):
+        raise PhysicsError(f"{what} overflow the float range")
+
+
 def _replace_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
-    if path == "k_pump":
-        return dataclasses.replace(scenario, k_pump=value)
-    head, _, field_name = path.partition(".")
-    if head == "waveguide":
-        waveguide = dataclasses.replace(scenario.waveguide,
-                                        **{field_name: value})
-        return dataclasses.replace(scenario, waveguide=waveguide)
-    if head == "drive":
-        drive = dataclasses.replace(scenario.drive, **{field_name: value})
-        return dataclasses.replace(scenario, drive=drive)
-    raise ScenarioError(f"cannot sweep {path!r}")
+    block, _, name = path.rpartition(".")
+    try:
+        if not block:
+            return dataclasses.replace(scenario, **{name: value})
+        inner = dataclasses.replace(getattr(scenario, block), **{name: value})
+        return dataclasses.replace(scenario, **{block: inner})
+    except ValueError as err:
+        raise ScenarioError(f"{path}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -458,9 +447,10 @@ def sweep(scenario: Scenario, with_decibels: bool = False) -> SweepReport:
     """Run the scenario once per grid value of the swept parameter.
 
     Rows keep the grid order. A row that fails with a physics or
-    validation error records the error class and message and the grid
-    moves on; only scenario-level problems (an unsweepable parameter,
-    a missing sweep block) abort the whole call.
+    scenario error (a grid value its field rejects) records the error
+    class and message and the grid moves on; only scenario-level
+    problems (an unsweepable parameter, a missing sweep block) abort
+    the whole call.
     """
     if scenario.sweep is None:
         raise ScenarioError("scenario has no sweep block")
@@ -471,7 +461,7 @@ def sweep(scenario: Scenario, with_decibels: bool = False) -> SweepReport:
         try:
             sub = _replace_parameter(scenario, scenario.sweep.parameter, value)
             report = run(sub, with_decibels=with_decibels)
-        except (PhysicsError, ValueError) as err:
+        except (PhysicsError, ScenarioError) as err:
             row["status"] = "error"
             row["error_type"] = type(err).__name__
             row["error"] = str(err)
@@ -552,10 +542,9 @@ def reference_checks(report: RunReport) -> list[dict]:
     tolerance, kind ('abs', 'rel' or 'exact') and ok. When the oracle
     block is present its deviation-vs-tolerance verdict is appended.
     """
-    coeffs = transform_coeffs(report.squeeze.r)
     values = {
         "coupling |f|": report.squeeze.f,
-        "cosh^2 r": coeffs.cosh_r ** 2,
+        "cosh^2 r": math.cosh(report.squeeze.r) ** 2,
         "tanh r": math.tanh(report.squeeze.r),
         "P_0": report.pair_probabilities[0],
         "P_1": report.pair_probabilities[1],

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
 from scipy.constants import h as PLANCK_H
 from scipy.constants import k as BOLTZMANN_K
 
@@ -30,9 +29,9 @@ class MomentTable:
     QUAD_KEYS; products holds the Heisenberg products dX*dY per mode in
     MODE_KEYS; squeezing holds S = var - 1/2 per quadrature; cross holds
     the number and pair moments in CROSS_KEYS. Tables may be partial;
-    merged() unions two tables and table_deviation() compares shared
-    entries. max_imag_discarded records the largest imaginary magnitude
-    dropped when a numerical table was built (0 for analytic tables).
+    table_deviation() compares the entries two tables share.
+    max_imag_discarded records the largest imaginary magnitude dropped
+    when a numerical table was built (0 for analytic tables).
     """
 
     r: float | None = None
@@ -42,26 +41,6 @@ class MomentTable:
     squeezing: dict[str, float] = field(default_factory=dict)
     cross: dict[str, float] = field(default_factory=dict)
     max_imag_discarded: float = 0.0
-
-    def merged(self, other: "MomentTable") -> "MomentTable":
-        """Union of two tables for the same r; shared keys must agree."""
-        if self.r is not None and other.r is not None and self.r != other.r:
-            raise ValueError("cannot merge tables for different r")
-        out: dict[str, dict[str, float]] = {}
-        for name in ("first", "second", "products", "squeezing", "cross"):
-            a = dict(getattr(self, name))
-            b = getattr(other, name)
-            for key, value in b.items():
-                if key in a and a[key] != value:
-                    raise ValueError(f"conflicting entry {name}[{key!r}]")
-                a[key] = value
-            out[name] = a
-        return MomentTable(
-            r=self.r if self.r is not None else other.r,
-            max_imag_discarded=max(self.max_imag_discarded,
-                                   other.max_imag_discarded),
-            **out,
-        )
 
 
 @dataclass(frozen=True)
@@ -164,8 +143,16 @@ def correlation_moments(r: float) -> MomentTable:
 
 def full_moment_table(r: float) -> MomentTable:
     """All analytic moments of the squeezed vacuum at parameter r."""
-    return independent_moments(r).merged(mixed_moments(r)).merged(
-        correlation_moments(r))
+    independent = independent_moments(r)
+    mixed = mixed_moments(r)
+    return MomentTable(
+        r=r,
+        first={**independent.first, **mixed.first},
+        second={**independent.second, **mixed.second},
+        products={**independent.products, **mixed.products},
+        squeezing={**independent.squeezing, **mixed.squeezing},
+        cross=correlation_moments(r).cross,
+    )
 
 
 def table_deviation(left: MomentTable, right: MomentTable) -> float:
@@ -179,30 +166,16 @@ def table_deviation(left: MomentTable, right: MomentTable) -> float:
     return worst
 
 
-def bell_expansion(r: float, order: int) -> tuple[np.ndarray, float]:
-    """Pair-basis expansion of the squeezed vacuum truncated at `order`.
-
-    Returns (amplitudes, discarded_weight): amplitudes[n] is the
-    coefficient tanh(r)^n / cosh(r) of the n-pair component for
-    n = 0..order, and discarded_weight = tanh(r)^(2*(order+1)) is the
-    probability left out, so sum(amplitudes**2) + discarded_weight == 1.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    n = np.arange(order + 1)
-    amplitudes = np.tanh(r) ** n / math.cosh(r)
-    return amplitudes, pair_tail(r, order + 1)
-
-
 def thermal_occupation(env: ThermalEnv) -> float:
     """Bose occupation of the phonon mode, 1/(exp(h*Omega/(kB*T)) - 1).
 
     Omega is an ordinary frequency, so the quantum of energy is
     h*Omega. Returns 0 for T = 0.
     """
-    if env.temperature == 0.0:
+    thermal_energy = BOLTZMANN_K * env.temperature
+    if thermal_energy == 0.0:  # T = 0, or so small that kB*T underflows
         return 0.0
-    x = PLANCK_H * env.Omega / (BOLTZMANN_K * env.temperature)
+    x = PLANCK_H * env.Omega / thermal_energy
     if x > 700.0:
         # expm1 would overflow; the occupation is exp(-x) to this accuracy
         return math.exp(-x)

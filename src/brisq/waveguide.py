@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NoSolution
 
 FORWARD = "forward"
@@ -95,18 +93,6 @@ def photon_frequency(params: WaveguideParams, k: float, branch: str = FORWARD) -
 def phonon_frequency(params: WaveguideParams, q: float) -> float:
     """Acoustic frequency va*|q| at wavenumber q. Even in q."""
     return params.va * abs(q)
-
-
-def allowed_wavenumbers(params: WaveguideParams, n_max: int) -> np.ndarray:
-    """Periodic-boundary wavenumber grid 2*pi*n/length for |n| <= n_max.
-
-    Returns the 2*n_max + 1 values in increasing order. Mode spacing is
-    2*pi/length.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    n = np.arange(-n_max, n_max + 1, dtype=float)
-    return 2.0 * np.pi * n / params.length
 
 
 def phase_match(params, k_pump: float, geometry: str = BACKWARD) -> BrillouinTriple:

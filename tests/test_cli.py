@@ -1,5 +1,8 @@
 """Command line behavior: verbs, formats, exit codes, determinism."""
 
+import copy
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -22,6 +25,27 @@ def write_scenario(tmp_path, raw, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def write_with_literal(tmp_path, raw, path, literal):
+    """Scenario file with the dotted path set to a raw JSON literal."""
+    raw = copy.deepcopy(raw)
+    *blocks, key = path.split(".")
+    target = raw
+    for block in blocks:
+        target = target[block]
+    target[key] = "@literal@"
+    out = tmp_path / "scenario.json"
+    out.write_text(json.dumps(raw).replace('"@literal@"', literal))
+    return str(out)
+
+
+NUMERIC_FIELDS = (
+    "waveguide.omega0", "waveguide.g", "waveguide.u", "waveguide.gamma",
+    "waveguide.vg", "waveguide.va", "waveguide.length", "drive.omega_p",
+    "drive.flux_in", "k_pump", "oracle.tolerance", "thermal.Omega",
+    "thermal.temperature", "thermal.Gamma",
+)
 
 
 def test_run_repo_scenario(capsys):
@@ -160,3 +184,94 @@ def test_check_writes_rows(tmp_path, capsys):
     rows = json.loads(out.read_text())
     assert len(rows) == 17
     assert all(row["ok"] for row in rows)
+
+
+@pytest.mark.parametrize("path, literal", [
+    ("waveguide.g", '"1.2.3 MHz"'),
+    ("oracle.cutoff", "1"),
+    ("oracle.cutoff", "1000"),
+    ("drive.flux_in", "1" * 5000),
+], ids=["three-dot-number", "cutoff-1", "cutoff-1000", "5000-digit-int"])
+def test_malformed_field_exits_two(tmp_path, capsys, path, literal):
+    raw = read_scenario(RUN_SCENARIO)
+    assert main(["run", write_with_literal(tmp_path, raw, path, literal)]) \
+        == EXIT_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario error" in captured.err
+
+
+def test_non_finite_numbers_exit_two(tmp_path, capsys):
+    raw = read_scenario(RUN_SCENARIO)
+    for path in NUMERIC_FIELDS:
+        for literal in ("NaN", "Infinity", "-Infinity", "1e999", '"1e999 Hz"'):
+            scenario = write_with_literal(tmp_path, raw, path, literal)
+            assert main(["run", scenario]) == EXIT_SCENARIO, (path, literal)
+            assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("content", [
+    Path(RUN_SCENARIO).read_text().replace("backward", "backw\u00e4rd")
+    .encode("latin-1"),
+    b'{"waveguide": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+], ids=["latin-1", "nested-100000-deep"])
+def test_undecodable_scenario_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main(["run", str(path)]) == EXIT_SCENARIO
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    {"parameter": "drive.flux_in", "values": ["1 kHz"]},
+    {"parameter": "waveguide.vg", "values": ["1 kHz"]},
+    {"parameter": "waveguide.length", "values": ["1 kHz"]},
+    {"parameter": "k_pump", "values": ["1 kHz"]},
+    {"parameter": "drive.flux_in", "start": "1 kHz", "stop": 2e12, "steps": 2},
+    {"parameter": "k_pump", "start": -1e308, "stop": 1e308, "steps": 3},
+], ids=["flux-unit", "vg-unit", "length-unit", "k_pump-unit", "start-unit",
+        "grid-overflow"])
+def test_sweep_grid_takes_the_fields_kind(tmp_path, capsys, grid):
+    raw = read_scenario(SWEEP_SCENARIO)
+    raw["sweep"] = grid
+    assert main(["sweep", write_scenario(tmp_path, raw)]) == EXIT_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sweep" in captured.err
+
+
+@pytest.mark.parametrize("path, value", [
+    ("k_pump", 1e301),
+    ("k_pump", 1e150),
+    ("thermal", {"Omega": "1 mHz", "temperature": 1e300, "Gamma": "1 MHz"}),
+    ("waveguide", {"omega0": "193 THz", "vg": 7e7, "va": 8433.0, "length": 0.01,
+                   "g": "1 MHz", "u": 1e-300, "gamma": 0.0}),
+], ids=["k_pump-1e301", "k_pump-1e150", "thermal-n_bar", "pump-photon-number"])
+def test_overflowing_results_exit_three(tmp_path, capsys, path, value):
+    raw = read_scenario(RUN_SCENARIO)
+    raw[path] = value
+    assert main(["run", write_scenario(tmp_path, raw)]) == EXIT_PHYSICS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "PhysicsError" in captured.err
+
+
+def test_sweep_oracle_miss_exits_four_after_full_report(tmp_path, capsys):
+    raw = read_scenario(SWEEP_SCENARIO)
+    raw["oracle"] = {"enabled": True, "tolerance": 1e-16}
+    assert main(["sweep", write_scenario(tmp_path, raw)]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["rows"]
+    assert len(rows) == 9
+    assert all(row["oracle_ok"] is False for row in rows)
+    assert "beyond tolerance in 9 of 9 rows" in captured.err
+
+
+def test_check_csv_out_writes_csv(tmp_path, capsys):
+    out = tmp_path / "checks.csv"
+    assert main(["check", "--format", "csv", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.count(": PASS") == 17
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 17
+    assert rows[0]["name"] == "coupling |f|"
+    assert all(row["ok"] == "True" for row in rows)

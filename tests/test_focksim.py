@@ -1,36 +1,28 @@
 """Truncated Fock-space oracle tests."""
 
-import io
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from brisq import (
-    CutoffTooSmall,
+from brisq.errors import CutoffTooSmall, ZeroProbability
+from brisq.focksim import (
     TruncatedFockSpace,
     TwoModeState,
-    ZeroProbability,
     apply_squeeze_factorized,
     bogoliubov_check,
     choose_cutoff,
-    dump_state,
     fock_state,
-    full_moment_table,
     herald,
     ladder_operators,
-    load_state,
     lowering_matrix,
     measure_moments,
-    pair_probability,
-    pair_tail,
     squeeze_operator,
     squeezed_vacuum,
-    table_deviation,
-    truncation_report,
     vacuum_state,
 )
+from brisq.squeezing import full_moment_table, pair_probability, pair_tail, table_deviation
 from brisq.focksim import _lower_a, _lower_b, _raise_a, _raise_b
 
 R_REF = 0.05016767361301254
@@ -236,21 +228,6 @@ def test_herald_on_product_state():
         herald(state, 25)
 
 
-def test_truncation_report():
-    space = TruncatedFockSpace(10)
-    state = squeezed_vacuum(space, 0.05)
-    report = truncation_report(state, 0.05)
-    assert report.cutoff == 10
-    assert report.tail_mass == pair_tail(0.05, 10)
-    assert report.tail_mass < 1e-25
-    assert report.edge_weight < 1e-22
-    assert report.ok
-    # a vacuum state has no tail at all
-    empty = truncation_report(vacuum_state(space), 0.0)
-    assert empty.tail_mass == 0.0
-    assert empty.edge_weight == 0.0
-
-
 def test_choose_cutoff():
     assert choose_cutoff(0.0) == 2
     assert choose_cutoff(0.5) == 18
@@ -270,22 +247,3 @@ def test_state_validation_and_accessors():
     state = fock_state(TruncatedFockSpace(3), 1, 2)
     assert state.probability(1, 2) == 1.0
     assert state.grid()[1, 2] == 1.0 + 0j
-
-
-def test_dump_load_round_trip():
-    space = TruncatedFockSpace(7)
-    base = squeezed_vacuum(space, 0.4, tail_tol=1.0)
-    state = apply_squeeze_factorized(
-        space, 0.2, TwoModeState(base.amplitudes * np.exp(0.3j), 7))
-    buffer = io.StringIO()
-    dump_state(state, buffer)
-    loaded = load_state(io.StringIO(buffer.getvalue()))
-    assert loaded.cutoff == 7
-    assert np.array_equal(loaded.amplitudes, state.amplitudes)
-
-
-def test_load_state_rejects_partial_tables():
-    with pytest.raises(ValueError):
-        load_state(io.StringIO("0 0 1.0 0.0\n2 2 0.5 0.0\n"))
-    with pytest.raises(ValueError):
-        load_state(io.StringIO("# empty\n"))

@@ -6,22 +6,23 @@ import math
 
 import pytest
 
-from brisq import (
+from brisq.errors import ScenarioError, Unstable
+from brisq.pipeline import (
+    FREQUENCY,
+    NUMBER,
     OracleConfig,
     Scenario,
-    ScenarioError,
     SweepConfig,
-    Unstable,
     decibel_table,
     flatten,
-    full_moment_table,
     load_scenario,
-    parse_frequency,
+    parse_value,
     reference_checks,
     reference_scenario,
     run,
     sweep,
 )
+from brisq.squeezing import full_moment_table
 
 K_PUMP_REF = 592980.2391963544
 Q_PHONON_REF = 1185817.6212498515
@@ -48,15 +49,22 @@ def scenario_dict(**overrides):
 
 
 def test_parse_frequency():
-    assert parse_frequency("10 GHz") == 1e10
-    assert parse_frequency("10 mHz") == 0.01
-    assert parse_frequency("2.5kHz") == 2500.0
-    assert parse_frequency("1e9 Hz") == 1e9
-    assert parse_frequency(5) == 5.0
-    assert parse_frequency(2.5e6) == 2.5e6
-    for bad in ("10 Mhz", "GHz", "1 XHz", "10e9", True, None, [1e9]):
+    assert parse_value("10 GHz", FREQUENCY) == 1e10
+    assert parse_value("10 mHz", FREQUENCY) == 0.01
+    assert parse_value("2.5kHz", FREQUENCY) == 2500.0
+    assert parse_value("1e9 Hz", FREQUENCY) == 1e9
+    assert parse_value(".5 Hz", FREQUENCY) == 0.5
+    assert parse_value(5, FREQUENCY) == 5.0
+    assert parse_value(2.5e6, FREQUENCY) == 2.5e6
+    assert parse_value(2.5e6, NUMBER) == 2.5e6
+    for bad in ("10 Mhz", "GHz", "1 XHz", "10e9", True, None, [1e9],
+                "1.2.3 MHz", ". Hz", "1e999 Hz", "1e300 THz", "nan Hz",
+                math.nan, math.inf, -math.inf, 10 ** 400):
         with pytest.raises(ScenarioError):
-            parse_frequency(bad)
+            parse_value(bad, FREQUENCY)
+    for bad in ("1 kHz", "5", True, None, math.nan, math.inf, 10 ** 400):
+        with pytest.raises(ScenarioError):
+            parse_value(bad, NUMBER)
 
 
 def test_load_scenario_file(tmp_path):
@@ -247,6 +255,20 @@ def test_sweep_records_unstable_rows():
     assert report.rows[1]["status"] == "error"
     assert report.rows[1]["error_type"] == "Unstable"
     assert "f" not in report.rows[1]
+
+
+def test_sweep_rows_record_scenario_and_overflow_errors():
+    rejected = sweep(dataclasses.replace(
+        reference_scenario(),
+        sweep=SweepConfig(parameter="drive.flux_in", values=(1e12, -1.0))))
+    assert rejected.rows[0]["status"] == "ok"
+    assert rejected.rows[1]["status"] == "error"
+    assert rejected.rows[1]["error_type"] == "ScenarioError"
+    assert "flux_in must be nonnegative" in rejected.rows[1]["error"]
+    overflow = sweep(dataclasses.replace(
+        reference_scenario(),
+        sweep=SweepConfig(parameter="k_pump", values=(1e301,))))
+    assert overflow.rows[0]["error_type"] == "PhysicsError"
 
 
 def test_sweep_single_point_matches_run():

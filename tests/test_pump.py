@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from brisq import (
-    DegenerateLinewidth,
+from brisq.errors import DegenerateLinewidth
+from brisq.pump import (
     PumpDrive,
     effective_coupling,
     pump_detuning,

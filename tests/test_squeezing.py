@@ -2,13 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from brisq import (
+from brisq.squeezing import (
     MomentTable,
     ThermalEnv,
-    bell_expansion,
     correlation_moments,
     full_moment_table,
     independent_moments,
@@ -162,40 +160,11 @@ def test_full_table_merges_consistently():
     assert table.r == 0.3
 
 
-def test_merge_conflicts_are_rejected():
-    with pytest.raises(ValueError):
-        independent_moments(0.3).merged(independent_moments(0.2))
-    clashing = MomentTable(r=0.3, second={"X_a": 123.0})
-    with pytest.raises(ValueError):
-        independent_moments(0.3).merged(clashing)
-
-
 def test_table_deviation():
     left = full_moment_table(0.3)
     assert table_deviation(left, full_moment_table(0.3)) == 0.0
     bumped = MomentTable(r=0.3, second={"X_a": left.second["X_a"] + 1e-3})
     assert table_deviation(left, bumped) == pytest.approx(1e-3, rel=1e-9)
-
-
-def test_bell_expansion_low_orders():
-    amplitudes, discarded = bell_expansion(0.05, 1)
-    t = math.tanh(0.05)
-    assert amplitudes[0] == 1.0 / math.cosh(0.05)
-    assert amplitudes[1] / amplitudes[0] == pytest.approx(t, rel=1e-15)
-    assert discarded == t ** 4
-    with pytest.raises(ValueError):
-        bell_expansion(0.05, -1)
-
-
-def test_bell_expansion_completeness():
-    for r in (0.0, 0.05, 0.5, 1.0):
-        for order in (0, 1, 5, 40):
-            amplitudes, discarded = bell_expansion(r, order)
-            assert float(np.sum(amplitudes ** 2)) + discarded == \
-                pytest.approx(1.0, abs=1e-14)
-            for n, amp in enumerate(amplitudes):
-                assert amp ** 2 == pytest.approx(pair_probability(r, n),
-                                                 rel=1e-13, abs=1e-300)
 
 
 def test_thermal_occupation_reference_bath():
@@ -211,6 +180,9 @@ def test_thermal_occupation_reference_bath():
 
 def test_thermal_occupation_limits():
     env = ThermalEnv(Omega=1e10, temperature=0.0, Gamma=1e6)
+    assert thermal_occupation(env) == 0.0
+    # kB*T underflows to zero: the T = 0 limit, not a division by zero
+    env = ThermalEnv(Omega=1e10, temperature=5e-324, Gamma=1e6)
     assert thermal_occupation(env) == 0.0
     # far detuned / ultracold: underflows to zero instead of overflowing
     frozen = ThermalEnv(Omega=1e14, temperature=1e-3, Gamma=1e6)

@@ -6,12 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from brisq import (
+from brisq.errors import NoSolution
+from brisq.waveguide import (
     BACKWARD,
     FORWARD,
-    NoSolution,
     WaveguideParams,
-    allowed_wavenumbers,
     phase_match,
     phonon_frequency,
     photon_frequency,
@@ -58,27 +57,6 @@ def test_phonon_frequency_even_and_linear():
     # 10 GHz phonon sits at q = Omega / va
     q = 1e10 / 8433.0
     assert phonon_frequency(params, q) == pytest.approx(1e10, rel=1e-12)
-
-
-def test_allowed_wavenumbers_grid():
-    params = make_params()
-    assert allowed_wavenumbers(params, 0).tolist() == [0.0]
-    three = allowed_wavenumbers(params, 1)
-    assert three[1] == 0.0
-    assert three[2] == pytest.approx(628.3185307179587, rel=1e-15)
-    assert three[0] == -three[2]
-    with pytest.raises(ValueError):
-        allowed_wavenumbers(params, -1)
-
-
-def test_allowed_wavenumbers_spacing():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        length = float(rng.uniform(1e-4, 10.0))
-        params = make_params(length=length)
-        grid = allowed_wavenumbers(params, 7)
-        spacing = np.diff(grid)
-        assert np.allclose(spacing, 2.0 * np.pi / length, rtol=1e-12)
 
 
 def test_phase_match_backward_reference_device():
