@@ -58,21 +58,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
 
-    run_parser = sub.add_parser("run", help="resolve one scenario")
-    run_parser.add_argument("scenario", help="scenario JSON file")
-    add_io_flags(run_parser)
-    run_parser.add_argument("--oracle", choices=("on", "off"),
-                            help="override the scenario's oracle block")
-    run_parser.add_argument("--db", action="store_true",
-                            help="add quadrature variances in dB")
-
-    sweep_parser = sub.add_parser("sweep", help="run the scenario sweep grid")
-    sweep_parser.add_argument("scenario", help="scenario JSON file")
-    add_io_flags(sweep_parser)
-    sweep_parser.add_argument("--oracle", choices=("on", "off"),
-                              help="override the scenario's oracle block")
-    sweep_parser.add_argument("--db", action="store_true",
-                              help="add quadrature variances in dB")
+    for verb, text in (("run", "resolve one scenario"),
+                       ("sweep", "run the scenario sweep grid")):
+        verb_parser = sub.add_parser(verb, help=text)
+        verb_parser.add_argument("scenario", help="scenario JSON file")
+        add_io_flags(verb_parser)
+        verb_parser.add_argument("--oracle", choices=("on", "off"),
+                                 help="override the scenario's oracle block")
+        verb_parser.add_argument("--db", action="store_true",
+                                 help="add quadrature variances in dB")
 
     check_parser = sub.add_parser(
         "check", help="run the reference device and verify documented values")

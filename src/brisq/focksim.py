@@ -151,11 +151,10 @@ def fock_state(space: TruncatedFockSpace, n_a: int, n_b: int) -> TwoModeState:
     return TwoModeState(amplitudes=amp, cutoff=space.cutoff)
 
 
-def choose_cutoff(r: float, tail_tol: float = TAIL_TOL,
-                  cap: int = CUTOFF_CAP) -> int:
+def choose_cutoff(r: float, tail_tol: float = TAIL_TOL) -> int:
     """Smallest cutoff whose closed-form tail mass is below tail_tol.
 
-    Raises CutoffTooSmall when no cutoff up to `cap` suffices.
+    Raises CutoffTooSmall when no cutoff up to CUTOFF_CAP suffices.
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
@@ -167,9 +166,9 @@ def choose_cutoff(r: float, tail_tol: float = TAIL_TOL,
     n = max(2, math.ceil(math.log(tail_tol) / (2.0 * math.log(t))))
     while pair_tail(r, n) > tail_tol:  # guard the ceil against rounding
         n += 1
-    if n > cap:
+    if n > CUTOFF_CAP:
         raise CutoffTooSmall(
-            f"tail mass {tail_tol:g} at r = {r:g} needs cutoff {n} > cap {cap}")
+            f"tail mass {tail_tol:g} at r = {r:g} needs cutoff {n} > cap {CUTOFF_CAP}")
     return n
 
 
@@ -261,19 +260,6 @@ def _raise_b(grid: np.ndarray) -> np.ndarray:
     out = np.zeros_like(grid)
     out[:, 1:] = np.sqrt(np.arange(1.0, n))[None, :] * grid[:, :-1]
     return out
-
-
-# mode label -> (lowering action, raising action) on the amplitude grid;
-# each action is elementwise identical to the dense matrix-vector product
-def _mode_actions() -> dict[str, tuple[Callable, Callable]]:
-    return {
-        "a": (_lower_a, _raise_a),
-        "b": (_lower_b, _raise_b),
-        "c": (lambda y: (_lower_a(y) - _lower_b(y)) / SQRT2,
-              lambda y: (_raise_a(y) - _raise_b(y)) / SQRT2),
-        "d": (lambda y: (_lower_a(y) + _lower_b(y)) / SQRT2,
-              lambda y: (_raise_a(y) + _raise_b(y)) / SQRT2),
-    }
 
 
 def apply_squeeze_factorized(space: TruncatedFockSpace, r: float,
@@ -378,15 +364,24 @@ def measure_moments(state: TwoModeState) -> MomentTable:
         worst_imag = max(worst_imag, abs(value.imag))
         return float(value.real)
 
+    # each shift of the grid is elementwise identical to the dense
+    # matrix-vector product; c = (a - b)/sqrt(2) and d = (a + b)/sqrt(2)
+    # act through the a and b shifts, each taken once
+    low_a, low_b = _lower_a(grid), _lower_b(grid)
+    up_a, up_b = _raise_a(grid), _raise_b(grid)
+    low_c, low_d = (low_a - low_b) / SQRT2, (low_a + low_b) / SQRT2
+    # mode -> (lowered, raised) grid
+    actions = {
+        "a": (low_a, up_a),
+        "b": (low_b, up_b),
+        "c": (low_c, (up_a - up_b) / SQRT2),
+        "d": (low_d, (up_a + up_b) / SQRT2),
+    }
     first: dict[str, float] = {}
     second: dict[str, float] = {}
     products: dict[str, float] = {}
     squeezing: dict[str, float] = {}
-    lowered: dict[str, np.ndarray] = {}
-    for mode, (lower, raiser) in _mode_actions().items():
-        down = lower(grid)
-        up = raiser(grid)
-        lowered[mode] = down
+    for mode, (down, up) in actions.items():
         x_grid = (down + up) / SQRT2
         y_grid = -1j * (down - up) / SQRT2
         variances = []
@@ -400,16 +395,16 @@ def measure_moments(state: TwoModeState) -> MomentTable:
         products[mode] = math.sqrt(variances[0] * variances[1])
 
     cross = {
-        "n_a": expect(lowered["a"], lowered["a"]),
-        "n_b": expect(lowered["b"], lowered["b"]),
-        "n_c": expect(lowered["c"], lowered["c"]),
-        "n_d": expect(lowered["d"], lowered["d"]),
-        "ab": expect(grid, _lower_a(lowered["b"])),
-        "adag_b": expect(lowered["a"], lowered["b"]),
-        "a2": expect(grid, _lower_a(lowered["a"])),
-        "b2": expect(grid, _lower_b(lowered["b"])),
-        "c2": expect(grid, _mode_actions()["c"][0](lowered["c"])),
-        "d2": expect(grid, _mode_actions()["d"][0](lowered["d"])),
+        "n_a": expect(low_a, low_a),
+        "n_b": expect(low_b, low_b),
+        "n_c": expect(low_c, low_c),
+        "n_d": expect(low_d, low_d),
+        "ab": expect(grid, _lower_a(low_b)),
+        "adag_b": expect(low_a, low_b),
+        "a2": expect(grid, _lower_a(low_a)),
+        "b2": expect(grid, _lower_b(low_b)),
+        "c2": expect(grid, (_lower_a(low_c) - _lower_b(low_c)) / SQRT2),
+        "d2": expect(grid, (_lower_a(low_d) + _lower_b(low_d)) / SQRT2),
     }
     assert set(cross) == set(CROSS_KEYS)
     return MomentTable(

@@ -54,6 +54,7 @@ _FREQ_RE = re.compile(
     r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]+)\s*$")
 
 PAIR_PROBABILITY_ORDERS = 6
+MAX_SWEEP_STEPS = 10**6  # a start/stop grid is built whole at load
 
 FREQUENCY = "frequency"
 NUMBER = "number"
@@ -189,8 +190,9 @@ def _parse_sweep(raw: Any) -> SweepConfig:
             if key not in block:
                 raise ScenarioError(f"sweep: missing {key}")
         steps = block["steps"]
-        if type(steps) is not int or steps < 1:
-            raise ScenarioError("sweep.steps: expected a positive int")
+        if type(steps) is not int or not 1 <= steps <= MAX_SWEEP_STEPS:
+            raise ScenarioError(
+                f"sweep.steps: expected an int in [1, {MAX_SWEEP_STEPS}]")
         start = parse_value(block["start"], kind, "sweep.start")
         stop = parse_value(block["stop"], kind, "sweep.stop")
         if steps == 1:
@@ -266,9 +268,9 @@ def load_scenario(path: str) -> Scenario:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything one scenario run produced."""
+    """Everything one scenario run produced; to_dict() is the JSON report."""
 
-    scenario: dict
+    scenario: Scenario
     triple: BrillouinTriple
     pump: PumpSteadyState
     squeeze: SqueezeSpec
@@ -279,57 +281,28 @@ class RunReport:
     decibels: dict | None
 
     def to_dict(self) -> dict:
-        triple = self.triple
-        out: dict[str, Any] = {
-            "scenario": self.scenario,
-            "triple": {
-                "k_pump": triple.k_pump,
-                "k_signal": triple.k_signal,
-                "q_phonon": triple.q_phonon,
-                "omega_pump": triple.omega_pump,
-                "omega_signal": triple.omega_signal,
-                "Omega_phonon": triple.Omega_phonon,
-            },
-            "pump": {
-                "detuning": _complex_dict(self.pump.detuning),
-                "amplitude": _complex_dict(self.pump.amplitude),
-                "photon_number": self.pump.photon_number,
-                "coupling": _complex_dict(self.pump.coupling),
-            },
-            "squeeze": {
-                name: getattr(self.squeeze, name)
-                for name in ("omega", "Omega", "f", "omega_bar", "delta",
-                             "gap", "r", "omega_alpha", "omega_beta",
-                             "omega_zero")
-            },
-            "pair_probabilities": list(self.pair_probabilities),
-            "analytic": _table_dict(self.analytic),
-        }
-        if self.oracle is not None:
-            block = dict(self.oracle)
-            block["table"] = _table_dict(block["table"])
-            out["oracle"] = block
-        if self.thermal is not None:
-            out["thermal"] = dict(self.thermal)
-        if self.decibels is not None:
-            out["decibels"] = dict(self.decibels)
-        return out
+        """Fields in declaration order, leaving out the blocks that are None."""
+        return {key: value for key, value in _plain(self).items()
+                if value is not None}
 
 
-def _complex_dict(z: complex) -> dict[str, float]:
-    return {"re": z.real, "im": z.imag}
-
-
-def _table_dict(table: MomentTable) -> dict:
-    return {
-        "r": table.r,
-        "first": dict(table.first),
-        "second": dict(table.second),
-        "products": dict(table.products),
-        "squeezing": dict(table.squeezing),
-        "cross": dict(table.cross),
-        "max_imag_discarded": table.max_imag_discarded,
-    }
+def _plain(value: Any) -> Any:
+    """JSON-ready form of a report value: a number, string or None as
+    is, a complex number as {"re", "im"}, a tuple as a list, a dict as a
+    copy, the scenario as it re-emits itself and any other dataclass as
+    a dict of its fields."""
+    if isinstance(value, (float, int, str)) or value is None:
+        return value
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, Scenario):
+        return value.to_dict()
+    return {f.name: _plain(getattr(value, f.name))
+            for f in dataclasses.fields(value)}
 
 
 def decibel_table(table: MomentTable) -> dict[str, float]:
@@ -406,7 +379,7 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
 
     decibels = decibel_table(analytic) if with_decibels else None
     return RunReport(
-        scenario=scenario.to_dict(),
+        scenario=scenario,
         triple=triple,
         pump=pump,
         squeeze=squeeze,

@@ -81,11 +81,6 @@ def pump_steady_amplitude(drive: PumpDrive, detuning: complex, u: float) -> comp
     return math.sqrt(u) * drive.amplitude_in / (1j * detuning)
 
 
-def effective_coupling(g: float, drive: PumpDrive, detuning: complex, u: float) -> complex:
-    """Pump-enhanced pair coupling f = g * sqrt(u) * amplitude_in / (i * detuning)."""
-    return g * pump_steady_amplitude(drive, detuning, u)
-
-
 def pump_steady_state(params: WaveguideParams, drive: PumpDrive,
                       omega_mode: float) -> PumpSteadyState:
     """Resolve the full steady state of the pump mode at omega_mode."""

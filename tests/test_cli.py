@@ -229,8 +229,10 @@ def test_undecodable_scenario_exits_two(tmp_path, capsys, content):
     {"parameter": "k_pump", "values": ["1 kHz"]},
     {"parameter": "drive.flux_in", "start": "1 kHz", "stop": 2e12, "steps": 2},
     {"parameter": "k_pump", "start": -1e308, "stop": 1e308, "steps": 3},
+    {"parameter": "drive.flux_in", "start": 1e11, "stop": 2e13, "steps": 1000001},
+    {"parameter": "drive.flux_in", "start": 1e11, "stop": 2e13, "steps": 1000000000},
 ], ids=["flux-unit", "vg-unit", "length-unit", "k_pump-unit", "start-unit",
-        "grid-overflow"])
+        "grid-overflow", "steps-over-bound", "steps-1e9"])
 def test_sweep_grid_takes_the_fields_kind(tmp_path, capsys, grid):
     raw = read_scenario(SWEEP_SCENARIO)
     raw["sweep"] = grid

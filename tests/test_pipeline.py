@@ -217,7 +217,7 @@ def test_run_explicit_oracle_cutoff():
 
 def test_run_round_trips_through_scenario_dict():
     first = run(reference_scenario())
-    clone = Scenario.from_dict(json.loads(json.dumps(first.scenario)))
+    clone = Scenario.from_dict(json.loads(json.dumps(first.to_dict()["scenario"])))
     second = run(clone)
     assert second.squeeze.f == first.squeeze.f
     assert second.squeeze.r == first.squeeze.r
@@ -269,6 +269,40 @@ def test_sweep_rows_record_scenario_and_overflow_errors():
         reference_scenario(),
         sweep=SweepConfig(parameter="k_pump", values=(1e301,))))
     assert overflow.rows[0]["error_type"] == "PhysicsError"
+
+
+def test_sweep_serializes_the_scenario_once(monkeypatch):
+    calls = []
+    to_dict = Scenario.to_dict
+
+    def counted(self):
+        calls.append(self)
+        return to_dict(self)
+
+    monkeypatch.setattr(Scenario, "to_dict", counted)
+    scenario = dataclasses.replace(
+        reference_scenario(oracle=False),
+        sweep=SweepConfig(parameter="drive.flux_in", values=(1e10, 1e11, 1e12, 1e15)))
+    report = sweep(scenario)
+    assert len(report.rows) == 4
+    assert calls == [scenario]
+    assert report.scenario == to_dict(scenario)
+
+
+def test_run_report_keeps_the_resolved_scenario():
+    scenario = reference_scenario()
+    report = run(scenario)
+    assert report.scenario is scenario
+    payload = report.to_dict()
+    assert list(payload) == ["scenario", "triple", "pump", "squeeze",
+                             "pair_probabilities", "analytic", "oracle", "thermal"]
+    assert payload["scenario"] == scenario.to_dict()
+    assert payload["pump"]["coupling"] == {"re": report.pump.coupling.real,
+                                           "im": report.pump.coupling.imag}
+    assert payload["pair_probabilities"] == list(report.pair_probabilities)
+    assert payload["oracle"]["table"]["r"] is None
+    assert payload["analytic"]["squeezing"] == report.analytic.squeezing
+    assert payload["analytic"]["squeezing"] is not report.analytic.squeezing
 
 
 def test_sweep_single_point_matches_run():

@@ -7,7 +7,6 @@ import pytest
 from brisq.errors import DegenerateLinewidth
 from brisq.pump import (
     PumpDrive,
-    effective_coupling,
     pump_detuning,
     pump_steady_amplitude,
     pump_steady_state,
@@ -81,7 +80,7 @@ def test_effective_coupling_reference_device():
     # g = u = 1 MHz, gamma = 10 mHz, resonant 1e12/s drive: f ~ 1 GHz
     drive = PumpDrive(omega_p=1e10, flux_in=1e12)
     detuning = pump_detuning(1e10, 1e10, 1e6, 0.01)
-    f = effective_coupling(1e6, drive, detuning, 1e6)
+    f = pump_steady_state(make_params(), drive, 1e10).coupling
     assert f.imag == 0.0
     assert f.real == pytest.approx(999999995.0, rel=1e-12)
     assert abs(f) == pytest.approx(1e9, rel=1e-3)
@@ -91,9 +90,9 @@ def test_effective_coupling_reference_device():
 
 
 def test_coupling_scales_with_root_flux():
-    detuning = pump_detuning(1e10, 1e10, 1e6, 0.01)
-    f1 = effective_coupling(1e6, PumpDrive(1e10, 1e12), detuning, 1e6)
-    f2 = effective_coupling(1e6, PumpDrive(1e10, 9e12), detuning, 1e6)
+    params = make_params()
+    f1 = pump_steady_state(params, PumpDrive(1e10, 1e12), 1e10).coupling
+    f2 = pump_steady_state(params, PumpDrive(1e10, 9e12), 1e10).coupling
     assert abs(f2) == pytest.approx(3.0 * abs(f1), rel=1e-15)
 
 

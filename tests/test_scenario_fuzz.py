@@ -26,7 +26,7 @@ TOP_KEYS = ["waveguide", "drive", "geometry", "k_pump", "oracle", "thermal",
 UNITS = ("mHz", "Hz", "kHz", "MHz", "GHz", "THz", "Mhz", "")
 
 # Integers stay small: a mutated sweep.steps asks for that many rows, and
-# steps has no upper bound.
+# steps up to 10**6 are accepted.
 scalars = st.one_of(
     st.none(),
     st.booleans(),
