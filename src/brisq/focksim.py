@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffTooSmall, ZeroProbability
 from .squeezing import CROSS_KEYS, MomentTable, pair_tail
@@ -151,8 +150,15 @@ def fock_state(space: TruncatedFockSpace, n_a: int, n_b: int) -> TwoModeState:
     return TwoModeState(amplitudes=amp, cutoff=space.cutoff)
 
 
-def choose_cutoff(r: float, tail_tol: float = TAIL_TOL) -> int:
-    """Smallest cutoff whose closed-form tail mass is below tail_tol.
+def choose_cutoff(r: float, tail_tol: float = TAIL_TOL,
+                  flux_tol: float = math.inf) -> int:
+    """Smallest cutoff n whose closed-form tail mass is below tail_tol and
+    whose top-level flux bound n * pair_tail(r, n - 1) is below flux_tol.
+
+    The second bound is for moments measured on the truncated state:
+    the raising shifts in measure_moments drop the flux of the highest
+    kept level, which at small r outweighs the tail mass (cutoff 2 at
+    r ~ 1e-4 leaves a tail of ~1e-16 but moments off by ~r^2).
 
     Raises CutoffTooSmall when no cutoff up to CUTOFF_CAP suffices.
     """
@@ -169,6 +175,11 @@ def choose_cutoff(r: float, tail_tol: float = TAIL_TOL) -> int:
     if n > CUTOFF_CAP:
         raise CutoffTooSmall(
             f"tail mass {tail_tol:g} at r = {r:g} needs cutoff {n} > cap {CUTOFF_CAP}")
+    while n * pair_tail(r, n - 1) > flux_tol:
+        n += 1
+        if n > CUTOFF_CAP:
+            raise CutoffTooSmall(
+                f"top-level flux {flux_tol:g} at r = {r:g} needs cutoff > cap {CUTOFF_CAP}")
     return n
 
 
@@ -187,13 +198,28 @@ def _sector_block(r: float, size: int, na0: int, nb0: int) -> np.ndarray:
     r (a^dag b^dag - a b) is antisymmetric bidiagonal with
     K[n+1, n] = r * sqrt((na0+n+1)(nb0+n+1)); its exponential is the
     exact restriction of the full squeeze operator.
+
+    The exponential comes from one symmetric eigendecomposition. With T
+    the symmetric tridiagonal matrix of the same off-diagonal entries and
+    D = diag(i^n), K = D^-1 (i T) D, so exp(K) = D^-1 V exp(i W) V^T D
+    for T = V W V^T. Signing the rows of V by s_n = (-1)^(n // 2) leaves
+    that real: exp(K)[n, m] is (s V cos(W) V^T s)[n, m] where n - m is
+    even and -/+ (s V sin(W) V^T s)[n, m] where n is even/odd and m is
+    not. The phases are applied exactly, and no scaling and squaring
+    amplifies rounding: at cutoff 128 and r = 1.43 a block agrees with
+    a 40-digit evaluation to ~1e-14, where scipy's scaled-and-squared
+    expm is off by ~1e-12.
     """
     ns = np.arange(size - 1)
     amp = r * np.sqrt((ns + na0 + 1.0) * (ns + nb0 + 1.0))
-    gen = np.zeros((size, size))
-    gen[ns + 1, ns] = amp
-    gen[ns, ns + 1] = -amp
-    return expm(gen)
+    # eigh reads the lower triangle only
+    w, v = np.linalg.eigh(np.diag(amp, -1))
+    v *= np.array((1.0, 1.0, -1.0, -1.0))[np.arange(size) % 4, None]
+    out = (v * np.cos(w)) @ v.T
+    sin = (v * np.sin(w)) @ v.T
+    out[0::2, 1::2] = -sin[0::2, 1::2]
+    out[1::2, 0::2] = sin[1::2, 0::2]
+    return out
 
 
 def squeeze_operator(space: TruncatedFockSpace, r: float,

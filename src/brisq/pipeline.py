@@ -352,7 +352,8 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
     if scenario.oracle.enabled:
         cutoff = scenario.oracle.cutoff
         if cutoff is None:
-            cutoff = choose_cutoff(squeeze.r)
+            cutoff = choose_cutoff(squeeze.r,
+                                   flux_tol=scenario.oracle.tolerance)
         space = TruncatedFockSpace(cutoff)
         state = squeezed_vacuum(space, squeeze.r)
         numeric = measure_moments(state)

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.constants import h as PLANCK_H
-from scipy.constants import k as BOLTZMANN_K
+# exact by definition since the 2019 SI redefinition
+PLANCK_H = 6.62607015e-34  # J s
+BOLTZMANN_K = 1.380649e-23  # J / K
 
 QUAD_KEYS = ("X_a", "Y_a", "X_b", "Y_b", "X_c", "Y_c", "X_d", "Y_d")
 MODE_KEYS = ("a", "b", "c", "d")

@@ -4,6 +4,9 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -277,3 +280,23 @@ def test_check_csv_out_writes_csv(tmp_path, capsys):
     assert len(rows) == 17
     assert rows[0]["name"] == "coupling |f|"
     assert all(row["ok"] == "True" for row in rows)
+
+
+def test_no_verb_imports_scipy():
+    # scipy is only a test dependency; a fresh process catches a lazy
+    # import too, which this test process (it imports scipy) would hide
+    code = (
+        "import contextlib, io, sys\n"
+        "from brisq import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['check']),\n"
+        f"             cli.main(['run', {RUN_SCENARIO!r}, '--oracle', 'on']),\n"
+        f"             cli.main(['sweep', {SWEEP_SCENARIO!r}, '--oracle', 'on'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[0, 0, 0] []"

@@ -8,6 +8,8 @@ from scipy.linalg import expm
 
 from brisq.errors import CutoffTooSmall, ZeroProbability
 from brisq.focksim import (
+    CUTOFF_CAP,
+    TAIL_TOL,
     TruncatedFockSpace,
     TwoModeState,
     apply_squeeze_factorized,
@@ -23,9 +25,11 @@ from brisq.focksim import (
     vacuum_state,
 )
 from brisq.squeezing import full_moment_table, pair_probability, pair_tail, table_deviation
-from brisq.focksim import _lower_a, _lower_b, _raise_a, _raise_b
+from brisq.focksim import _lower_a, _lower_b, _raise_a, _raise_b, _sector_block
 
 R_REF = 0.05016767361301254
+# top of the range the cutoff cap serves: pair_tail(EDGE_R, 128) = 1e-12
+EDGE_R = math.atanh(TAIL_TOL ** (1.0 / (2 * CUTOFF_CAP)))  # ~1.46
 
 
 def test_lowering_matrix_two_levels():
@@ -90,6 +94,52 @@ def test_squeeze_operator_matches_dense_generator_exponential():
     generator = r * (ops.adag @ ops.bdag - ops.a @ ops.b)
     dense = expm(generator)
     assert np.max(np.abs(squeeze_operator(space, r, tail_tol=1.0) - dense)) < 1e-12
+
+
+def sector_generator(r, size, na0, nb0):
+    """Dense r (a^dag b^dag - a b) on the sector |na0 + n, nb0 + n>."""
+    n = np.arange(size - 1)
+    amp = r * np.sqrt((na0 + n + 1.0) * (nb0 + n + 1.0))
+    return np.diag(amp, -1) - np.diag(amp, 1)
+
+
+def sectors(cutoff):
+    for m in range(-(cutoff - 1), cutoff):
+        yield cutoff - abs(m), max(m, 0), max(-m, 0)
+
+
+@pytest.mark.parametrize("cutoff", [2, 5, 16, 48, 128])
+def test_sector_blocks_match_expm(cutoff):
+    # Whole blocks are compared with expm up to EDGE_R / 2 only: beyond
+    # r ~ 1 at cutoff 128, scipy's scaled-and-squared expm is itself off
+    # by up to 1.4e-12 (against 40-digit arithmetic at r = 1.43; the eigh
+    # blocks are within ~1e-14 there). The group law exp(2K) = exp(K)^2 carries the
+    # check to EDGE_R, and the vacuum column, which is what the oracle
+    # reads, is compared with expm all the way.
+    for r in (0.3, EDGE_R / 2):
+        # one pass per library: interleaving numpy's and scipy's BLAS
+        # calls makes their thread pools contend and doubles the run time
+        blocks = [_sector_block(r, *sector) for sector in sectors(cutoff)]
+        expected = [expm(sector_generator(r, *sector)) for sector in sectors(cutoff)]
+        for (size, na0, nb0), block, ref in zip(sectors(cutoff), blocks, expected):
+            assert np.max(np.abs(block - ref)) <= 1e-12
+            if na0 == nb0 == 0:
+                assert np.max(np.abs(block[:, 0] - ref[:, 0])) <= 1e-14
+    for size, na0, nb0 in sectors(cutoff):
+        half = _sector_block(EDGE_R / 2, size, na0, nb0)
+        block = _sector_block(EDGE_R, size, na0, nb0)
+        assert np.max(np.abs(block - half @ half)) <= 1e-12
+    vacuum = _sector_block(EDGE_R, cutoff, 0, 0)[:, 0]
+    expected = expm(sector_generator(EDGE_R, cutoff, 0, 0))[:, 0]
+    assert np.max(np.abs(vacuum - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [5, 16, 40])
+def test_squeeze_operator_is_orthogonal(cutoff):
+    r = math.atanh(TAIL_TOL ** (1.0 / (2 * cutoff)))  # tail mass 1e-12
+    squeeze = squeeze_operator(TruncatedFockSpace(cutoff), r)
+    gram = squeeze @ squeeze.T
+    assert np.max(np.abs(gram - np.eye(cutoff * cutoff))) <= 1e-12
 
 
 def test_squeeze_operator_unitary_on_low_block():
@@ -239,6 +289,12 @@ def test_choose_cutoff():
         choose_cutoff(2.0)
     with pytest.raises(ValueError):
         choose_cutoff(0.5, tail_tol=0.0)
+    # the top kept level's flux, n * pair_tail(r, n - 1), is bounded too
+    assert choose_cutoff(1e-4) == 2
+    assert choose_cutoff(1e-4, flux_tol=1e-8) == 3
+    assert choose_cutoff(0.5, flux_tol=1e-8) == 18
+    with pytest.raises(CutoffTooSmall):
+        choose_cutoff(1.4, flux_tol=1e-30)
 
 
 def test_state_validation_and_accessors():

@@ -215,6 +215,17 @@ def test_run_explicit_oracle_cutoff():
     assert report.oracle["ok"] is True
 
 
+@pytest.mark.parametrize("ratio", [0.000339, 0.00102, 0.00170, 0.01866, 0.01934])
+def test_chosen_cutoff_holds_the_moments_at_small_r(ratio):
+    # the tail bound alone picks cutoff 2 or 3 at these f/omega_bar, and
+    # the moments then miss the dropped top-level flux by ~r^2 > 1e-8
+    flux = 1e12 * (ratio / math.tanh(2.0 * R_REF)) ** 2
+    drive = {"omega_p": 234508616743744.8, "flux_in": flux}
+    report = run(Scenario.from_dict(scenario_dict(drive=drive)))
+    assert math.tanh(2.0 * report.squeeze.r) == pytest.approx(ratio, rel=1e-6)
+    assert report.oracle["ok"] is True
+
+
 def test_run_round_trips_through_scenario_dict():
     first = run(reference_scenario())
     clone = Scenario.from_dict(json.loads(json.dumps(first.to_dict()["scenario"])))

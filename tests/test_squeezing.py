@@ -3,8 +3,11 @@
 import math
 
 import pytest
+import scipy.constants
 
 from brisq.squeezing import (
+    BOLTZMANN_K,
+    PLANCK_H,
     MomentTable,
     ThermalEnv,
     correlation_moments,
@@ -176,6 +179,11 @@ def test_thermal_occupation_reference_bath():
     x = 6.62607015e-34 * 1e10 / (1.380649e-23 * 0.2)
     assert n_bar == pytest.approx(1.0 / (math.exp(x) - 1.0), rel=1e-10)
     assert n_bar == pytest.approx(0.09981030749537737, rel=1e-12)
+
+
+def test_si_constants_are_scipys():
+    assert PLANCK_H == scipy.constants.h
+    assert BOLTZMANN_K == scipy.constants.k
 
 
 def test_thermal_occupation_limits():
