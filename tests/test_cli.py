@@ -294,9 +294,33 @@ def test_no_verb_imports_scipy():
         f"             cli.main(['sweep', {SWEEP_SCENARIO!r}, '--oracle', 'on'])]\n"
         "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
+    assert _fresh_python(code) == "[0, 0, 0] []"
+
+
+def test_import_loads_blas_single_threaded_and_leaves_env_alone():
+    # brisq imported before numpy loads OpenBLAS with one thread (one task
+    # in the process) and removes the variable again; a caller's own value
+    # is kept as it was
+    code = (
+        "import os, sys\n"
+        "import brisq\n"
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n"
+    )
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "None 1"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").split()[0] == "2"
+
+
+def _fresh_python(code: str, **env_updates) -> str:
+    """stdout of `code` run by a new interpreter that imports brisq from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in env_updates.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
                           capture_output=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[0, 0, 0] []"
+    return done.stdout.strip()
