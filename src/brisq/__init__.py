@@ -45,7 +45,6 @@ from .pipeline import (
     RunReport,
     Scenario,
     SweepReport,
-    flatten,
     load_scenario,
     reference_checks,
     reference_scenario,
@@ -81,7 +80,6 @@ __all__ = [
     "apply_squeeze_factorized",
     "bogoliubov_check",
     "diagonalize",
-    "flatten",
     "full_moment_table",
     "herald",
     "independent_moments",

@@ -6,11 +6,11 @@ Verbs:
     brisq check                 run the built-in reference device and
                                 compare against its documented values
 
-Exit codes: 0 success, 2 malformed scenario or arguments, 3 physical
-failure (no phase-matching solution, unstable coupling, degenerate
-linewidth, cutoff too small, a result beyond the float range), 4 oracle
-deviation beyond tolerance (in a run or in any sweep row) or a failed
-reference check.
+Exit codes: 0 success, 2 malformed scenario or arguments, or an --out
+file that cannot be written, 3 physical failure (no phase-matching
+solution, unstable coupling, degenerate linewidth, cutoff too small, a
+result beyond the float range), 4 oracle deviation beyond tolerance (in
+a run or in any sweep row) or a failed reference check.
 
 Identical inputs produce bit-identical outputs on one platform: the
 pipeline is deterministic and serialization uses repr-exact floats.
@@ -20,18 +20,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
-from typing import Any
+from typing import Any, Sequence
 
 from .errors import PhysicsError, ScenarioError
 from .pipeline import (
-    RunReport,
-    Scenario,
-    SweepReport,
-    flatten,
+    _replace_parameter,
     load_scenario,
     reference_checks,
     reference_scenario,
@@ -74,63 +70,68 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_oracle_override(scenario: Scenario, override: str | None) -> Scenario:
-    if override is None:
-        return scenario
-    oracle = dataclasses.replace(scenario.oracle, enabled=(override == "on"))
-    return dataclasses.replace(scenario, oracle=oracle)
-
-
-def _csv_text(rows: list[dict[str, Any]]) -> str:
-    fieldnames: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, restval="")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _flatten(value: Any, prefix: str = "") -> dict[str, Any]:
+    """Nested dicts and lists as one CSV row with dotted keys."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
     else:
+        return {prefix: value}
+    out: dict[str, Any] = {}
+    for key, item in items:
+        out.update(_flatten(item, f"{prefix}.{key}" if prefix else str(key)))
+    return out
+
+
+def _write(payload: Any, rows: Sequence[dict[str, Any]], fmt: str,
+           out: str | None) -> None:
+    """Write JSON of payload or CSV of rows to the file out, or to stdout.
+
+    The CSV header is the union of the rows' keys in first-seen order.
+    A file that cannot be written is a ScenarioError naming its path.
+    """
+    if fmt == "json":
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    else:
+        fieldnames = list(dict.fromkeys(key for row in rows for key in row))
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=fieldnames, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buffer.getvalue()
+    if out is None:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    try:
         with open(out, "w", encoding="utf-8") as stream:
             stream.write(text)
-
-
-def _json_text(payload: Any) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False)
-
-
-def _render_run(report: RunReport, fmt: str) -> str:
-    if fmt == "json":
-        return _json_text(report.to_dict())
-    return _csv_text([flatten(report.to_dict())])
-
-
-def _render_sweep(report: SweepReport, fmt: str) -> str:
-    if fmt == "json":
-        payload = {"parameter": report.parameter,
-                   "scenario": report.scenario,
-                   "rows": list(report.rows)}
-        return _json_text(payload)
-    return _csv_text([dict(row) for row in report.rows])
+    except OSError as err:
+        raise ScenarioError(f"cannot write {out!r}: {err.strerror}") from err
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.verb == "check":
+            rows = reference_checks(run(reference_scenario()))
+            if args.out:
+                _write(rows, rows, args.format, args.out)
+            for row in rows:
+                status = "PASS" if row["ok"] else "FAIL"
+                print(f"check {row['name']}: {status} "
+                      f"(value {row['value']:.6g}, expected {row['expected']:.6g}, "
+                      f"{row['kind']} tolerance {row['tolerance']:.2g})")
+            return EXIT_OK if all(row["ok"] for row in rows) else EXIT_MISMATCH
+
+        scenario = load_scenario(args.scenario)
+        if args.oracle is not None:
+            scenario = _replace_parameter(scenario, "oracle.enabled",
+                                          args.oracle == "on")
         if args.verb == "run":
-            scenario = _apply_oracle_override(load_scenario(args.scenario),
-                                              args.oracle)
             report = run(scenario, with_decibels=args.db)
-            _emit(_render_run(report, args.format), args.out)
+            payload = report.to_dict()
+            _write(payload, [_flatten(payload)], args.format, args.out)
             if report.oracle is not None and not report.oracle["ok"]:
                 print(
                     f"oracle deviation {report.oracle['deviation']:.3e} "
@@ -140,30 +141,15 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_MISMATCH
             return EXIT_OK
 
-        if args.verb == "sweep":
-            scenario = _apply_oracle_override(load_scenario(args.scenario),
-                                              args.oracle)
-            report = sweep(scenario, with_decibels=args.db)
-            _emit(_render_sweep(report, args.format), args.out)
-            misses = sum(row.get("oracle_ok") is False for row in report.rows)
-            if misses:
-                print(f"oracle deviation beyond tolerance in {misses} of "
-                      f"{len(report.rows)} rows", file=sys.stderr)
-                return EXIT_MISMATCH
-            return EXIT_OK
-
-        # check
-        report = run(reference_scenario())
-        rows = reference_checks(report)
-        for row in rows:
-            status = "PASS" if row["ok"] else "FAIL"
-            print(f"check {row['name']}: {status} "
-                  f"(value {row['value']:.6g}, expected {row['expected']:.6g}, "
-                  f"{row['kind']} tolerance {row['tolerance']:.2g})")
-        if args.out:
-            _emit(_json_text(rows) if args.format == "json" else _csv_text(rows),
-                  args.out)
-        return EXIT_OK if all(row["ok"] for row in rows) else EXIT_MISMATCH
+        report = sweep(scenario, with_decibels=args.db)
+        _write({"parameter": report.parameter, "scenario": report.scenario,
+                "rows": report.rows}, report.rows, args.format, args.out)
+        misses = sum(row.get("oracle_ok") is False for row in report.rows)
+        if misses:
+            print(f"oracle deviation beyond tolerance in {misses} of "
+                  f"{len(report.rows)} rows", file=sys.stderr)
+            return EXIT_MISMATCH
+        return EXIT_OK
 
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)

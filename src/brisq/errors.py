@@ -29,4 +29,5 @@ class ZeroProbability(PhysicsError):
 
 
 class ScenarioError(ValueError):
-    """Malformed or inconsistent scenario input. CLI exit code 2."""
+    """Malformed or inconsistent scenario input, or an output file the
+    CLI cannot write. CLI exit code 2."""

@@ -150,9 +150,8 @@ def fock_state(space: TruncatedFockSpace, n_a: int, n_b: int) -> TwoModeState:
     return TwoModeState(amplitudes=amp, cutoff=space.cutoff)
 
 
-def choose_cutoff(r: float, tail_tol: float = TAIL_TOL,
-                  flux_tol: float = math.inf) -> int:
-    """Smallest cutoff n whose closed-form tail mass is below tail_tol and
+def choose_cutoff(r: float, flux_tol: float = math.inf) -> int:
+    """Smallest cutoff n whose closed-form tail mass is below TAIL_TOL and
     whose top-level flux bound n * pair_tail(r, n - 1) is below flux_tol.
 
     The second bound is for moments measured on the truncated state:
@@ -162,19 +161,17 @@ def choose_cutoff(r: float, tail_tol: float = TAIL_TOL,
 
     Raises CutoffTooSmall when no cutoff up to CUTOFF_CAP suffices.
     """
-    if not tail_tol > 0:
-        raise ValueError("tail_tol must be positive")
     t = math.tanh(abs(r))
     if t == 0.0:
         return 2
     if t >= 1.0:
         raise CutoffTooSmall(f"tanh(r) rounds to 1 at r = {r:g}")
-    n = max(2, math.ceil(math.log(tail_tol) / (2.0 * math.log(t))))
-    while pair_tail(r, n) > tail_tol:  # guard the ceil against rounding
+    n = max(2, math.ceil(math.log(TAIL_TOL) / (2.0 * math.log(t))))
+    while pair_tail(r, n) > TAIL_TOL:  # guard the ceil against rounding
         n += 1
     if n > CUTOFF_CAP:
         raise CutoffTooSmall(
-            f"tail mass {tail_tol:g} at r = {r:g} needs cutoff {n} > cap {CUTOFF_CAP}")
+            f"tail mass {TAIL_TOL:g} at r = {r:g} needs cutoff {n} > cap {CUTOFF_CAP}")
     while n * pair_tail(r, n - 1) > flux_tol:
         n += 1
         if n > CUTOFF_CAP:
@@ -183,11 +180,11 @@ def choose_cutoff(r: float, tail_tol: float = TAIL_TOL,
     return n
 
 
-def _require_tail(cutoff: int, r: float, tail_tol: float) -> None:
+def _require_tail(cutoff: int, r: float) -> None:
     tail = pair_tail(r, cutoff)
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise CutoffTooSmall(
-            f"cutoff {cutoff} leaves tail mass {tail:.3e} > {tail_tol:g} "
+            f"cutoff {cutoff} leaves tail mass {tail:.3e} > {TAIL_TOL:g} "
             f"at r = {r:g}")
 
 
@@ -222,8 +219,7 @@ def _sector_block(r: float, size: int, na0: int, nb0: int) -> np.ndarray:
     return out
 
 
-def squeeze_operator(space: TruncatedFockSpace, r: float,
-                     tail_tol: float = TAIL_TOL) -> np.ndarray:
+def squeeze_operator(space: TruncatedFockSpace, r: float) -> np.ndarray:
     """Dense two-mode squeeze operator exp(r (a^dag b^dag - a b)).
 
     The generator conserves n_a - n_b, so the matrix is assembled
@@ -232,9 +228,9 @@ def squeeze_operator(space: TruncatedFockSpace, r: float,
     large cutoffs. The result is real orthogonal.
 
     Raises CutoffTooSmall when the closed-form tail mass of the
-    squeezed vacuum at this r exceeds tail_tol.
+    squeezed vacuum at this r exceeds TAIL_TOL.
     """
-    _require_tail(space.cutoff, r, tail_tol)
+    _require_tail(space.cutoff, r)
     n = space.cutoff
     out = np.zeros((space.dim, space.dim))
     for m in range(-(n - 1), n):
@@ -245,14 +241,13 @@ def squeeze_operator(space: TruncatedFockSpace, r: float,
     return out
 
 
-def squeezed_vacuum(space: TruncatedFockSpace, r: float,
-                    tail_tol: float = TAIL_TOL) -> TwoModeState:
+def squeezed_vacuum(space: TruncatedFockSpace, r: float) -> TwoModeState:
     """Squeeze operator applied to the two-mode vacuum.
 
     The vacuum lives in the n_a = n_b sector, so only that block of the
     operator is needed; the restriction is exact, not an approximation.
     """
-    _require_tail(space.cutoff, r, tail_tol)
+    _require_tail(space.cutoff, r)
     n = space.cutoff
     column = _sector_block(r, n, 0, 0)[:, 0]
     amp = np.zeros(space.dim, dtype=complex)
@@ -345,11 +340,10 @@ def _conjugation_block(space: TruncatedFockSpace, r: float) -> int:
     return limit
 
 
-def bogoliubov_check(space: TruncatedFockSpace, r: float,
-                     tail_tol: float = TAIL_TOL) -> BogoliubovResiduals:
+def bogoliubov_check(space: TruncatedFockSpace, r: float) -> BogoliubovResiduals:
     """Conjugate the ladder operators with the squeeze matrix and compare
     against the hyperbolic mixing, on the edge-safe low-occupation block."""
-    squeeze = squeeze_operator(space, r, tail_tol)
+    squeeze = squeeze_operator(space, r)
     ops = ladder_operators(space)
     c, s = math.cosh(r), math.sinh(r)
     n = space.cutoff

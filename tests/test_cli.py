@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from brisq.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, main
+from brisq.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _flatten, main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 RUN_SCENARIO = str(SCENARIOS / "backward_10ghz.json")
@@ -280,6 +280,43 @@ def test_check_csv_out_writes_csv(tmp_path, capsys):
     assert len(rows) == 17
     assert rows[0]["name"] == "coupling |f|"
     assert all(row["ok"] == "True" for row in rows)
+
+
+@pytest.mark.parametrize("args", [
+    ["run", RUN_SCENARIO],
+    ["run", RUN_SCENARIO, "--format", "csv", "--db"],
+    ["sweep", SWEEP_SCENARIO],
+    ["sweep", SWEEP_SCENARIO, "--format", "csv"],
+], ids=["run-json", "run-csv", "sweep-json", "sweep-csv"])
+def test_stdout_matches_out_file(tmp_path, capsys, args):
+    out = tmp_path / "report"
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main(args) == EXIT_OK
+    written = out.read_bytes().decode("utf-8")
+    # JSON text has no final newline of its own; stdout adds one
+    newline = "\n" if "csv" not in args else ""
+    assert capsys.readouterr().out == written + newline
+
+
+@pytest.mark.parametrize("args", [
+    ["run", RUN_SCENARIO, "--format", "csv"],
+    ["sweep", SWEEP_SCENARIO],
+    ["check", "--format", "csv"],
+], ids=["run", "sweep", "check"])
+def test_unwritable_out_exits_two(tmp_path, capsys, args):
+    # a missing directory, then a directory
+    for out in (tmp_path / "missing" / "report", tmp_path):
+        assert main(args + ["--out", str(out)]) == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {str(out)!r}" in captured.err
+
+
+def test_flatten():
+    nested = {"a": {"b": 1, "c": [2, 3]}, "d": "x"}
+    assert _flatten(nested) == {"a.b": 1, "a.c.0": 2, "a.c.1": 3, "d": "x"}
+    assert _flatten(7, "y") == {"y": 7}
 
 
 def test_no_verb_imports_scipy():

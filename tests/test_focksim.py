@@ -86,14 +86,13 @@ def test_squeeze_operator_identity_at_zero():
 
 
 def test_squeeze_operator_matches_dense_generator_exponential():
-    # independent construction: exp of the full dense generator; the
-    # loose tail_tol bypasses the coverage gate, irrelevant here
-    space = TruncatedFockSpace(12)
+    # independent construction: exp of the full dense generator
+    space = TruncatedFockSpace(20)
     r = 0.43
     ops = ladder_operators(space)
     generator = r * (ops.adag @ ops.bdag - ops.a @ ops.b)
     dense = expm(generator)
-    assert np.max(np.abs(squeeze_operator(space, r, tail_tol=1.0) - dense)) < 1e-12
+    assert np.max(np.abs(squeeze_operator(space, r) - dense)) < 1e-12
 
 
 def sector_generator(r, size, na0, nb0):
@@ -156,8 +155,6 @@ def test_cutoff_gate():
         squeeze_operator(TruncatedFockSpace(10), 1.0)
     with pytest.raises(CutoffTooSmall):
         squeezed_vacuum(TruncatedFockSpace(10), 1.0)
-    # explicit looser tolerance disables the gate
-    squeezed_vacuum(TruncatedFockSpace(10), 1.0, tail_tol=1.0)
 
 
 def test_squeezed_vacuum_matches_operator_application():
@@ -281,14 +278,11 @@ def test_herald_on_product_state():
 def test_choose_cutoff():
     assert choose_cutoff(0.0) == 2
     assert choose_cutoff(0.5) == 18
-    assert choose_cutoff(0.5, tail_tol=1e-6) == 9
     assert choose_cutoff(1.0) == 51
     assert choose_cutoff(0.8) < choose_cutoff(1.0)
     assert pair_tail(0.5, 18) < 1e-12 < pair_tail(0.5, 17)
     with pytest.raises(CutoffTooSmall):
         choose_cutoff(2.0)
-    with pytest.raises(ValueError):
-        choose_cutoff(0.5, tail_tol=0.0)
     # the top kept level's flux, n * pair_tail(r, n - 1), is bounded too
     assert choose_cutoff(1e-4) == 2
     assert choose_cutoff(1e-4, flux_tol=1e-8) == 3

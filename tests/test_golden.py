@@ -26,7 +26,9 @@ CASES = {
     "sweep.json": ["sweep", SWEEP_SCENARIO],
     "sweep_oracle.csv": ["sweep", SWEEP_SCENARIO, "--format", "csv",
                          "--oracle", "on"],
+    "sweep_db.csv": ["sweep", SWEEP_SCENARIO, "--format", "csv", "--db"],
     "check.json": ["check"],
+    "check.csv": ["check", "--format", "csv"],
 }
 
 LOOSE = re.compile(r"(^|\.)oracle\.(table\.|deviation$)|oracle_deviation$"

@@ -9,12 +9,12 @@ import pytest
 from brisq.errors import ScenarioError, Unstable
 from brisq.pipeline import (
     FREQUENCY,
+    MAX_SWEEP_STEPS,
     NUMBER,
     OracleConfig,
     Scenario,
     SweepConfig,
     decibel_table,
-    flatten,
     load_scenario,
     parse_value,
     reference_checks,
@@ -134,6 +134,15 @@ def test_sweep_grid_construction():
     units = Scenario.from_dict(scenario_dict(
         sweep={"parameter": "waveguide.g", "values": ["1 MHz", 2e6]}))
     assert units.sweep.values == (1e6, 2e6)
+
+
+def test_sweep_values_list_is_bounded_before_parsing():
+    # the first entry is malformed, so only a length check made before
+    # parsing reports the bound
+    values = ["not a number"] + [1e12] * MAX_SWEEP_STEPS
+    with pytest.raises(ScenarioError, match=f"at most {MAX_SWEEP_STEPS}"):
+        Scenario.from_dict(scenario_dict(
+            sweep={"parameter": "drive.flux_in", "values": values}))
 
 
 def test_run_reference_device():
@@ -379,7 +388,8 @@ def test_reference_checks_all_pass():
     assert failing == []
 
 
-def test_flatten():
-    nested = {"a": {"b": 1, "c": [2, 3]}, "d": "x"}
-    assert flatten(nested) == {"a.b": 1, "a.c.0": 2, "a.c.1": 3, "d": "x"}
-    assert flatten(7, "y") == {"y": 7}
+def test_reference_checks_leave_out_absent_blocks():
+    scenario = dataclasses.replace(reference_scenario(oracle=False), thermal=None)
+    names = [row["name"] for row in reference_checks(run(scenario))]
+    assert len(names) == 14
+    assert not {"quality Q", "thermal n_bar", "oracle deviation"} & set(names)
