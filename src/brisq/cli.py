@@ -7,10 +7,11 @@ Verbs:
                                 compare against its documented values
 
 Exit codes: 0 success, 2 malformed scenario or arguments, or an --out
-file that cannot be written, 3 physical failure (no phase-matching
-solution, unstable coupling, degenerate linewidth, cutoff too small, a
-result beyond the float range), 4 oracle deviation beyond tolerance (in
-a run or in any sweep row) or a failed reference check.
+file or stdout that cannot be written, 3 physical failure (no
+phase-matching solution, unstable coupling, degenerate linewidth,
+cutoff too small, a result beyond the float range), 4 oracle deviation
+beyond tolerance (in a run or in any sweep row) or a failed reference
+check.
 
 Identical inputs produce bit-identical outputs on one platform: the
 pipeline is deterministic and serialization uses repr-exact floats.
@@ -89,7 +90,8 @@ def _write(payload: Any, rows: Sequence[dict[str, Any]], fmt: str,
     """Write JSON of payload or CSV of rows to the file out, or to stdout.
 
     The CSV header is the union of the rows' keys in first-seen order.
-    A file that cannot be written is a ScenarioError naming its path.
+    A file or stdout that cannot be written is a ScenarioError naming
+    it.
     """
     if fmt == "json":
         text = json.dumps(payload, indent=2, allow_nan=False)
@@ -101,7 +103,7 @@ def _write(payload: Any, rows: Sequence[dict[str, Any]], fmt: str,
         writer.writerows(rows)
         text = buffer.getvalue()
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        _write_stdout(text if text.endswith("\n") else text + "\n")
         return
     try:
         with open(out, "w", encoding="utf-8") as stream:
@@ -110,18 +112,28 @@ def _write(payload: Any, rows: Sequence[dict[str, Any]], fmt: str,
         raise ScenarioError(f"cannot write {out!r}: {err.strerror}") from err
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it, so that a failed write shows
+    here, as a ScenarioError, and not at interpreter shutdown."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as err:
+        raise ScenarioError(f"cannot write '<stdout>': {err.strerror}") from err
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.verb == "check":
             rows = reference_checks(run(reference_scenario()))
-            if args.out:
+            if args.out is not None:
                 _write(rows, rows, args.format, args.out)
-            for row in rows:
-                status = "PASS" if row["ok"] else "FAIL"
-                print(f"check {row['name']}: {status} "
-                      f"(value {row['value']:.6g}, expected {row['expected']:.6g}, "
-                      f"{row['kind']} tolerance {row['tolerance']:.2g})")
+            _write_stdout("".join(
+                f"check {row['name']}: {'PASS' if row['ok'] else 'FAIL'} "
+                f"(value {row['value']:.6g}, expected {row['expected']:.6g}, "
+                f"{row['kind']} tolerance {row['tolerance']:.2g})\n"
+                for row in rows))
             return EXIT_OK if all(row["ok"] for row in rows) else EXIT_MISMATCH
 
         scenario = load_scenario(args.scenario)

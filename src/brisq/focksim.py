@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CutoffTooSmall, ZeroProbability
-from .squeezing import CROSS_KEYS, MomentTable, pair_tail
+from .squeezing import CROSS_KEYS, MODE_KEYS, MomentTable, pair_tail
 
 CUTOFF_CAP = 128
 TAIL_TOL = 1e-12
@@ -196,26 +196,41 @@ def _sector_block(r: float, size: int, na0: int, nb0: int) -> np.ndarray:
     K[n+1, n] = r * sqrt((na0+n+1)(nb0+n+1)); its exponential is the
     exact restriction of the full squeeze operator.
 
-    The exponential comes from one symmetric eigendecomposition. With T
-    the symmetric tridiagonal matrix of the same off-diagonal entries and
-    D = diag(i^n), K = D^-1 (i T) D, so exp(K) = D^-1 V exp(i W) V^T D
-    for T = V W V^T. Signing the rows of V by s_n = (-1)^(n // 2) leaves
-    that real: exp(K)[n, m] is (s V cos(W) V^T s)[n, m] where n - m is
-    even and -/+ (s V sin(W) V^T s)[n, m] where n is even/odd and m is
-    not. The phases are applied exactly, and no scaling and squaring
-    amplifies rounding: at cutoff 128 and r = 1.43 a block agrees with
-    a 40-digit evaluation to ~1e-14, where scipy's scaled-and-squared
-    expm is off by ~1e-12.
+    With T the symmetric tridiagonal matrix of the same off-diagonal
+    entries and D = diag(i^n), K = D^-1 (i T) D, so
+    exp(K)[n, m] = i^(m-n) (cos T + i sin T)[n, m]. T has a zero
+    diagonal, so it only links even to odd levels: over the even and
+    odd levels T = [[0, B], [B^T, 0]] with B the ceil(size/2) x
+    floor(size/2) bidiagonal block. One SVD B = U S W^T then gives
+    cos T = U cos(S) U^T on the even-even block (an extra left singular
+    vector of an odd size has S = 0, so cos 0 = 1), W cos(S) W^T on the
+    odd-odd block and sin T = U sin(S) W^T on the even-odd block. The
+    phase i^(m-n) (times i on sin) is exactly s_n s_m, with an extra
+    minus sign where n is even and m odd, for s_n = (-1)^(n // 2); it
+    is applied by signing the rows of U and W, so the result is real and
+    no scaling and squaring amplifies rounding: at cutoff 128 and
+    r = 1.43 a block agrees with a 40-digit evaluation to ~5e-14, where
+    scipy's scaled-and-squared expm is off by ~1.4e-12.
     """
     ns = np.arange(size - 1)
     amp = r * np.sqrt((ns + na0 + 1.0) * (ns + nb0 + 1.0))
-    # eigh reads the lower triangle only
-    w, v = np.linalg.eigh(np.diag(amp, -1))
-    v *= np.array((1.0, 1.0, -1.0, -1.0))[np.arange(size) % 4, None]
-    out = (v * np.cos(w)) @ v.T
-    sin = (v * np.sin(w)) @ v.T
-    out[0::2, 1::2] = -sin[0::2, 1::2]
-    out[1::2, 0::2] = sin[1::2, 0::2]
+    even, odd = (size + 1) // 2, size // 2
+    block = np.zeros((even, odd))
+    flat = block.reshape(-1)
+    flat[::odd + 1] = amp[0::2]  # B[i, i] = T[2i, 2i + 1]
+    flat[odd::odd + 1] = amp[1::2]  # B[i, i - 1] = T[2i, 2i - 1]
+    u, sigma, wt = np.linalg.svd(block)
+    # s_n is (-1)^i on the even level n = 2i and (-1)^j on the odd 2j + 1
+    u[1::2] *= -1.0
+    wt[:, 1::2] *= -1.0
+    cos = np.ones(even)
+    cos[:odd] = np.cos(sigma)
+    out = np.empty((size, size))
+    out[0::2, 0::2] = (u * cos) @ u.T
+    out[1::2, 1::2] = (wt.T * cos[:odd]) @ wt
+    sin = (u[:, :odd] * np.sin(sigma)) @ wt
+    out[0::2, 1::2] = -sin
+    out[1::2, 0::2] = sin.T
     return out
 
 
@@ -364,77 +379,97 @@ def bogoliubov_check(space: TruncatedFockSpace, r: float) -> BogoliubovResiduals
     )
 
 
+def _ladder_images(grid: np.ndarray) -> np.ndarray:
+    """psi, a psi, b psi, a^dag psi and b^dag psi as one (5, n, n) array.
+
+    Each shift is elementwise identical to the dense matrix-vector
+    product of ladder_operators, written straight into its slot.
+    """
+    n = grid.shape[0]
+    root = np.sqrt(np.arange(1.0, n))
+    images = np.zeros((5, n, n), dtype=complex)
+    images[0] = grid
+    np.multiply(root[:, None], grid[1:, :], out=images[1, :-1, :])
+    np.multiply(root[None, :], grid[:, 1:], out=images[2, :, :-1])
+    np.multiply(root[:, None], grid[:-1, :], out=images[3, 1:, :])
+    np.multiply(root[None, :], grid[:, :-1], out=images[4, :, 1:])
+    return images
+
+
+def _moment_forms() -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
+    """Every first, second and cross moment as a bra/ket pair over the
+    rows of _ladder_images, flattened to coefficients of the Gram matrix.
+
+    <bra|ket> = sum_ij conj(bra_i) ket_j G[i, j] for G[i, j] =
+    <image_i|image_j>. Moments of two lowerings, <psi|x y psi>, become
+    <x^dag psi|y psi>: the truncated raising matrix is the transpose of
+    the lowering one, and a and b commute exactly in the Kronecker basis.
+    c = (a - b)/sqrt(2) and d = (a + b)/sqrt(2).
+    """
+    psi, low_a, low_b, up_a, up_b = np.eye(5)
+    low_c, up_c = (low_a - low_b) / SQRT2, (up_a - up_b) / SQRT2
+    low_d, up_d = (low_a + low_b) / SQRT2, (up_a + up_b) / SQRT2
+    forms = []
+    for mode, down, up in (("a", low_a, up_a), ("b", low_b, up_b),
+                           ("c", low_c, up_c), ("d", low_d, up_d)):
+        for quad, acted in ((f"X_{mode}", (down + up) / SQRT2),
+                            (f"Y_{mode}", -1j * (down - up) / SQRT2)):
+            forms += [(("first", quad), psi, acted), (("second", quad), acted, acted)]
+    pairs = {
+        "n_a": (low_a, low_a),
+        "n_b": (low_b, low_b),
+        "n_c": (low_c, low_c),
+        "n_d": (low_d, low_d),
+        "ab": (up_a, low_b),
+        "adag_b": (low_a, low_b),
+        "a2": (up_a, low_a),
+        "b2": (up_b, low_b),
+        "c2": (up_c, low_c),
+        "d2": (up_d, low_d),
+    }
+    assert tuple(pairs) == CROSS_KEYS
+    forms += [(("cross", key), bra, ket) for key, (bra, ket) in pairs.items()]
+    coefficients = np.array([np.outer(np.conj(bra), ket).reshape(-1)
+                             for _, bra, ket in forms])
+    return tuple(key for key, _, _ in forms), coefficients
+
+
+_MOMENT_KEYS, _MOMENT_COEFFICIENTS = _moment_forms()
+
+
 def measure_moments(state: TwoModeState) -> MomentTable:
     """Quadrature, Heisenberg, squeezing, and pair moments of a state.
 
-    Every entry is an expectation value <psi|O|psi> computed by applying
-    the operators to the amplitude grid (elementwise identical to dense
-    matrix products); no commutation relations are used. Imaginary
-    parts, which vanish for the real squeezed states produced here, are
-    dropped and their largest magnitude recorded in max_imag_discarded.
-    The squeezing and Heisenberg entries use variances, so they remain
-    meaningful for displaced states too.
+    Every entry is an expectation value <psi|O|psi> built from the
+    state and its four truncated ladder images (each elementwise
+    identical to a dense matrix product): one 5x5 Gram matrix of those
+    images holds every inner product, and each moment is a fixed linear
+    combination of its entries. No commutation relation is used; the
+    combinations rely only on the raising matrix being the transpose of
+    the lowering one and on a and b commuting in the Kronecker basis,
+    both exact for the truncated matrices. Imaginary parts, which vanish
+    for the real squeezed states produced here, are dropped and their
+    largest magnitude recorded in max_imag_discarded. The squeezing and
+    Heisenberg entries use variances, so they remain meaningful for
+    displaced states too.
     """
-    grid = state.grid()
-    worst_imag = 0.0
-
-    def expect(bra: np.ndarray, ket: np.ndarray) -> float:
-        nonlocal worst_imag
-        value = np.vdot(bra, ket)
-        worst_imag = max(worst_imag, abs(value.imag))
-        return float(value.real)
-
-    # each shift of the grid is elementwise identical to the dense
-    # matrix-vector product; c = (a - b)/sqrt(2) and d = (a + b)/sqrt(2)
-    # act through the a and b shifts, each taken once
-    low_a, low_b = _lower_a(grid), _lower_b(grid)
-    up_a, up_b = _raise_a(grid), _raise_b(grid)
-    low_c, low_d = (low_a - low_b) / SQRT2, (low_a + low_b) / SQRT2
-    # mode -> (lowered, raised) grid
-    actions = {
-        "a": (low_a, up_a),
-        "b": (low_b, up_b),
-        "c": (low_c, (up_a - up_b) / SQRT2),
-        "d": (low_d, (up_a + up_b) / SQRT2),
-    }
-    first: dict[str, float] = {}
-    second: dict[str, float] = {}
-    products: dict[str, float] = {}
-    squeezing: dict[str, float] = {}
-    for mode, (down, up) in actions.items():
-        x_grid = (down + up) / SQRT2
-        y_grid = -1j * (down - up) / SQRT2
-        variances = []
-        for quad, acted in ((f"X_{mode}", x_grid), (f"Y_{mode}", y_grid)):
-            mean = expect(grid, acted)
-            raw = expect(acted, acted)
-            first[quad] = mean
-            second[quad] = raw
-            variances.append(raw - mean * mean)
-            squeezing[quad] = variances[-1] - 0.5
-        products[mode] = math.sqrt(variances[0] * variances[1])
-
-    cross = {
-        "n_a": expect(low_a, low_a),
-        "n_b": expect(low_b, low_b),
-        "n_c": expect(low_c, low_c),
-        "n_d": expect(low_d, low_d),
-        "ab": expect(grid, _lower_a(low_b)),
-        "adag_b": expect(low_a, low_b),
-        "a2": expect(grid, _lower_a(low_a)),
-        "b2": expect(grid, _lower_b(low_b)),
-        "c2": expect(grid, (_lower_a(low_c) - _lower_b(low_c)) / SQRT2),
-        "d2": expect(grid, (_lower_a(low_d) + _lower_b(low_d)) / SQRT2),
-    }
-    assert set(cross) == set(CROSS_KEYS)
+    images = _ladder_images(state.grid()).reshape(5, -1)
+    gram = np.conj(images) @ images.T
+    values = _MOMENT_COEFFICIENTS @ gram.reshape(-1)
+    tables: dict[str, dict[str, float]] = {"first": {}, "second": {}, "cross": {}}
+    for (table, key), value in zip(_MOMENT_KEYS, values.real.tolist()):
+        tables[table][key] = value
+    first, second = tables["first"], tables["second"]
+    variances = {quad: second[quad] - first[quad] * first[quad] for quad in first}
     return MomentTable(
         r=None,
         first=first,
         second=second,
-        products=products,
-        squeezing=squeezing,
-        cross=cross,
-        max_imag_discarded=worst_imag,
+        products={mode: math.sqrt(variances[f"X_{mode}"] * variances[f"Y_{mode}"])
+                  for mode in MODE_KEYS},
+        squeezing={quad: var - 0.5 for quad, var in variances.items()},
+        cross=tables["cross"],
+        max_imag_discarded=float(np.max(np.abs(values.imag))),
     )
 
 

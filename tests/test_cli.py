@@ -305,12 +305,29 @@ def test_stdout_matches_out_file(tmp_path, capsys, args):
     ["check", "--format", "csv"],
 ], ids=["run", "sweep", "check"])
 def test_unwritable_out_exits_two(tmp_path, capsys, args):
-    # a missing directory, then a directory
-    for out in (tmp_path / "missing" / "report", tmp_path):
+    # a missing directory, a directory, then an empty name
+    for out in (tmp_path / "missing" / "report", tmp_path, ""):
         assert main(args + ["--out", str(out)]) == EXIT_SCENARIO
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"cannot write {str(out)!r}" in captured.err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("args", [
+    ["run", RUN_SCENARIO],
+    ["sweep", SWEEP_SCENARIO],
+    ["check"],
+], ids=["run", "sweep", "check"])
+def test_full_stdout_exits_two(args):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        done = subprocess.run([sys.executable, "-m", "brisq.cli", *args],
+                              env=_src_env(), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert done.returncode == EXIT_SCENARIO
+    assert done.stderr == ("scenario error: cannot write '<stdout>': "
+                           "No space left on device\n")
 
 
 def test_flatten():
@@ -350,9 +367,7 @@ def test_import_loads_blas_single_threaded_and_leaves_env_alone():
 
 def _fresh_python(code: str, **env_updates) -> str:
     """stdout of `code` run by a new interpreter that imports brisq from src."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     for name, value in env_updates.items():
         if value is None:
             env.pop(name, None)
@@ -361,3 +376,10 @@ def _fresh_python(code: str, **env_updates) -> str:
     done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
                           capture_output=True, timeout=120, check=True)
     return done.stdout.strip()
+
+
+def _src_env() -> dict[str, str]:
+    """This environment with brisq's src directory first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))

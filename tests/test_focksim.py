@@ -1,6 +1,7 @@
 """Truncated Fock-space oracle tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from brisq.focksim import (
     vacuum_state,
 )
 from brisq.squeezing import full_moment_table, pair_probability, pair_tail, table_deviation
-from brisq.focksim import _lower_a, _lower_b, _raise_a, _raise_b, _sector_block
+from brisq.focksim import _ladder_images, _lower_a, _lower_b, _raise_a, _raise_b, _sector_block
 
 R_REF = 0.05016767361301254
 # top of the range the cutoff cap serves: pair_tail(EDGE_R, 128) = 1e-12
@@ -78,6 +79,9 @@ def test_grid_actions_match_dense_products():
     assert np.array_equal(_raise_a(grid).reshape(-1), ops.adag @ amp)
     assert np.array_equal(_lower_b(grid).reshape(-1), ops.b @ amp)
     assert np.array_equal(_raise_b(grid).reshape(-1), ops.bdag @ amp)
+    images = _ladder_images(grid).reshape(5, -1)
+    for image, op in zip(images, (np.eye(36), ops.a, ops.b, ops.adag, ops.bdag)):
+        assert np.array_equal(image, op @ amp)
 
 
 def test_squeeze_operator_identity_at_zero():
@@ -236,6 +240,78 @@ def test_measure_moments_vacuum():
     for value in table.cross.values():
         assert value == 0.0
     assert table.max_imag_discarded == 0.0
+
+
+def dense_moments(state):
+    """Every first, second and cross moment as a complex <psi|O|psi> with
+    O built from the dense ladder matrices."""
+    ops = ladder_operators(TruncatedFockSpace(state.cutoff))
+    psi = state.amplitudes
+    modes = {
+        "a": ops.a, "b": ops.b,
+        "c": (ops.a - ops.b) / math.sqrt(2.0), "d": (ops.a + ops.b) / math.sqrt(2.0),
+    }
+    first, second = {}, {}
+    for mode, low in modes.items():
+        up = low.T
+        for quad, op in ((f"X_{mode}", (low + up) / math.sqrt(2.0)),
+                         (f"Y_{mode}", -1j * (low - up) / math.sqrt(2.0))):
+            first[quad] = np.vdot(psi, op @ psi)
+            second[quad] = np.vdot(psi, op @ op @ psi)
+    cross = {f"n_{mode}": np.vdot(psi, low.T @ low @ psi) for mode, low in modes.items()}
+    cross.update(
+        ab=np.vdot(psi, ops.a @ ops.b @ psi),
+        adag_b=np.vdot(psi, ops.adag @ ops.b @ psi),
+        **{f"{mode}2": np.vdot(psi, modes[mode] @ modes[mode] @ psi) for mode in "abcd"},
+    )
+    return first, second, cross
+
+
+def test_measure_moments_match_dense_expectations():
+    rng = np.random.default_rng(2024)
+    states = []
+    for cutoff in (2, 3, 6):
+        amp = rng.normal(size=cutoff * cutoff) + 1j * rng.normal(size=cutoff * cutoff)
+        states.append(TwoModeState(amplitudes=amp / np.linalg.norm(amp), cutoff=cutoff))
+    # truncated coherent amplitudes in both modes: a displaced state
+    levels = np.arange(8)
+    weights = np.array([1.0 / math.sqrt(math.factorial(k)) for k in levels])
+    displaced = np.outer((0.6 + 0.3j) ** levels * weights, (-0.4j) ** levels * weights)
+    states.append(TwoModeState(amplitudes=displaced.reshape(-1) / np.linalg.norm(displaced),
+                               cutoff=8))
+    for state in states:
+        table = measure_moments(state)
+        first, second, cross = dense_moments(state)
+        assert table.first.keys() == first.keys()
+        assert table.cross.keys() == cross.keys()
+        for measured, dense in ((table.first, first), (table.second, second),
+                                (table.cross, cross)):
+            for key, value in dense.items():
+                assert abs(measured[key] - value.real) <= 1e-12, key
+        for mode in "abcd":
+            var_x = (second[f"X_{mode}"] - first[f"X_{mode}"] ** 2).real
+            var_y = (second[f"Y_{mode}"] - first[f"Y_{mode}"] ** 2).real
+            assert abs(table.squeezing[f"X_{mode}"] - (var_x - 0.5)) <= 1e-12
+            assert abs(table.squeezing[f"Y_{mode}"] - (var_y - 0.5)) <= 1e-12
+            assert abs(table.products[mode] - math.sqrt(var_x * var_y)) <= 1e-12
+        worst_imag = max(abs(value.imag) for values in (first, second, cross)
+                         for value in values.values())
+        assert worst_imag > 1e-3  # the pair moments of these states are complex
+        assert abs(table.max_imag_discarded - worst_imag) <= 1e-12
+
+
+def test_measure_moments_memory_is_bounded():
+    # five grids for the state's four ladder images and the state itself,
+    # five for their conjugate in the Gram matmul: 10 amplitude grids
+    cutoff = 128
+    state = squeezed_vacuum(TruncatedFockSpace(cutoff), 1.0)
+    tracemalloc.start()
+    try:
+        measure_moments(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * cutoff * cutoff * 16
 
 
 def test_measure_moments_against_closed_forms():
