@@ -25,8 +25,10 @@ from .errors import CutoffTooSmall, ZeroProbability
 from .squeezing import CROSS_KEYS, MODE_KEYS, MomentTable, pair_tail
 
 CUTOFF_CAP = 128
+DENSE_CAP = 48
 TAIL_TOL = 1e-12
 EDGE_TOL = 1e-10
+NORM_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
 
 
@@ -34,8 +36,10 @@ SQRT2 = math.sqrt(2.0)
 class TruncatedFockSpace:
     """Two-mode Fock space with occupations 0..cutoff-1 per mode.
 
-    The joint dimension is cutoff**2. Dense operators on the space cost
-    8 * cutoff**4 bytes each; the cap keeps that bounded.
+    The joint dimension is cutoff**2. A dense operator on the space
+    costs 8 * cutoff**4 bytes, 2.1 GB at CUTOFF_CAP, so the dense path
+    (squeeze_operator, ladder_operators, bogoliubov_check) stops at
+    DENSE_CAP, ~42 MB per matrix.
     """
 
     cutoff: int
@@ -59,7 +63,11 @@ class TruncatedFockSpace:
 
 @dataclass(frozen=True)
 class TwoModeState:
-    """State vector over the row-major (n_a, n_b) basis."""
+    """State vector over the row-major (n_a, n_b) basis.
+
+    The amplitudes are taken as given; measure_moments requires them
+    normalized, <psi|psi> = 1 to NORM_TOL.
+    """
 
     amplitudes: np.ndarray
     cutoff: int
@@ -116,22 +124,23 @@ class BogoliubovResiduals:
     block: int
 
 
-def lowering_matrix(n: int) -> np.ndarray:
-    """Single-mode lowering operator on n levels: a|k> = sqrt(k)|k-1>."""
-    if n < 1:
-        raise ValueError("need at least one level")
-    return np.diag(np.sqrt(np.arange(1.0, n)), 1)
+def _require_dense(space: TruncatedFockSpace) -> None:
+    if space.cutoff > DENSE_CAP:
+        raise ValueError(
+            f"cutoff {space.cutoff} > {DENSE_CAP}: a dense operator would need "
+            f"{8 * space.dim ** 2 / 1e6:.0f} MB")
 
 
 def ladder_operators(space: TruncatedFockSpace) -> LadderOperators:
     """Dense two-mode ladder operators a, a^dag, b, b^dag.
 
-    Built as Kronecker products of the single-mode lowering matrix with
-    the identity; [a, b^dag] = 0 exactly, and [a, a^dag] equals the
-    identity except for the expected -(cutoff-1) entry in the highest
-    photon row.
+    Built as Kronecker products of the single-mode lowering matrix
+    a|k> = sqrt(k)|k-1> with the identity; [a, b^dag] = 0 exactly, and
+    [a, a^dag] equals the identity except for the expected -(cutoff-1)
+    entry in the highest photon row. Raises ValueError above DENSE_CAP.
     """
-    low = lowering_matrix(space.cutoff)
+    _require_dense(space)
+    low = np.diag(np.sqrt(np.arange(1.0, space.cutoff)), 1)
     eye = np.eye(space.cutoff)
     a = np.kron(low, eye)
     b = np.kron(eye, low)
@@ -167,16 +176,13 @@ def choose_cutoff(r: float, flux_tol: float = math.inf) -> int:
     if t >= 1.0:
         raise CutoffTooSmall(f"tanh(r) rounds to 1 at r = {r:g}")
     n = max(2, math.ceil(math.log(TAIL_TOL) / (2.0 * math.log(t))))
-    while pair_tail(r, n) > TAIL_TOL:  # guard the ceil against rounding
+    while n <= CUTOFF_CAP and (pair_tail(r, n) > TAIL_TOL
+                               or n * pair_tail(r, n - 1) > flux_tol):
         n += 1
     if n > CUTOFF_CAP:
         raise CutoffTooSmall(
-            f"tail mass {TAIL_TOL:g} at r = {r:g} needs cutoff {n} > cap {CUTOFF_CAP}")
-    while n * pair_tail(r, n - 1) > flux_tol:
-        n += 1
-        if n > CUTOFF_CAP:
-            raise CutoffTooSmall(
-                f"top-level flux {flux_tol:g} at r = {r:g} needs cutoff > cap {CUTOFF_CAP}")
+            f"tail mass {TAIL_TOL:g} and top-level flux {flux_tol:g} at r = {r:g} "
+            f"need cutoff > cap {CUTOFF_CAP}")
     return n
 
 
@@ -242,9 +248,11 @@ def squeeze_operator(space: TruncatedFockSpace, r: float) -> np.ndarray:
     exp of the full dense generator to rounding but stays cheap at
     large cutoffs. The result is real orthogonal.
 
-    Raises CutoffTooSmall when the closed-form tail mass of the
-    squeezed vacuum at this r exceeds TAIL_TOL.
+    Raises ValueError above DENSE_CAP, and CutoffTooSmall when the
+    closed-form tail mass of the squeezed vacuum at this r exceeds
+    TAIL_TOL.
     """
+    _require_dense(space)
     _require_tail(space.cutoff, r)
     n = space.cutoff
     out = np.zeros((space.dim, space.dim))
@@ -266,36 +274,8 @@ def squeezed_vacuum(space: TruncatedFockSpace, r: float) -> TwoModeState:
     n = space.cutoff
     column = _sector_block(r, n, 0, 0)[:, 0]
     amp = np.zeros(space.dim, dtype=complex)
-    amp[(np.arange(n)) * n + np.arange(n)] = column
+    amp[::n + 1] = column
     return TwoModeState(amplitudes=amp, cutoff=n)
-
-
-def _lower_a(grid: np.ndarray) -> np.ndarray:
-    n = grid.shape[0]
-    out = np.zeros_like(grid)
-    out[:-1, :] = np.sqrt(np.arange(1.0, n))[:, None] * grid[1:, :]
-    return out
-
-
-def _raise_a(grid: np.ndarray) -> np.ndarray:
-    n = grid.shape[0]
-    out = np.zeros_like(grid)
-    out[1:, :] = np.sqrt(np.arange(1.0, n))[:, None] * grid[:-1, :]
-    return out
-
-
-def _lower_b(grid: np.ndarray) -> np.ndarray:
-    n = grid.shape[1]
-    out = np.zeros_like(grid)
-    out[:, :-1] = np.sqrt(np.arange(1.0, n))[None, :] * grid[:, 1:]
-    return out
-
-
-def _raise_b(grid: np.ndarray) -> np.ndarray:
-    n = grid.shape[1]
-    out = np.zeros_like(grid)
-    out[:, 1:] = np.sqrt(np.arange(1.0, n))[None, :] * grid[:, :-1]
-    return out
 
 
 def apply_squeeze_factorized(space: TruncatedFockSpace, r: float,
@@ -318,6 +298,17 @@ def apply_squeeze_factorized(space: TruncatedFockSpace, r: float,
     n = space.cutoff
     t = math.tanh(r)
     grid = state.grid().astype(complex).copy()
+    root = np.sqrt(np.arange(1.0, n))
+
+    def lower_pair(y: np.ndarray) -> np.ndarray:  # a b
+        out = np.zeros_like(y)
+        out[:-1, :-1] = root[:, None] * (root[None, :] * y[1:, 1:])
+        return out
+
+    def raise_pair(y: np.ndarray) -> np.ndarray:  # a^dag b^dag
+        out = np.zeros_like(y)
+        out[1:, 1:] = root[:, None] * (root[None, :] * y[:-1, :-1])
+        return out
 
     def pair_series(start: np.ndarray, coeff: float,
                     action: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -330,27 +321,28 @@ def apply_squeeze_factorized(space: TruncatedFockSpace, r: float,
             total = total + term
         return total
 
-    grid = pair_series(grid, -t, lambda y: _lower_a(_lower_b(y)))
+    grid = pair_series(grid, -t, lower_pair)
     occupations = np.arange(n)
     weights = np.exp(-math.log(math.cosh(r))
                      * (occupations[:, None] + occupations[None, :] + 1.0))
     grid = weights * grid
-    grid = pair_series(grid, t, lambda y: _raise_a(_raise_b(y)))
+    grid = pair_series(grid, t, raise_pair)
     return TwoModeState(amplitudes=grid.reshape(-1), cutoff=n)
 
 
-def _conjugation_block(space: TruncatedFockSpace, r: float) -> int:
+def _conjugation_block(squeeze: np.ndarray, cutoff: int) -> int:
     """Largest count of leading Fock columns safe for conjugation checks.
 
     Column n of the n_a = n_b sector block is the squeezed |n, n>; its
-    amplitude on the edge row measures how much truncation flux that
+    amplitude on the edge row |cutoff-1, cutoff-1>, the last row of the
+    dense squeeze operator, measures how much truncation flux that
     column reflects back into the basis. At least the vacuum column is
     always used, so a too-small basis shows up as a large residual
     rather than as a hidden exemption.
     """
-    edge = np.abs(_sector_block(r, space.cutoff, 0, 0)[-1, :])
+    edge = np.abs(squeeze[-1, ::cutoff + 1])
     limit = 1
-    while limit < space.cutoff // 2 and edge[limit] < EDGE_TOL:
+    while limit < cutoff // 2 and edge[limit] < EDGE_TOL:
         limit += 1
     return limit
 
@@ -362,7 +354,7 @@ def bogoliubov_check(space: TruncatedFockSpace, r: float) -> BogoliubovResiduals
     ops = ladder_operators(space)
     c, s = math.cosh(r), math.sinh(r)
     n = space.cutoff
-    limit = _conjugation_block(space, r)
+    limit = _conjugation_block(squeeze, n)
     low = (np.arange(limit)[:, None] * n + np.arange(limit)[None, :]).reshape(-1)
 
     def low_max(matrix: np.ndarray) -> float:
@@ -452,9 +444,15 @@ def measure_moments(state: TwoModeState) -> MomentTable:
     largest magnitude recorded in max_imag_discarded. The squeezing and
     Heisenberg entries use variances, so they remain meaningful for
     displaced states too.
+
+    Raises ValueError when the state is not normalized: <psi|psi>,
+    the Gram matrix's first entry, must be within NORM_TOL of 1.
     """
     images = _ladder_images(state.grid()).reshape(5, -1)
     gram = np.conj(images) @ images.T
+    norm2 = gram[0, 0].real
+    if not abs(norm2 - 1.0) <= NORM_TOL:
+        raise ValueError(f"state is not normalized: <psi|psi> = {norm2!r}")
     values = _MOMENT_COEFFICIENTS @ gram.reshape(-1)
     tables: dict[str, dict[str, float]] = {"first": {}, "second": {}, "cross": {}}
     for (table, key), value in zip(_MOMENT_KEYS, values.real.tolist()):

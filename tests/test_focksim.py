@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from brisq.errors import CutoffTooSmall, ZeroProbability
 from brisq.focksim import (
     CUTOFF_CAP,
+    DENSE_CAP,
     TAIL_TOL,
     TruncatedFockSpace,
     TwoModeState,
@@ -19,24 +20,44 @@ from brisq.focksim import (
     fock_state,
     herald,
     ladder_operators,
-    lowering_matrix,
     measure_moments,
     squeeze_operator,
     squeezed_vacuum,
     vacuum_state,
 )
 from brisq.squeezing import full_moment_table, pair_probability, pair_tail, table_deviation
-from brisq.focksim import _ladder_images, _lower_a, _lower_b, _raise_a, _raise_b, _sector_block
+from brisq.focksim import _ladder_images, _sector_block
 
 R_REF = 0.05016767361301254
 # top of the range the cutoff cap serves: pair_tail(EDGE_R, 128) = 1e-12
 EDGE_R = math.atanh(TAIL_TOL ** (1.0 / (2 * CUTOFF_CAP)))  # ~1.46
 
 
-def test_lowering_matrix_two_levels():
-    assert np.array_equal(lowering_matrix(2), [[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        lowering_matrix(0)
+def test_ladder_operators_two_levels():
+    ops = ladder_operators(TruncatedFockSpace(2))
+    low = [[0.0, 1.0], [0.0, 0.0]]
+    assert np.array_equal(ops.a, np.kron(low, np.eye(2)))
+    assert np.array_equal(ops.b, np.kron(np.eye(2), low))
+    assert np.array_equal(ops.adag, ops.a.T)
+    assert np.array_equal(ops.bdag, ops.b.T)
+
+
+def test_dense_path_refuses_cutoffs_above_its_cap():
+    # checked before anything is allocated: one operator at cutoff 49
+    # would take ~46 MB, bogoliubov_check's working set several times that
+    space = TruncatedFockSpace(DENSE_CAP + 1)
+    tracemalloc.start()
+    try:
+        for build in (lambda: squeeze_operator(space, 0.1), lambda: ladder_operators(space),
+                      lambda: bogoliubov_check(space, 0.1)):
+            with pytest.raises(ValueError, match="dense operator"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the state-vector path keeps the larger cap
+    assert squeezed_vacuum(space, 0.1).cutoff == DENSE_CAP + 1
 
 
 def test_space_validation():
@@ -74,12 +95,7 @@ def test_grid_actions_match_dense_products():
     ops = ladder_operators(space)
     rng = np.random.default_rng(5)
     amp = rng.normal(size=36) + 1j * rng.normal(size=36)
-    grid = amp.reshape(6, 6)
-    assert np.array_equal(_lower_a(grid).reshape(-1), ops.a @ amp)
-    assert np.array_equal(_raise_a(grid).reshape(-1), ops.adag @ amp)
-    assert np.array_equal(_lower_b(grid).reshape(-1), ops.b @ amp)
-    assert np.array_equal(_raise_b(grid).reshape(-1), ops.bdag @ amp)
-    images = _ladder_images(grid).reshape(5, -1)
+    images = _ladder_images(amp.reshape(6, 6)).reshape(5, -1)
     for image, op in zip(images, (np.eye(36), ops.a, ops.b, ops.adag, ops.bdag)):
         assert np.array_equal(image, op @ amp)
 
@@ -298,6 +314,17 @@ def test_measure_moments_match_dense_expectations():
                          for value in values.values())
         assert worst_imag > 1e-3  # the pair moments of these states are complex
         assert abs(table.max_imag_discarded - worst_imag) <= 1e-12
+
+
+def test_measure_moments_requires_a_normalized_state():
+    # at cutoff 5 (<psi|psi> = 18.4) the table used to come back silently
+    # wrong, at 14 (182.3) as a math domain error from the products
+    for cutoff in (5, 14):
+        amp = np.random.default_rng(0).normal(size=cutoff * cutoff)
+        with pytest.raises(ValueError, match="not normalized"):
+            measure_moments(TwoModeState(amplitudes=amp, cutoff=cutoff))
+        normalized = TwoModeState(amplitudes=amp / np.linalg.norm(amp), cutoff=cutoff)
+        assert measure_moments(normalized).max_imag_discarded < 1e-15
 
 
 def test_measure_moments_memory_is_bounded():
