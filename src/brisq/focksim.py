@@ -147,16 +147,14 @@ def ladder_operators(space: TruncatedFockSpace) -> LadderOperators:
     return LadderOperators(a=a, adag=a.T.copy(), b=b, bdag=b.T.copy())
 
 
-def vacuum_state(space: TruncatedFockSpace) -> TwoModeState:
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[0] = 1.0
-    return TwoModeState(amplitudes=amp, cutoff=space.cutoff)
-
-
 def fock_state(space: TruncatedFockSpace, n_a: int, n_b: int) -> TwoModeState:
     amp = np.zeros(space.dim, dtype=complex)
     amp[space.index(n_a, n_b)] = 1.0
     return TwoModeState(amplitudes=amp, cutoff=space.cutoff)
+
+
+def vacuum_state(space: TruncatedFockSpace) -> TwoModeState:
+    return fock_state(space, 0, 0)
 
 
 def choose_cutoff(r: float, flux_tol: float = math.inf) -> int:

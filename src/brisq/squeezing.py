@@ -84,76 +84,55 @@ def pair_tail(r: float, n_min: int) -> float:
     return math.tanh(r) ** (2 * n_min)
 
 
-def independent_moments(r: float) -> MomentTable:
-    """Moments of the bare modes a and b taken separately.
+def full_moment_table(r: float) -> MomentTable:
+    """All analytic moments of the squeezed vacuum at parameter r.
 
-    Each mode alone looks thermal: <X^2> = <Y^2> = cosh(2r)/2, the
-    Heisenberg product is 1/2 + sinh(r)^2 and both quadratures are
-    antisqueezed by S = sinh(r)^2.
+    The bare modes a and b each look thermal: <X^2> = <Y^2> = cosh(2r)/2,
+    the Heisenberg product is 1/2 + sinh(r)^2 and both quadratures are
+    antisqueezed by S = sinh(r)^2. The mixed modes c = (a-b)/sqrt(2) and
+    d = (a+b)/sqrt(2) carry the squeezing: <X_c^2> = <Y_d^2> = exp(-2r)/2
+    and <Y_c^2> = <X_d^2> = exp(+2r)/2, so each saturates the Heisenberg
+    bound dX*dY = 1/2. All four mode populations equal sinh(r)^2; the only
+    nonzero pair moments are <ab> = cosh(r) sinh(r) and the mixed-mode
+    squeezes <c^2> = -<d^2> = -cosh(r) sinh(r).
     """
     var = 0.5 * math.cosh(2.0 * r)
     s2 = math.sinh(r) ** 2
-    keys = ("X_a", "Y_a", "X_b", "Y_b")
-    return MomentTable(
-        r=r,
-        first={k: 0.0 for k in keys},
-        second={k: var for k in keys},
-        products={"a": var, "b": var},
-        squeezing={k: s2 for k in keys},
-    )
-
-
-def mixed_moments(r: float) -> MomentTable:
-    """Moments of the mixed modes c = (a-b)/sqrt(2), d = (a+b)/sqrt(2).
-
-    These are the squeezed directions: <X_c^2> = <Y_d^2> = exp(-2r)/2
-    and <Y_c^2> = <X_d^2> = exp(+2r)/2, so each mode saturates the
-    Heisenberg bound dX*dY = 1/2.
-    """
     lo = 0.5 * math.exp(-2.0 * r)
     hi = 0.5 * math.exp(2.0 * r)
     s_lo = 0.5 * math.expm1(-2.0 * r)
     s_hi = 0.5 * math.expm1(2.0 * r)
-    return MomentTable(
-        r=r,
-        first={k: 0.0 for k in ("X_c", "Y_c", "X_d", "Y_d")},
-        second={"X_c": lo, "Y_c": hi, "X_d": hi, "Y_d": lo},
-        products={"c": math.sqrt(lo * hi), "d": math.sqrt(hi * lo)},
-        squeezing={"X_c": s_lo, "Y_c": s_hi, "X_d": s_hi, "Y_d": s_lo},
-    )
-
-
-def correlation_moments(r: float) -> MomentTable:
-    """Number and pair moments of the squeezed vacuum.
-
-    All four mode populations equal sinh(r)^2; the only nonzero pair
-    moments are <ab> = cosh(r) sinh(r) and the mixed-mode squeezes
-    <c^2> = -<d^2> = -cosh(r) sinh(r).
-    """
-    s2 = math.sinh(r) ** 2
     cs = math.cosh(r) * math.sinh(r)
     return MomentTable(
         r=r,
-        cross={
-            "n_a": s2, "n_b": s2, "n_c": s2, "n_d": s2,
-            "ab": cs, "adag_b": 0.0, "a2": 0.0, "b2": 0.0,
-            "c2": -cs, "d2": cs,
-        },
+        first=dict.fromkeys(QUAD_KEYS, 0.0),
+        second={"X_a": var, "Y_a": var, "X_b": var, "Y_b": var,
+                "X_c": lo, "Y_c": hi, "X_d": hi, "Y_d": lo},
+        products={"a": var, "b": var,
+                  "c": math.sqrt(lo * hi), "d": math.sqrt(hi * lo)},
+        squeezing={"X_a": s2, "Y_a": s2, "X_b": s2, "Y_b": s2,
+                   "X_c": s_lo, "Y_c": s_hi, "X_d": s_hi, "Y_d": s_lo},
+        cross={"n_a": s2, "n_b": s2, "n_c": s2, "n_d": s2, "ab": cs,
+               "adag_b": 0.0, "a2": 0.0, "b2": 0.0, "c2": -cs, "d2": cs},
     )
 
 
-def full_moment_table(r: float) -> MomentTable:
-    """All analytic moments of the squeezed vacuum at parameter r."""
-    independent = independent_moments(r)
-    mixed = mixed_moments(r)
-    return MomentTable(
-        r=r,
-        first={**independent.first, **mixed.first},
-        second={**independent.second, **mixed.second},
-        products={**independent.products, **mixed.products},
-        squeezing={**independent.squeezing, **mixed.squeezing},
-        cross=correlation_moments(r).cross,
-    )
+def _restricted(table: MomentTable, modes: str) -> MomentTable:
+    """The quadrature and product entries of the given modes; no cross."""
+    quads = [k for k in QUAD_KEYS if k[-1] in modes]
+    return MomentTable(r=table.r, products={m: table.products[m] for m in modes},
+                       **{name: {k: getattr(table, name)[k] for k in quads}
+                          for name in ("first", "second", "squeezing")})
+
+
+def independent_moments(r: float) -> MomentTable:
+    """full_moment_table(r) restricted to the bare modes a and b."""
+    return _restricted(full_moment_table(r), "ab")
+
+
+def mixed_moments(r: float) -> MomentTable:
+    """full_moment_table(r) restricted to the mixed modes c and d."""
+    return _restricted(full_moment_table(r), "cd")
 
 
 def table_deviation(left: MomentTable, right: MomentTable) -> float:

@@ -31,7 +31,8 @@ class WaveguideParams:
     va : float
         Acoustic velocity in m/s, 0 < va < vg.
     length : float
-        Waveguide length in m (sets the discrete wavenumber grid).
+        Waveguide length in m. Validated and echoed in reports; no
+        result depends on it.
     g : float
         Single-quantum photon-phonon coupling rate in Hz.
     u : float

@@ -392,6 +392,9 @@ def test_choose_cutoff():
     assert choose_cutoff(0.5, flux_tol=1e-8) == 18
     with pytest.raises(CutoffTooSmall):
         choose_cutoff(1.4, flux_tol=1e-30)
+    # tanh(20) == 1.0 in doubles: refused before log(t) = 0 divides
+    with pytest.raises(CutoffTooSmall, match="tanh\\(r\\) rounds to 1"):
+        choose_cutoff(20.0)
 
 
 def test_state_validation_and_accessors():

@@ -143,6 +143,10 @@ def test_sweep_values_list_is_bounded_before_parsing():
     with pytest.raises(ScenarioError, match=f"at most {MAX_SWEEP_STEPS}"):
         Scenario.from_dict(scenario_dict(
             sweep={"parameter": "drive.flux_in", "values": values}))
+    # a string is refused as a whole, not iterated as a grid of characters
+    with pytest.raises(ScenarioError, match="sweep.values: expected a list"):
+        Scenario.from_dict(scenario_dict(
+            sweep={"parameter": "drive.flux_in", "values": "1e12"}))
 
 
 def test_run_reference_device():

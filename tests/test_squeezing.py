@@ -7,10 +7,12 @@ import scipy.constants
 
 from brisq.squeezing import (
     BOLTZMANN_K,
+    CROSS_KEYS,
+    MODE_KEYS,
     PLANCK_H,
+    QUAD_KEYS,
     MomentTable,
     ThermalEnv,
-    correlation_moments,
     full_moment_table,
     independent_moments,
     mixed_moments,
@@ -136,7 +138,7 @@ def test_marginal_variances_are_additive():
 
 
 def test_correlation_moments():
-    table = correlation_moments(0.3)
+    table = full_moment_table(0.3)
     s2 = math.sinh(0.3) ** 2
     cs = math.cosh(0.3) * math.sinh(0.3)
     for key in ("n_a", "n_b", "n_c", "n_d"):
@@ -149,7 +151,7 @@ def test_correlation_moments():
     assert table.cross["b2"] == 0.0
     # <ab>^2 = n (n + 1) for the pair-correlated state
     for r in R_GRID:
-        cross = correlation_moments(r).cross
+        cross = full_moment_table(r).cross
         assert cross["ab"] ** 2 == pytest.approx(
             cross["n_a"] * (cross["n_a"] + 1.0), rel=1e-12)
 
@@ -161,6 +163,26 @@ def test_full_table_merges_consistently():
     assert set(table.products) == {"a", "b", "c", "d"}
     assert len(table.cross) == 10
     assert table.r == 0.3
+    for r in R_GRID:
+        table = full_moment_table(r)
+        assert list(table.first) == list(QUAD_KEYS)
+        assert list(table.second) == list(QUAD_KEYS)
+        assert list(table.squeezing) == list(QUAD_KEYS)
+        assert list(table.products) == list(MODE_KEYS)
+        assert list(table.cross) == list(CROSS_KEYS)
+        # the bare- and mixed-mode tables are views of the full one
+        for view, modes in ((independent_moments(r), "ab"),
+                            (mixed_moments(r), "cd")):
+            quads = [k for k in QUAD_KEYS if k[-1] in modes]
+            assert view == MomentTable(
+                r=r,
+                first={k: table.first[k] for k in quads},
+                second={k: table.second[k] for k in quads},
+                products={m: table.products[m] for m in modes},
+                squeezing={k: table.squeezing[k] for k in quads},
+            )
+            assert list(view.second) == quads
+            assert list(view.products) == list(modes)
 
 
 def test_table_deviation():
