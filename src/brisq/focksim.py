@@ -37,9 +37,9 @@ class TruncatedFockSpace:
     """Two-mode Fock space with occupations 0..cutoff-1 per mode.
 
     The joint dimension is cutoff**2. A dense operator on the space
-    costs 8 * cutoff**4 bytes, 2.1 GB at CUTOFF_CAP, so the dense path
-    (squeeze_operator, ladder_operators, bogoliubov_check) stops at
-    DENSE_CAP, ~42 MB per matrix.
+    costs 8 * cutoff**4 bytes, 2.1 GB at CUTOFF_CAP, so the one dense
+    builder, squeeze_operator, stops at DENSE_CAP, ~42 MB per matrix;
+    everything else works sector by sector or on state vectors.
     """
 
     cutoff: int
@@ -89,15 +89,6 @@ class TwoModeState:
         return float(abs(self.grid()[n_a, n_b]) ** 2)
 
 
-class LadderOperators(NamedTuple):
-    """Dense two-mode ladder matrices in the row-major basis."""
-
-    a: np.ndarray
-    adag: np.ndarray
-    b: np.ndarray
-    bdag: np.ndarray
-
-
 class HeraldResult(NamedTuple):
     """Conditional phonon distribution and the herald probability."""
 
@@ -113,38 +104,15 @@ class BogoliubovResiduals:
     the block n_a, n_b < block.
 
     block is the number of leading Fock columns whose squeezed image
-    keeps its edge amplitude below EDGE_TOL, capped at cutoff/2:
-    squeezing stretches occupations by about exp(2r), so a fixed
-    half-basis block would press against the truncation edge and the
-    reflected flux would swamp the comparison."""
+    keeps its edge amplitude below EDGE_TOL, at least 2 and otherwise
+    at most cutoff/2: squeezing stretches occupations by about exp(2r),
+    so a fixed half-basis block would press against the truncation edge
+    and the reflected flux would swamp the comparison."""
 
     alpha: float
     beta: float
     commutator: float
     block: int
-
-
-def _require_dense(space: TruncatedFockSpace) -> None:
-    if space.cutoff > DENSE_CAP:
-        raise ValueError(
-            f"cutoff {space.cutoff} > {DENSE_CAP}: a dense operator would need "
-            f"{8 * space.dim ** 2 / 1e6:.0f} MB")
-
-
-def ladder_operators(space: TruncatedFockSpace) -> LadderOperators:
-    """Dense two-mode ladder operators a, a^dag, b, b^dag.
-
-    Built as Kronecker products of the single-mode lowering matrix
-    a|k> = sqrt(k)|k-1> with the identity; [a, b^dag] = 0 exactly, and
-    [a, a^dag] equals the identity except for the expected -(cutoff-1)
-    entry in the highest photon row. Raises ValueError above DENSE_CAP.
-    """
-    _require_dense(space)
-    low = np.diag(np.sqrt(np.arange(1.0, space.cutoff)), 1)
-    eye = np.eye(space.cutoff)
-    a = np.kron(low, eye)
-    b = np.kron(eye, low)
-    return LadderOperators(a=a, adag=a.T.copy(), b=b, bdag=b.T.copy())
 
 
 def fock_state(space: TruncatedFockSpace, n_a: int, n_b: int) -> TwoModeState:
@@ -192,10 +160,17 @@ def _require_tail(cutoff: int, r: float) -> None:
             f"at r = {r:g}")
 
 
-def _sector_block(r: float, size: int, na0: int, nb0: int) -> np.ndarray:
-    """exp of the pair generator restricted to one n_a - n_b sector.
+def _sector_index(cutoff: int, m: int) -> np.ndarray:
+    """Flat basis indices of the sector n_a - n_b = m, in the order
+    |na0 + n, nb0 + n> with na0 = max(m, 0) and nb0 = max(-m, 0)."""
+    start = max(m, 0) * cutoff + max(-m, 0)
+    return np.arange(start, start + (cutoff - abs(m)) * (cutoff + 1), cutoff + 1)
 
-    In the sector basis |na0 + n, nb0 + n> the generator
+
+def _sector_block(r: float, cutoff: int, m: int) -> np.ndarray:
+    """exp of the pair generator restricted to the n_a - n_b = m sector.
+
+    In the sector basis |na0 + n, nb0 + n> of _sector_index the generator
     r (a^dag b^dag - a b) is antisymmetric bidiagonal with
     K[n+1, n] = r * sqrt((na0+n+1)(nb0+n+1)); its exponential is the
     exact restriction of the full squeeze operator.
@@ -216,6 +191,7 @@ def _sector_block(r: float, size: int, na0: int, nb0: int) -> np.ndarray:
     r = 1.43 a block agrees with a 40-digit evaluation to ~5e-14, where
     scipy's scaled-and-squared expm is off by ~1.4e-12.
     """
+    size, na0, nb0 = cutoff - abs(m), max(m, 0), max(-m, 0)
     ns = np.arange(size - 1)
     amp = r * np.sqrt((ns + na0 + 1.0) * (ns + nb0 + 1.0))
     even, odd = (size + 1) // 2, size // 2
@@ -246,19 +222,19 @@ def squeeze_operator(space: TruncatedFockSpace, r: float) -> np.ndarray:
     exp of the full dense generator to rounding but stays cheap at
     large cutoffs. The result is real orthogonal.
 
-    Raises ValueError above DENSE_CAP, and CutoffTooSmall when the
-    closed-form tail mass of the squeezed vacuum at this r exceeds
-    TAIL_TOL.
+    Raises ValueError above DENSE_CAP, checked before anything is
+    allocated, and CutoffTooSmall when the closed-form tail mass of the
+    squeezed vacuum at this r exceeds TAIL_TOL.
     """
-    _require_dense(space)
-    _require_tail(space.cutoff, r)
     n = space.cutoff
+    if n > DENSE_CAP:
+        raise ValueError(f"cutoff {n} > {DENSE_CAP}: a dense operator would need "
+                         f"{8 * space.dim ** 2 / 1e6:.0f} MB")
+    _require_tail(n, r)
     out = np.zeros((space.dim, space.dim))
     for m in range(-(n - 1), n):
-        size = n - abs(m)
-        na0, nb0 = max(m, 0), max(-m, 0)
-        idx = (np.arange(size) + na0) * n + (np.arange(size) + nb0)
-        out[np.ix_(idx, idx)] = _sector_block(r, size, na0, nb0)
+        idx = _sector_index(n, m)
+        out[np.ix_(idx, idx)] = _sector_block(r, n, m)
     return out
 
 
@@ -269,11 +245,9 @@ def squeezed_vacuum(space: TruncatedFockSpace, r: float) -> TwoModeState:
     operator is needed; the restriction is exact, not an approximation.
     """
     _require_tail(space.cutoff, r)
-    n = space.cutoff
-    column = _sector_block(r, n, 0, 0)[:, 0]
     amp = np.zeros(space.dim, dtype=complex)
-    amp[::n + 1] = column
-    return TwoModeState(amplitudes=amp, cutoff=n)
+    amp[_sector_index(space.cutoff, 0)] = _sector_block(r, space.cutoff, 0)[:, 0]
+    return TwoModeState(amplitudes=amp, cutoff=space.cutoff)
 
 
 def apply_squeeze_factorized(space: TruncatedFockSpace, r: float,
@@ -328,52 +302,78 @@ def apply_squeeze_factorized(space: TruncatedFockSpace, r: float,
     return TwoModeState(amplitudes=grid.reshape(-1), cutoff=n)
 
 
-def _conjugation_block(squeeze: np.ndarray, cutoff: int) -> int:
+def _conjugation_block(r: float, cutoff: int) -> int:
     """Largest count of leading Fock columns safe for conjugation checks.
 
     Column n of the n_a = n_b sector block is the squeezed |n, n>; its
-    amplitude on the edge row |cutoff-1, cutoff-1>, the last row of the
-    dense squeeze operator, measures how much truncation flux that
-    column reflects back into the basis. At least the vacuum column is
-    always used, so a too-small basis shows up as a large residual
-    rather than as a hidden exemption.
+    entry in the block's last row, |cutoff-1, cutoff-1>, is the
+    truncation flux that column reflects back into the basis. Every
+    ladder operator moves the vacuum out of its sector, so the block
+    starts at 2, the least in which a maps a low column to a low row; a
+    too-small basis then shows up as a large residual, not an exemption.
     """
-    edge = np.abs(squeeze[-1, ::cutoff + 1])
-    limit = 1
+    edge = np.abs(_sector_block(r, cutoff, 0)[-1])
+    limit = 2
     while limit < cutoff // 2 and edge[limit] < EDGE_TOL:
         limit += 1
     return limit
 
 
+def _sector_ladder(cutoff: int, m: int, da: int, db: int) -> np.ndarray:
+    """The truncated ladder operator moving n_a by da or n_b by db (+-1),
+    as a matrix from sector m into sector m + da - db."""
+    source = _sector_index(cutoff, m)
+    target = _sector_index(cutoff, m + da - db)
+    occupation = source // cutoff if da else source % cutoff
+    # an index that wraps past a row end lands outside the target sector
+    hits = np.equal.outer(target, source + da * cutoff + db)
+    return hits * np.sqrt(occupation + max(da + db, 0))
+
+
 def bogoliubov_check(space: TruncatedFockSpace, r: float) -> BogoliubovResiduals:
-    """Conjugate the ladder operators with the squeeze matrix and compare
-    against the hyperbolic mixing, on the edge-safe low-occupation block."""
-    squeeze = squeeze_operator(space, r)
-    ops = ladder_operators(space)
-    c, s = math.cosh(r), math.sinh(r)
+    """Conjugate the ladder operators with the squeeze operator and compare
+    against the hyperbolic mixing, on the edge-safe low-occupation block.
+
+    S keeps n_a - n_b; a and b^dag lower it by one, b and a^dag raise it.
+    So sector k takes only the images S_k^T L S_(k+-1) of the low columns
+    of sectors k+-1: alpha and beta read their low rows, and the
+    commutator pairs sectors k+1 and k-1 through the whole of sector k.
+    Raises CutoffTooSmall as squeeze_operator does, but has no dense cap.
+    """
     n = space.cutoff
-    limit = _conjugation_block(squeeze, n)
-    low = (np.arange(limit)[:, None] * n + np.arange(limit)[None, :]).reshape(-1)
+    _require_tail(n, r)
+    c, s = math.cosh(r), math.sinh(r)
+    limit = _conjugation_block(r, n)
+    reach = min(limit, n - 1)
+    blocks = {m: _sector_block(r, n, m) for m in range(-reach, reach + 1)}
 
-    def low_max(matrix: np.ndarray) -> float:
-        return float(np.max(np.abs(matrix[np.ix_(low, low)])))
+    def images(k: int, m: int, first: tuple[int, int], second: tuple[int, int]):
+        """S_k^T L S_m on sector m's low columns for the ladders first and
+        second, both from sector m into k, and c first + s second there."""
+        low = max(limit - abs(m), 0)
+        columns = blocks.get(m, np.zeros((n - abs(m), 0)))[:, :low]
+        one, two = (_sector_ladder(n, m, *step) for step in (first, second))
+        # S is real orthogonal, so the adjoint is the transpose
+        return (blocks[k].T @ (one @ columns), blocks[k].T @ (two @ columns),
+                (c * one + s * two)[:, :low])
 
-    # squeeze is real orthogonal, so the adjoint is the transpose
-    alpha = squeeze.T @ ops.a @ squeeze
-    beta = squeeze.T @ ops.b @ squeeze
-    return BogoliubovResiduals(
-        alpha=low_max(alpha - (c * ops.a + s * ops.bdag)),
-        beta=low_max(beta - (c * ops.b + s * ops.adag)),
-        commutator=low_max(alpha @ beta.T - beta.T @ alpha),
-        block=limit,
-    )
+    worst = np.zeros(3)  # alpha, beta, commutator
+    for k in range(-reach, reach + 1):
+        rows = limit - abs(k)
+        a_image, bdag_image, a_mixed = images(k, k + 1, (-1, 0), (0, 1))
+        b_image, adag_image, b_mixed = images(k, k - 1, (0, -1), (1, 0))
+        # alpha^T = S^T a^dag S and beta^T = S^T b^dag S
+        parts = ((a_image - a_mixed)[:rows], (b_image - b_mixed)[:rows],
+                 adag_image.T @ bdag_image - b_image.T @ a_image)
+        worst = np.maximum(worst, [np.abs(part).max(initial=0.0) for part in parts])
+    return BogoliubovResiduals(*worst.tolist(), block=limit)
 
 
 def _ladder_images(grid: np.ndarray) -> np.ndarray:
     """psi, a psi, b psi, a^dag psi and b^dag psi as one (5, n, n) array.
 
-    Each shift is elementwise identical to the dense matrix-vector
-    product of ladder_operators, written straight into its slot.
+    Each shift is elementwise identical to the product of the truncated
+    Kronecker ladder matrix with the state, written straight into its slot.
     """
     n = grid.shape[0]
     root = np.sqrt(np.arange(1.0, n))

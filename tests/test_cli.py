@@ -225,24 +225,32 @@ def test_undecodable_scenario_exits_two(tmp_path, capsys, content):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", [
-    {"parameter": "drive.flux_in", "values": ["1 kHz"]},
-    {"parameter": "waveguide.vg", "values": ["1 kHz"]},
-    {"parameter": "waveguide.length", "values": ["1 kHz"]},
-    {"parameter": "k_pump", "values": ["1 kHz"]},
-    {"parameter": "drive.flux_in", "start": "1 kHz", "stop": 2e12, "steps": 2},
-    {"parameter": "k_pump", "start": -1e308, "stop": 1e308, "steps": 3},
-    {"parameter": "drive.flux_in", "start": 1e11, "stop": 2e13, "steps": 1000001},
-    {"parameter": "drive.flux_in", "start": 1e11, "stop": 2e13, "steps": 1000000000},
+UNIT_ERROR = "sweep.values: expected a number"
+STEPS_ERROR = "sweep.steps: expected an int in [1, 1000000]"
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"parameter": "drive.flux_in", "values": ["1 kHz"]}, UNIT_ERROR),
+    ({"parameter": "waveguide.vg", "values": ["1 kHz"]}, UNIT_ERROR),
+    ({"parameter": "waveguide.length", "values": ["1 kHz"]}, UNIT_ERROR),
+    ({"parameter": "k_pump", "values": ["1 kHz"]}, UNIT_ERROR),
+    ({"parameter": "drive.flux_in", "start": "1 kHz", "stop": 2e12, "steps": 2},
+     "sweep.start: expected a number"),
+    ({"parameter": "k_pump", "start": -1e308, "stop": 1e308, "steps": 3},
+     "sweep.values: nan is not a finite number"),
+    ({"parameter": "drive.flux_in", "start": 1e11, "stop": 2e13, "steps": 1000001},
+     STEPS_ERROR),
+    ({"parameter": "drive.flux_in", "start": 1e11, "stop": 2e13, "steps": 1000000000},
+     STEPS_ERROR),
 ], ids=["flux-unit", "vg-unit", "length-unit", "k_pump-unit", "start-unit",
         "grid-overflow", "steps-over-bound", "steps-1e9"])
-def test_sweep_grid_takes_the_fields_kind(tmp_path, capsys, grid):
+def test_sweep_grid_takes_the_fields_kind(tmp_path, capsys, grid, message):
     raw = read_scenario(SWEEP_SCENARIO)
     raw["sweep"] = grid
     assert main(["sweep", write_scenario(tmp_path, raw)]) == EXIT_SCENARIO
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "sweep" in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("path, value", [

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from brisq.errors import CutoffTooSmall, ZeroProbability
 from brisq.focksim import (
     CUTOFF_CAP,
     DENSE_CAP,
+    EDGE_TOL,
     TAIL_TOL,
     TruncatedFockSpace,
     TwoModeState,
@@ -19,18 +21,40 @@ from brisq.focksim import (
     choose_cutoff,
     fock_state,
     herald,
-    ladder_operators,
     measure_moments,
     squeeze_operator,
     squeezed_vacuum,
     vacuum_state,
 )
 from brisq.squeezing import full_moment_table, pair_probability, pair_tail, table_deviation
-from brisq.focksim import _ladder_images, _sector_block
+from brisq.focksim import _ladder_images, _sector_block, _sector_index
 
 R_REF = 0.05016767361301254
 # top of the range the cutoff cap serves: pair_tail(EDGE_R, 128) = 1e-12
 EDGE_R = math.atanh(TAIL_TOL ** (1.0 / (2 * CUTOFF_CAP)))  # ~1.46
+
+
+class Ladders(NamedTuple):
+    a: np.ndarray
+    adag: np.ndarray
+    b: np.ndarray
+    bdag: np.ndarray
+
+
+def ladder_operators(space):
+    """Dense two-mode ladder matrices in the row-major basis, the reference
+    for the grid shifts, the moments and the sector exponentials.
+
+    Built as Kronecker products of the single-mode lowering matrix
+    a|k> = sqrt(k)|k-1> with the identity; [a, b^dag] = 0 exactly, and
+    [a, a^dag] equals the identity except for the expected -(cutoff-1)
+    entry in the highest photon row.
+    """
+    low = np.diag(np.sqrt(np.arange(1.0, space.cutoff)), 1)
+    eye = np.eye(space.cutoff)
+    a = np.kron(low, eye)
+    b = np.kron(eye, low)
+    return Ladders(a=a, adag=a.T.copy(), b=b, bdag=b.T.copy())
 
 
 def test_ladder_operators_two_levels():
@@ -44,20 +68,20 @@ def test_ladder_operators_two_levels():
 
 def test_dense_path_refuses_cutoffs_above_its_cap():
     # checked before anything is allocated: one operator at cutoff 49
-    # would take ~46 MB, bogoliubov_check's working set several times that
+    # would take ~46 MB
     space = TruncatedFockSpace(DENSE_CAP + 1)
     tracemalloc.start()
     try:
-        for build in (lambda: squeeze_operator(space, 0.1), lambda: ladder_operators(space),
-                      lambda: bogoliubov_check(space, 0.1)):
-            with pytest.raises(ValueError, match="dense operator"):
-                build()
+        with pytest.raises(ValueError, match="dense operator"):
+            squeeze_operator(space, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    # the state-vector path keeps the larger cap
+    # the state-vector path and the sector-wise check keep the larger cap
     assert squeezed_vacuum(space, 0.1).cutoff == DENSE_CAP + 1
+    residuals = bogoliubov_check(space, 0.1)
+    assert max(residuals.alpha, residuals.beta, residuals.commutator) < 1e-10
 
 
 def test_space_validation():
@@ -115,16 +139,24 @@ def test_squeeze_operator_matches_dense_generator_exponential():
     assert np.max(np.abs(squeeze_operator(space, r) - dense)) < 1e-12
 
 
-def sector_generator(r, size, na0, nb0):
-    """Dense r (a^dag b^dag - a b) on the sector |na0 + n, nb0 + n>."""
-    n = np.arange(size - 1)
-    amp = r * np.sqrt((na0 + n + 1.0) * (nb0 + n + 1.0))
+def sector_generator(r, cutoff, m):
+    """Dense r (a^dag b^dag - a b) on the sector n_a - n_b = m, in the
+    order of _sector_index: K[k+1, k] = r sqrt(n_a n_b) of level k + 1."""
+    n_a, n_b = np.divmod(_sector_index(cutoff, m), cutoff)
+    amp = r * np.sqrt(n_a[1:] * n_b[1:])
     return np.diag(amp, -1) - np.diag(amp, 1)
 
 
 def sectors(cutoff):
-    for m in range(-(cutoff - 1), cutoff):
-        yield cutoff - abs(m), max(m, 0), max(-m, 0)
+    return range(-(cutoff - 1), cutoff)
+
+
+def test_sector_index_walks_each_sector_diagonal():
+    for cutoff in (2, 5):
+        covered = np.concatenate([_sector_index(cutoff, m) for m in sectors(cutoff)])
+        assert np.array_equal(np.sort(covered), np.arange(cutoff * cutoff))
+    n_a, n_b = np.divmod(_sector_index(5, -2), 5)
+    assert n_a.tolist() == [0, 1, 2] and n_b.tolist() == [2, 3, 4]
 
 
 @pytest.mark.parametrize("cutoff", [2, 5, 16, 48, 128])
@@ -138,18 +170,18 @@ def test_sector_blocks_match_expm(cutoff):
     for r in (0.3, EDGE_R / 2):
         # one pass per library: interleaving numpy's and scipy's BLAS
         # calls makes their thread pools contend and doubles the run time
-        blocks = [_sector_block(r, *sector) for sector in sectors(cutoff)]
-        expected = [expm(sector_generator(r, *sector)) for sector in sectors(cutoff)]
-        for (size, na0, nb0), block, ref in zip(sectors(cutoff), blocks, expected):
+        blocks = [_sector_block(r, cutoff, m) for m in sectors(cutoff)]
+        expected = [expm(sector_generator(r, cutoff, m)) for m in sectors(cutoff)]
+        for m, block, ref in zip(sectors(cutoff), blocks, expected):
             assert np.max(np.abs(block - ref)) <= 1e-12
-            if na0 == nb0 == 0:
+            if m == 0:
                 assert np.max(np.abs(block[:, 0] - ref[:, 0])) <= 1e-14
-    for size, na0, nb0 in sectors(cutoff):
-        half = _sector_block(EDGE_R / 2, size, na0, nb0)
-        block = _sector_block(EDGE_R, size, na0, nb0)
+    for m in sectors(cutoff):
+        half = _sector_block(EDGE_R / 2, cutoff, m)
+        block = _sector_block(EDGE_R, cutoff, m)
         assert np.max(np.abs(block - half @ half)) <= 1e-12
-    vacuum = _sector_block(EDGE_R, cutoff, 0, 0)[:, 0]
-    expected = expm(sector_generator(EDGE_R, cutoff, 0, 0))[:, 0]
+    vacuum = _sector_block(EDGE_R, cutoff, 0)[:, 0]
+    expected = expm(sector_generator(EDGE_R, cutoff, 0))[:, 0]
     assert np.max(np.abs(vacuum - expected)) <= 1e-14
 
 
@@ -240,6 +272,70 @@ def test_bogoliubov_conjugation_residuals():
     assert calm.alpha == 0.0
     assert calm.beta == 0.0
     assert calm.commutator == 0.0
+
+
+def test_bogoliubov_block_starts_at_two():
+    # every ladder operator moves the vacuum out of its sector, so a block
+    # of 1 compared zeros with zeros; a 4-level basis is too small at this r
+    residuals = bogoliubov_check(TruncatedFockSpace(4), 0.025)
+    assert residuals.block == 2
+    assert residuals.alpha > 1e-8
+
+
+def dense_residuals(cutoff, r):
+    """bogoliubov_check's block and residuals from the dense matrices:
+    S^T a S and S^T b S over the whole basis, read on the low block."""
+    squeeze = squeeze_operator(TruncatedFockSpace(cutoff), r)
+    ops = ladder_operators(TruncatedFockSpace(cutoff))
+    edge = np.abs(squeeze[-1, ::cutoff + 1])
+    block = 2
+    while block < cutoff // 2 and edge[block] < EDGE_TOL:
+        block += 1
+    low = (np.arange(block)[:, None] * cutoff + np.arange(block)[None, :]).reshape(-1)
+
+    def low_max(matrix):
+        return float(np.max(np.abs(matrix[np.ix_(low, low)])))
+
+    c, s = math.cosh(r), math.sinh(r)
+    alpha = squeeze.T @ ops.a @ squeeze
+    beta = squeeze.T @ ops.b @ squeeze
+    return block, (low_max(alpha - (c * ops.a + s * ops.bdag)),
+                   low_max(beta - (c * ops.b + s * ops.adag)),
+                   low_max(alpha @ beta.T - beta.T @ alpha))
+
+
+def test_bogoliubov_check_matches_dense_conjugation():
+    checked = 0
+    for cutoff in (2, 3, 8, 16, 24):
+        for r in (0.0, 0.01, 0.3, 0.8):
+            if pair_tail(r, cutoff) > TAIL_TOL:
+                continue
+            residuals = bogoliubov_check(TruncatedFockSpace(cutoff), r)
+            block, dense = dense_residuals(cutoff, r)
+            assert residuals.block == block, (cutoff, r)
+            measured = (residuals.alpha, residuals.beta, residuals.commutator)
+            for value, expected in zip(measured, dense):
+                assert abs(value - expected) <= 1e-13, (cutoff, r)
+            checked += 1
+    assert checked == 11
+
+
+@pytest.mark.parametrize("cutoff, rs, bound", [
+    (40, (0.3,), 5_000_000),
+    (CUTOFF_CAP, (0.0, 0.1, 0.5, 1.0, 1.45), 32_000_000),
+])
+def test_bogoliubov_check_memory_is_bounded(cutoff, rs, bound):
+    # sector by sector: no n^2 x n^2 matrix, whatever the cutoff
+    space = TruncatedFockSpace(cutoff)
+    for r in rs:
+        tracemalloc.start()
+        try:
+            residuals = bogoliubov_check(space, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, r
+        assert max(residuals.alpha, residuals.beta, residuals.commutator) < 1e-8, r
 
 
 def test_measure_moments_vacuum():

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from brisq.errors import ScenarioError, Unstable
+from brisq.errors import CutoffTooSmall, ScenarioError, Unstable
 from brisq.pipeline import (
     FREQUENCY,
     MAX_SWEEP_STEPS,
@@ -237,6 +237,26 @@ def test_chosen_cutoff_holds_the_moments_at_small_r(ratio):
     report = run(Scenario.from_dict(scenario_dict(drive=drive)))
     assert math.tanh(2.0 * report.squeeze.r) == pytest.approx(ratio, rel=1e-6)
     assert report.oracle["ok"] is True
+
+
+def threshold_scenario(ratio):
+    """The reference device driven to f/omega_bar = ratio: f = 1 GHz at
+    1e12 photons/s grows as sqrt(flux_in), and omega_bar = 10 GHz."""
+    flux = 1e12 * (ratio * 1e10 / 1e9) ** 2
+    drive = {"omega_p": 234508616743744.8, "flux_in": flux}
+    return Scenario.from_dict(scenario_dict(drive=drive))
+
+
+def test_oracle_reaches_the_cap_below_threshold():
+    report = run(threshold_scenario(0.9935))
+    assert report.oracle["cutoff"] == 121
+    assert report.oracle["ok"] is True
+
+
+@pytest.mark.xfail(strict=True, raises=CutoffTooSmall, reason="ROADMAP item 4")
+@pytest.mark.parametrize("ratio", [0.995, 0.998, 0.999, 0.99896])
+def test_oracle_passes_near_threshold(ratio):
+    assert run(threshold_scenario(ratio)).oracle["ok"] is True
 
 
 def test_run_round_trips_through_scenario_dict():
