@@ -19,6 +19,9 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 RUN_SCENARIO = str(ROOT / "scenarios" / "backward_10ghz.json")
 SWEEP_SCENARIO = str(ROOT / "scenarios" / "flux_sweep.json")
+# f/omega_bar 0.5 to 1.01: the oracle at cutoffs 11-121, then the rows
+# past the cap and past threshold
+THRESHOLD_SCENARIO = str(ROOT / "scenarios" / "threshold_sweep.json")
 
 CASES = {
     "run.json": ["run", RUN_SCENARIO],
@@ -27,6 +30,8 @@ CASES = {
     "sweep_oracle.csv": ["sweep", SWEEP_SCENARIO, "--format", "csv",
                          "--oracle", "on"],
     "sweep_db.csv": ["sweep", SWEEP_SCENARIO, "--format", "csv", "--db"],
+    "threshold_sweep.json": ["sweep", THRESHOLD_SCENARIO],
+    "threshold_sweep.csv": ["sweep", THRESHOLD_SCENARIO, "--format", "csv"],
     "check.json": ["check"],
     "check.csv": ["check", "--format", "csv"],
 }
