@@ -15,6 +15,7 @@ cannot hold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -30,6 +31,9 @@ TAIL_TOL = 1e-12
 EDGE_TOL = 1e-10
 NORM_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
+# sector spectra kept by _sector_spectrum: every sector of the largest
+# cutoff, 2 * CUTOFF_CAP - 1 = 255 of them, fits at once
+_SPECTRUM_MEMO = 256
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,10 @@ def choose_cutoff(r: float, flux_tol: float = math.inf) -> int:
     kept level, which at small r outweighs the tail mass (cutoff 2 at
     r ~ 1e-4 leaves a tail of ~1e-16 but moments off by ~r^2).
 
-    Raises CutoffTooSmall when no cutoff up to CUTOFF_CAP suffices.
+    Raises CutoffTooSmall when no cutoff up to CUTOFF_CAP suffices and
+    ValueError when r is NaN.
     """
+    _require_number(r)
     t = math.tanh(abs(r))
     if t == 0.0:
         return 2
@@ -152,7 +158,14 @@ def choose_cutoff(r: float, flux_tol: float = math.inf) -> int:
     return n
 
 
+def _require_number(r: float) -> None:
+    # NaN passes every tail comparison, so it is refused by name
+    if math.isnan(r):
+        raise ValueError(f"squeeze parameter r = {r!r} is not a number")
+
+
 def _require_tail(cutoff: int, r: float) -> None:
+    _require_number(r)
     tail = pair_tail(r, cutoff)
     if tail > TAIL_TOL:
         raise CutoffTooSmall(
@@ -167,33 +180,27 @@ def _sector_index(cutoff: int, m: int) -> np.ndarray:
     return np.arange(start, start + (cutoff - abs(m)) * (cutoff + 1), cutoff + 1)
 
 
-def _sector_block(r: float, cutoff: int, m: int) -> np.ndarray:
-    """exp of the pair generator restricted to the n_a - n_b = m sector.
+@functools.lru_cache(maxsize=_SPECTRUM_MEMO)
+def _sector_spectrum(cutoff: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed SVD (U, sigma, W^T) of the r-free even-to-odd block of the
+    n_a - n_b = m sector, as read-only arrays.
 
-    In the sector basis |na0 + n, nb0 + n> of _sector_index the generator
-    r (a^dag b^dag - a b) is antisymmetric bidiagonal with
-    K[n+1, n] = r * sqrt((na0+n+1)(nb0+n+1)); its exponential is the
-    exact restriction of the full squeeze operator.
-
-    With T the symmetric tridiagonal matrix of the same off-diagonal
-    entries and D = diag(i^n), K = D^-1 (i T) D, so
-    exp(K)[n, m] = i^(m-n) (cos T + i sin T)[n, m]. T has a zero
-    diagonal, so it only links even to odd levels: over the even and
-    odd levels T = [[0, B], [B^T, 0]] with B the ceil(size/2) x
-    floor(size/2) bidiagonal block. One SVD B = U S W^T then gives
-    cos T = U cos(S) U^T on the even-even block (an extra left singular
-    vector of an odd size has S = 0, so cos 0 = 1), W cos(S) W^T on the
-    odd-odd block and sin T = U sin(S) W^T on the even-odd block. The
-    phase i^(m-n) (times i on sin) is exactly s_n s_m, with an extra
-    minus sign where n is even and m odd, for s_n = (-1)^(n // 2); it
-    is applied by signing the rows of U and W, so the result is real and
-    no scaling and squaring amplifies rounding: at cutoff 128 and
-    r = 1.43 a block agrees with a 40-digit evaluation to ~5e-14, where
-    scipy's scaled-and-squared expm is off by ~1.4e-12.
+    In the sector basis |na0 + n, nb0 + n> of _sector_index the pair
+    generator r (a^dag b^dag - a b) has K[n+1, n] = r * sqrt((na0+n+1)
+    (nb0+n+1)), so r only scales the symmetric tridiagonal matrix T0 of
+    the same entries at r = 1. T0 has a zero diagonal: over the even and
+    odd levels T0 = [[0, B0], [B0^T, 0]], B0 the ceil(size/2) x
+    floor(size/2) bidiagonal block, and B0 = U S W^T. The rows of U and
+    the columns of W^T are signed by s_n = (-1)^(n // 2) of their level,
+    which turns the phases i^(m-n) of exp(K) into exact signs (see
+    _sector_block). The result depends on (cutoff, m) alone, so it is
+    memoized: the oracle reads one sector per cutoff and a sweep revisits
+    the same few cutoffs. An entry is at most 66 KB (size 128), so the
+    full memo holds at most ~14.4 MB; every sector of cutoff 128 is 5.7 MB.
     """
     size, na0, nb0 = cutoff - abs(m), max(m, 0), max(-m, 0)
     ns = np.arange(size - 1)
-    amp = r * np.sqrt((ns + na0 + 1.0) * (ns + nb0 + 1.0))
+    amp = np.sqrt((ns + na0 + 1.0) * (ns + nb0 + 1.0))
     even, odd = (size + 1) // 2, size // 2
     block = np.zeros((even, odd))
     flat = block.reshape(-1)
@@ -203,14 +210,47 @@ def _sector_block(r: float, cutoff: int, m: int) -> np.ndarray:
     # s_n is (-1)^i on the even level n = 2i and (-1)^j on the odd 2j + 1
     u[1::2] *= -1.0
     wt[:, 1::2] *= -1.0
-    cos = np.ones(even)
-    cos[:odd] = np.cos(sigma)
-    out = np.empty((size, size))
-    out[0::2, 0::2] = (u * cos) @ u.T
-    out[1::2, 1::2] = (wt.T * cos[:odd]) @ wt
-    sin = (u[:, :odd] * np.sin(sigma)) @ wt
-    out[0::2, 1::2] = -sin
-    out[1::2, 0::2] = sin.T
+    for part in (u, sigma, wt):
+        part.flags.writeable = False
+    return u, sigma, wt
+
+
+def _sector_rotation(r: float, cutoff: int,
+                     m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sector's signed spectrum with r applied: U, W^T, the angles'
+    sines sin(r S) and the versines 2 sin(r S / 2)^2 = 1 - cos(r S),
+    padded with 0 for an odd size's extra left singular vector."""
+    u, sigma, wt = _sector_spectrum(cutoff, m)
+    versine = np.zeros(u.shape[0])
+    versine[:sigma.size] = 2.0 * np.sin(0.5 * r * sigma) ** 2
+    return u, wt, np.sin(r * sigma), versine
+
+
+def _sector_block(r: float, cutoff: int, m: int) -> np.ndarray:
+    """exp of the pair generator restricted to the n_a - n_b = m sector.
+
+    The restriction is exact: the generator conserves n_a - n_b. With
+    T = r T0 (see _sector_spectrum) and D = diag(i^n), K = D^-1 (i T) D,
+    so exp(K)[n, m] = i^(m-n) (cos T + i sin T)[n, m]. From the memoized
+    B0 = U S W^T, cos T = I - U (1 - cos rS) U^T on the even-even block,
+    I - W (1 - cos rS) W^T on the odd-odd block and sin T = U sin(rS) W^T
+    on the even-odd block. 1 - cos is written 2 sin^2(rS/2), so r = 0
+    gives exactly the identity and small r loses nothing to cancellation;
+    sin is odd, so a negative r needs no special case. The phase i^(m-n)
+    (times i on sin) is exactly s_n s_m, with an extra minus sign where n
+    is even and m odd, and the signed U and W^T carry it, so the result
+    is real and no scaling and squaring amplifies rounding: at cutoff
+    128 and r = 1.43 a block agrees with a 40-digit evaluation to
+    ~5e-14, where scipy's scaled-and-squared expm is off by ~1.4e-12.
+    """
+    u, wt, sin, versine = _sector_rotation(r, cutoff, m)
+    even, odd = u.shape[0], wt.shape[0]
+    out = np.empty((even + odd, even + odd))
+    out[0::2, 0::2] = np.eye(even) - (u * versine) @ u.T
+    out[1::2, 1::2] = np.eye(odd) - (wt.T * versine[:odd]) @ wt
+    sin_block = (u[:, :odd] * sin) @ wt
+    out[0::2, 1::2] = -sin_block
+    out[1::2, 0::2] = sin_block.T
     return out
 
 
@@ -223,8 +263,8 @@ def squeeze_operator(space: TruncatedFockSpace, r: float) -> np.ndarray:
     large cutoffs. The result is real orthogonal.
 
     Raises ValueError above DENSE_CAP, checked before anything is
-    allocated, and CutoffTooSmall when the closed-form tail mass of the
-    squeezed vacuum at this r exceeds TAIL_TOL.
+    allocated, or when r is NaN, and CutoffTooSmall when the closed-form
+    tail mass of the squeezed vacuum at this r exceeds TAIL_TOL.
     """
     n = space.cutoff
     if n > DENSE_CAP:
@@ -241,13 +281,23 @@ def squeeze_operator(space: TruncatedFockSpace, r: float) -> np.ndarray:
 def squeezed_vacuum(space: TruncatedFockSpace, r: float) -> TwoModeState:
     """Squeeze operator applied to the two-mode vacuum.
 
-    The vacuum lives in the n_a = n_b sector, so only that block of the
-    operator is needed; the restriction is exact, not an approximation.
+    The vacuum lives in the n_a = n_b sector, so only column 0 of that
+    sector's block is needed; the restriction is exact, not an
+    approximation, and the column is formed without the block. Raises
+    CutoffTooSmall and ValueError as squeeze_operator does.
     """
-    _require_tail(space.cutoff, r)
+    n = space.cutoff
+    _require_tail(n, r)
+    u, wt, sin, versine = _sector_rotation(r, n, 0)
+    # column 0 of _sector_block: e_0 - U (1 - cos rS) U[0] on the even
+    # levels, U[0] sin(rS) W^T on the odd ones
+    column = np.zeros(n)
+    column[0] = 1.0
+    column[0::2] -= u @ (versine * u[0])
+    column[1::2] = (u[0, :wt.shape[0]] * sin) @ wt
     amp = np.zeros(space.dim, dtype=complex)
-    amp[_sector_index(space.cutoff, 0)] = _sector_block(r, space.cutoff, 0)[:, 0]
-    return TwoModeState(amplitudes=amp, cutoff=space.cutoff)
+    amp[_sector_index(n, 0)] = column
+    return TwoModeState(amplitudes=amp, cutoff=n)
 
 
 def apply_squeeze_factorized(space: TruncatedFockSpace, r: float,
@@ -338,7 +388,8 @@ def bogoliubov_check(space: TruncatedFockSpace, r: float) -> BogoliubovResiduals
     So sector k takes only the images S_k^T L S_(k+-1) of the low columns
     of sectors k+-1: alpha and beta read their low rows, and the
     commutator pairs sectors k+1 and k-1 through the whole of sector k.
-    Raises CutoffTooSmall as squeeze_operator does, but has no dense cap.
+    Raises CutoffTooSmall and, for a NaN r, ValueError as squeeze_operator
+    does, but has no dense cap.
     """
     n = space.cutoff
     _require_tail(n, r)

@@ -1,5 +1,6 @@
 """Truncated Fock-space oracle tests."""
 
+import gc
 import math
 import tracemalloc
 from typing import NamedTuple
@@ -27,11 +28,21 @@ from brisq.focksim import (
     vacuum_state,
 )
 from brisq.squeezing import full_moment_table, pair_probability, pair_tail, table_deviation
-from brisq.focksim import _ladder_images, _sector_block, _sector_index
+from brisq.focksim import _ladder_images, _sector_block, _sector_index, _sector_spectrum
 
 R_REF = 0.05016767361301254
-# top of the range the cutoff cap serves: pair_tail(EDGE_R, 128) = 1e-12
+# top of the range the cutoff cap serves: pair_tail(EDGE_R, 128) = 1e-12,
+# up to rounding that may put it just past the tail gate (see gate_edge)
 EDGE_R = math.atanh(TAIL_TOL ** (1.0 / (2 * CUTOFF_CAP)))  # ~1.46
+
+
+def gate_edge(cutoff):
+    """The largest r the tail gate admits at this cutoff: EDGE_R at the
+    cap, down to the last ulp."""
+    r = math.atanh(TAIL_TOL ** (1.0 / (2 * cutoff)))
+    while pair_tail(r, cutoff) > TAIL_TOL:
+        r = math.nextafter(r, 0.0)
+    return r
 
 
 class Ladders(NamedTuple):
@@ -183,6 +194,103 @@ def test_sector_blocks_match_expm(cutoff):
     vacuum = _sector_block(EDGE_R, cutoff, 0)[:, 0]
     expected = expm(sector_generator(EDGE_R, cutoff, 0))[:, 0]
     assert np.max(np.abs(vacuum - expected)) <= 1e-14
+    # the oracle's own path, which forms that column without the block,
+    # at the largest r the tail gate lets through
+    edge = gate_edge(cutoff)
+    state = squeezed_vacuum(TruncatedFockSpace(cutoff), edge)
+    amplitudes = state.amplitudes[_sector_index(cutoff, 0)]
+    expected = expm(sector_generator(edge, cutoff, 0))[:, 0]
+    assert np.max(np.abs(amplitudes - expected)) <= 1e-14
+    assert np.max(np.abs(amplitudes - _sector_block(edge, cutoff, 0)[:, 0])) <= 1e-15
+
+
+def test_r_zero_gives_exactly_the_identity():
+    # 1 - cos is written 2 sin^2(r S / 2), which is exactly 0 at r = 0
+    for cutoff in (2, 5, 16):
+        for m in sectors(cutoff):
+            block = _sector_block(0.0, cutoff, m)
+            assert np.array_equal(block, np.eye(cutoff - abs(m))), (cutoff, m)
+        space = TruncatedFockSpace(cutoff)
+        assert np.array_equal(squeezed_vacuum(space, 0.0).amplitudes,
+                              vacuum_state(space).amplitudes)
+
+
+@pytest.mark.parametrize("cutoff", [2, 5, 16, 48])
+def test_negative_r_matches_expm(cutoff):
+    # r enters only through sin(r S), odd in r, and sin^2(r S / 2)
+    for r in (-0.3, -1.0, -1.4):
+        blocks = [_sector_block(r, cutoff, m) for m in sectors(cutoff)]
+        expected = [expm(sector_generator(r, cutoff, m)) for m in sectors(cutoff)]
+        for m, block, ref in zip(sectors(cutoff), blocks, expected):
+            assert np.max(np.abs(block - ref)) <= 1e-12, (r, m)
+        column = expected[cutoff - 1][:, 0]  # sector 0
+        assert np.max(np.abs(blocks[cutoff - 1][:, 0] - column)) <= 1e-14, r
+        if pair_tail(r, cutoff) <= TAIL_TOL:
+            state = squeezed_vacuum(TruncatedFockSpace(cutoff), r)
+            amplitudes = state.amplitudes[_sector_index(cutoff, 0)]
+            assert np.max(np.abs(amplitudes - column)) <= 1e-14, r
+
+
+def test_outputs_do_not_depend_on_call_order():
+    # cold: the spectrum is decomposed for this call; warm: it was left
+    # by a sector walk at another r
+    space, r = TruncatedFockSpace(40), 0.7
+    _sector_spectrum.cache_clear()
+    cold_state = squeezed_vacuum(space, r).amplitudes
+    _sector_spectrum.cache_clear()
+    cold_block = _sector_block(r, 40, 3)
+    _sector_spectrum.cache_clear()
+    bogoliubov_check(space, 0.2)
+    hits = _sector_spectrum.cache_info().hits
+    warm_state = squeezed_vacuum(space, r).amplitudes
+    warm_block = _sector_block(r, 40, 3)
+    assert _sector_spectrum.cache_info().hits == hits + 2
+    assert np.array_equal(cold_state, warm_state)
+    assert np.array_equal(cold_block, warm_block)
+
+
+def test_spectrum_memo_memory_is_bounded():
+    # 256 entries of at most 66 KB (size 128): ~14.4 MB, whatever the walk
+    def retained():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    _sector_spectrum.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for cutoff in range(2, CUTOFF_CAP + 1):
+            squeezed_vacuum(TruncatedFockSpace(cutoff), 0.0)
+        for cutoff in range(100, CUTOFF_CAP + 1):
+            bogoliubov_check(TruncatedFockSpace(cutoff), 1.0)
+        walked = retained()
+        # the 256 largest sectors of all: sizes 113-128
+        for size in range(113, CUTOFF_CAP + 1):
+            for cutoff in range(size, CUTOFF_CAP + 1):
+                for m in {cutoff - size, size - cutoff}:
+                    _sector_spectrum(cutoff, m)
+        largest = retained()
+    finally:
+        tracemalloc.stop()
+    assert _sector_spectrum.cache_info().currsize == 256
+    assert walked <= 16_000_000
+    assert largest <= 16_000_000
+    for part in _sector_spectrum(16, 3):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 1.0
+
+
+def test_nan_r_is_refused_by_name():
+    # NaN passes every tail comparison; the infinities fail the tail gate
+    space = TruncatedFockSpace(5)
+    for call in (choose_cutoff, lambda r: squeezed_vacuum(space, r),
+                 lambda r: bogoliubov_check(space, r),
+                 lambda r: squeeze_operator(space, r)):
+        with pytest.raises(ValueError, match="r = nan"):
+            call(math.nan)
+        for r in (math.inf, -math.inf):
+            with pytest.raises(CutoffTooSmall):
+                call(r)
 
 
 @pytest.mark.parametrize("cutoff", [5, 16, 40])

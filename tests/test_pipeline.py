@@ -5,8 +5,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brisq.errors import CutoffTooSmall, ScenarioError, Unstable
+from brisq.focksim import _sector_spectrum
 from brisq.pipeline import (
     FREQUENCY,
     MAX_SWEEP_STEPS,
@@ -257,6 +260,27 @@ def test_oracle_reaches_the_cap_below_threshold():
 @pytest.mark.parametrize("ratio", [0.995, 0.998, 0.999, 0.99896])
 def test_oracle_passes_near_threshold(ratio):
     assert run(threshold_scenario(ratio)).oracle["ok"] is True
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_oracle_holds_wherever_it_finds_a_cutoff(ratio):
+    # below threshold a run ends in a report or, past the cap, in
+    # CutoffTooSmall; a report is strict JSON and its oracle passes
+    try:
+        report = run(threshold_scenario(ratio))
+    except CutoffTooSmall:
+        return
+    json.dumps(report.to_dict(), allow_nan=False)
+    assert report.oracle["ok"] is True, report.oracle["deviation"]
+
+
+def test_oracle_report_does_not_depend_on_the_spectrum_memo():
+    scenario = threshold_scenario(0.99)
+    _sector_spectrum.cache_clear()
+    cold = run(scenario).to_dict()
+    warm = run(scenario).to_dict()
+    assert cold == warm
 
 
 def test_run_round_trips_through_scenario_dict():
