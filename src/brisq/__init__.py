@@ -17,18 +17,6 @@ another core, and when that core is busy, a fresh `brisq` process runs
 import numpy before brisq.
 """
 
-import os as _os
-import sys as _sys
-
-if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
-    # OpenBLAS reads the variable once, when numpy loads it; child
-    # processes do not inherit it.
-    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as _numpy  # noqa: F401
-    finally:
-        del _os.environ["OPENBLAS_NUM_THREADS"]
-
 from .bogoliubov import diagonalize
 from .errors import PhysicsError, ScenarioError, Unstable
 from .focksim import (
@@ -54,8 +42,6 @@ from .pipeline import (
 from .squeezing import (
     ThermalEnv,
     full_moment_table,
-    independent_moments,
-    mixed_moments,
     pair_probability,
     pair_tail,
     table_deviation,
@@ -82,10 +68,8 @@ __all__ = [
     "diagonalize",
     "full_moment_table",
     "herald",
-    "independent_moments",
     "load_scenario",
     "measure_moments",
-    "mixed_moments",
     "pair_probability",
     "pair_tail",
     "phase_match",

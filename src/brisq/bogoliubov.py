@@ -63,7 +63,7 @@ def diagonalize(omega: float, Omega: float, f: float) -> SqueezeSpec:
         raise TypeError("f must be real; rotate the pump phase out first")
     if not (omega > 0 and Omega > 0):
         raise ValueError("omega and Omega must be positive")
-    if f < 0:
+    if not f >= 0:  # NaN fails every comparison, so it is refused here
         raise ValueError("f must be nonnegative")
     omega_bar = 0.5 * (omega + Omega)
     delta = 0.5 * (omega - Omega)

@@ -17,8 +17,20 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    # numpy loads OpenBLAS with one thread (see the package docstring).
+    # OpenBLAS reads the variable once, when numpy loads it; child
+    # processes do not inherit it.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 import numpy as np
 
@@ -90,6 +102,9 @@ class TwoModeState:
         return self.amplitudes.reshape(self.cutoff, self.cutoff)
 
     def probability(self, n_a: int, n_b: int) -> float:
+        """Weight of |n_a, n_b>; ValueError outside the truncated basis."""
+        if not (0 <= n_a < self.cutoff and 0 <= n_b < self.cutoff):
+            raise ValueError("occupation outside the truncated basis")
         return float(abs(self.grid()[n_a, n_b]) ** 2)
 
 
@@ -352,19 +367,20 @@ def apply_squeeze_factorized(space: TruncatedFockSpace, r: float,
     return TwoModeState(amplitudes=grid.reshape(-1), cutoff=n)
 
 
-def _conjugation_block(r: float, cutoff: int) -> int:
-    """Largest count of leading Fock columns safe for conjugation checks.
+def _conjugation_block(diagonal: np.ndarray) -> int:
+    """Largest count of leading Fock columns safe for conjugation checks,
+    read off diagonal, the n_a = n_b sector block.
 
-    Column n of the n_a = n_b sector block is the squeezed |n, n>; its
-    entry in the block's last row, |cutoff-1, cutoff-1>, is the
-    truncation flux that column reflects back into the basis. Every
-    ladder operator moves the vacuum out of its sector, so the block
-    starts at 2, the least in which a maps a low column to a low row; a
-    too-small basis then shows up as a large residual, not an exemption.
+    Column n of that block is the squeezed |n, n>; its entry in the
+    block's last row, |cutoff-1, cutoff-1>, is the truncation flux that
+    column reflects back into the basis. Every ladder operator moves the
+    vacuum out of its sector, so the block starts at 2, the least in
+    which a maps a low column to a low row; a too-small basis then shows
+    up as a large residual, not an exemption.
     """
-    edge = np.abs(_sector_block(r, cutoff, 0)[-1])
+    edge = np.abs(diagonal[-1])
     limit = 2
-    while limit < cutoff // 2 and edge[limit] < EDGE_TOL:
+    while limit < edge.size // 2 and edge[limit] < EDGE_TOL:
         limit += 1
     return limit
 
@@ -394,9 +410,11 @@ def bogoliubov_check(space: TruncatedFockSpace, r: float) -> BogoliubovResiduals
     n = space.cutoff
     _require_tail(n, r)
     c, s = math.cosh(r), math.sinh(r)
-    limit = _conjugation_block(r, n)
+    diagonal = _sector_block(r, n, 0)
+    limit = _conjugation_block(diagonal)
     reach = min(limit, n - 1)
-    blocks = {m: _sector_block(r, n, m) for m in range(-reach, reach + 1)}
+    blocks = {m: _sector_block(r, n, m) if m else diagonal
+              for m in range(-reach, reach + 1)}
 
     def images(k: int, m: int, first: tuple[int, int], second: tuple[int, int]):
         """S_k^T L S_m on sector m's low columns for the ladders first and

@@ -312,12 +312,8 @@ def _plain(value: Any) -> Any:
 
 def decibel_table(table: MomentTable) -> dict[str, float]:
     """Quadrature variances as dB relative to vacuum, 10*log10(var / 0.5)."""
-    out = {}
-    for quad in QUAD_KEYS:
-        if quad in table.squeezing:
-            variance = table.squeezing[quad] + 0.5
-            out[quad] = 10.0 * math.log10(variance / 0.5)
-    return out
+    return {quad: 10.0 * math.log10((table.squeezing[quad] + 0.5) / 0.5)
+            for quad in QUAD_KEYS}
 
 
 def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
@@ -346,7 +342,10 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
         raise Unstable(
             f"{scenario.geometry} geometry leaves no positive-frequency "
             "signal/phonon pair to squeeze")
-    squeeze = diagonalize(omega, Omega, abs(pump.coupling))
+    f = abs(pump.coupling)
+    if math.isnan(f):  # the pump overflowed; diagonalize would refuse the NaN
+        _require_finite("pump and squeeze values", *vars(pump).values())
+    squeeze = diagonalize(omega, Omega, f)
     _require_finite("pump and squeeze values", *vars(pump).values(),
                     *vars(squeeze).values())
     analytic = full_moment_table(squeeze.r)

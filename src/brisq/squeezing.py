@@ -11,7 +11,7 @@ squeezing of the pair state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # exact by definition since the 2019 SI redefinition
 PLANCK_H = 6.62607015e-34  # J s
@@ -29,18 +29,18 @@ class MomentTable:
     first and second hold <X> and <X^2> for the eight quadratures in
     QUAD_KEYS; products holds the Heisenberg products dX*dY per mode in
     MODE_KEYS; squeezing holds S = var - 1/2 per quadrature; cross holds
-    the number and pair moments in CROSS_KEYS. Tables may be partial;
-    table_deviation() compares the entries two tables share.
+    the number and pair moments in CROSS_KEYS. Every table holds every
+    key; analytic tables carry their r, numerical ones None.
     max_imag_discarded records the largest imaginary magnitude dropped
     when a numerical table was built (0 for analytic tables).
     """
 
-    r: float | None = None
-    first: dict[str, float] = field(default_factory=dict)
-    second: dict[str, float] = field(default_factory=dict)
-    products: dict[str, float] = field(default_factory=dict)
-    squeezing: dict[str, float] = field(default_factory=dict)
-    cross: dict[str, float] = field(default_factory=dict)
+    r: float | None
+    first: dict[str, float]
+    second: dict[str, float]
+    products: dict[str, float]
+    squeezing: dict[str, float]
+    cross: dict[str, float]
     max_imag_discarded: float = 0.0
 
 
@@ -117,31 +117,14 @@ def full_moment_table(r: float) -> MomentTable:
     )
 
 
-def _restricted(table: MomentTable, modes: str) -> MomentTable:
-    """The quadrature and product entries of the given modes; no cross."""
-    quads = [k for k in QUAD_KEYS if k[-1] in modes]
-    return MomentTable(r=table.r, products={m: table.products[m] for m in modes},
-                       **{name: {k: getattr(table, name)[k] for k in quads}
-                          for name in ("first", "second", "squeezing")})
-
-
-def independent_moments(r: float) -> MomentTable:
-    """full_moment_table(r) restricted to the bare modes a and b."""
-    return _restricted(full_moment_table(r), "ab")
-
-
-def mixed_moments(r: float) -> MomentTable:
-    """full_moment_table(r) restricted to the mixed modes c and d."""
-    return _restricted(full_moment_table(r), "cd")
-
-
 def table_deviation(left: MomentTable, right: MomentTable) -> float:
-    """Largest absolute difference over the entries both tables define."""
+    """Largest absolute difference over every entry, matched by name; an
+    entry only one table holds raises KeyError instead of being skipped."""
     worst = 0.0
     for name in ("first", "second", "products", "squeezing", "cross"):
         a = getattr(left, name)
         b = getattr(right, name)
-        for key in a.keys() & b.keys():
+        for key in a.keys() | b.keys():
             worst = max(worst, abs(a[key] - b[key]))
     return worst
 

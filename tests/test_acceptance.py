@@ -22,9 +22,7 @@ from brisq import (
     diagonalize,
     full_moment_table,
     herald,
-    independent_moments,
     measure_moments,
-    mixed_moments,
     pair_probability,
     pair_tail,
     phase_match,
@@ -160,17 +158,16 @@ def test_acceptance_5_operator_identities():
 def test_acceptance_6_structural_properties():
     failures = []
     for r in (0.0,) + R_GRID + (1.5, 2.0):
-        mixed = mixed_moments(r)
+        products = full_moment_table(r).products
         for mode in ("c", "d"):
-            if abs(mixed.products[mode] - 0.5) > 1e-12:
+            if abs(products[mode] - 0.5) > 1e-12:
                 failures.append(f"mixed product {mode} at r = {r}: "
-                                f"{mixed.products[mode]!r}")
-        independent = independent_moments(r)
+                                f"{products[mode]!r}")
         expected = 0.5 + math.sinh(r) ** 2
         for mode in ("a", "b"):
-            if abs(independent.products[mode] - expected) > 1e-12:
+            if abs(products[mode] - expected) > 1e-12:
                 failures.append(f"independent product {mode} at r = {r}: "
-                                f"{independent.products[mode]!r}")
+                                f"{products[mode]!r}")
 
     state = squeezed_vacuum(TruncatedFockSpace(24), 0.3)
     for n in range(4):

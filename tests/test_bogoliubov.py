@@ -71,6 +71,11 @@ def test_input_validation():
         diagonalize(1e10, -1e10, 1e9)
     with pytest.raises(ValueError):
         diagonalize(1e10, 1e10, -1e9)
+    # NaN passes f < 0; an infinite coupling is past threshold
+    with pytest.raises(ValueError, match="f must be nonnegative"):
+        diagonalize(1e10, 1e10, float("nan"))
+    with pytest.raises(Unstable):
+        diagonalize(1e10, 1e10, float("inf"))
 
 
 def test_transform_identities_over_random_stable_draws():

@@ -362,15 +362,16 @@ def test_no_verb_imports_scipy():
 def test_import_loads_blas_single_threaded_and_leaves_env_alone():
     # brisq imported before numpy loads OpenBLAS with one thread (one task
     # in the process) and removes the variable again; a caller's own value
-    # is kept as it was
-    code = (
-        "import os, sys\n"
-        "import brisq\n"
-        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
-        "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n"
-    )
-    assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "None 1"
-    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").split()[0] == "2"
+    # is kept as it was. Importing the oracle first takes the same path.
+    for module in ("brisq", "brisq.focksim"):
+        code = (
+            "import os, sys\n"
+            f"import {module}\n"
+            "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n"
+        )
+        assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "None 1", module
+        assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").split()[0] == "2", module
 
 
 def _fresh_python(code: str, **env_updates) -> str:

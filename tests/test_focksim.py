@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from brisq import focksim
 from brisq.errors import CutoffTooSmall, ZeroProbability
 from brisq.focksim import (
     CUTOFF_CAP,
@@ -382,6 +383,21 @@ def test_bogoliubov_conjugation_residuals():
     assert calm.commutator == 0.0
 
 
+def test_bogoliubov_check_builds_each_sector_once(monkeypatch):
+    # block 8 at cutoff 40 and r = 0.3: sectors -8..8, the diagonal one
+    # included, each built once
+    built = []
+    sector_block = focksim._sector_block
+
+    def counted(r, cutoff, m):
+        built.append(m)
+        return sector_block(r, cutoff, m)
+
+    monkeypatch.setattr(focksim, "_sector_block", counted)
+    assert bogoliubov_check(TruncatedFockSpace(40), 0.3).block == 8
+    assert sorted(built) == list(range(-8, 9))
+
+
 def test_bogoliubov_block_starts_at_two():
     # every ladder operator moves the vacuum out of its sector, so a block
     # of 1 compared zeros with zeros; a 4-level basis is too small at this r
@@ -549,7 +565,10 @@ def test_measure_moments_against_closed_forms():
     for r, cutoff in ((R_REF, 24), (0.3, 40)):
         state = squeezed_vacuum(TruncatedFockSpace(cutoff), r)
         numeric = measure_moments(state)
-        deviation = table_deviation(full_moment_table(r), numeric)
+        analytic = full_moment_table(r)
+        for section in ("first", "second", "products", "squeezing", "cross"):
+            assert list(getattr(numeric, section)) == list(getattr(analytic, section))
+        deviation = table_deviation(analytic, numeric)
         assert deviation < 1e-9
         assert numeric.max_imag_discarded < 1e-12
     # the reference device squeeze shows up in the mixed quadrature
@@ -606,4 +625,9 @@ def test_state_validation_and_accessors():
         TwoModeState(amplitudes=np.zeros(5), cutoff=3)
     state = fock_state(TruncatedFockSpace(3), 1, 2)
     assert state.probability(1, 2) == 1.0
+    # as herald and index do: no wrap-around from the far end, no IndexError
+    vacuum = squeezed_vacuum(TruncatedFockSpace(30), 0.3)
+    for n_a, n_b in ((-1, -1), (30, 30), (0, -1), (30, 0)):
+        with pytest.raises(ValueError, match="outside the truncated basis"):
+            vacuum.probability(n_a, n_b)
     assert state.grid()[1, 2] == 1.0 + 0j

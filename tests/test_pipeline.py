@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brisq.errors import CutoffTooSmall, ScenarioError, Unstable
+from brisq.errors import CutoffTooSmall, PhysicsError, ScenarioError, Unstable
 from brisq.focksim import _sector_spectrum
 from brisq.pipeline import (
     FREQUENCY,
@@ -337,6 +337,16 @@ def test_sweep_rows_record_scenario_and_overflow_errors():
         reference_scenario(),
         sweep=SweepConfig(parameter="k_pump", values=(1e301,))))
     assert overflow.rows[0]["error_type"] == "PhysicsError"
+
+
+def test_overflowed_pump_coupling_is_a_physics_error():
+    # u + gamma/2 overflows, the pump amplitude turns NaN and so does |f|,
+    # which diagonalize refuses with a ValueError
+    scenario = reference_scenario()
+    scenario = dataclasses.replace(scenario, waveguide=dataclasses.replace(
+        scenario.waveguide, u=1.7e308, gamma=1.7e308))
+    with pytest.raises(PhysicsError, match="overflow the float range"):
+        run(scenario)
 
 
 def test_sweep_serializes_the_scenario_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Closed-form squeezed-vacuum statistics tests."""
 
+import dataclasses
 import math
 
 import pytest
@@ -14,8 +15,6 @@ from brisq.squeezing import (
     MomentTable,
     ThermalEnv,
     full_moment_table,
-    independent_moments,
-    mixed_moments,
     pair_probability,
     pair_tail,
     table_deviation,
@@ -78,14 +77,14 @@ def test_mean_pair_number_is_sinh_squared():
 
 
 def test_independent_moments_structure():
-    table = independent_moments(0.0)
+    table = full_moment_table(0.0)
     for key in ("X_a", "Y_a", "X_b", "Y_b"):
         assert table.second[key] == 0.5
         assert table.squeezing[key] == 0.0
         assert table.first[key] == 0.0
     assert table.products["a"] == 0.5
 
-    table = independent_moments(0.3)
+    table = full_moment_table(0.3)
     assert table.second["X_a"] == pytest.approx(0.5 * math.cosh(0.6),
                                                 rel=1e-15)
     # both bare quadratures are antisqueezed equally
@@ -96,17 +95,16 @@ def test_independent_moments_structure():
 
 def test_heisenberg_products():
     for r in R_GRID:
-        independent = independent_moments(r)
-        mixed = mixed_moments(r)
+        table = full_moment_table(r)
         expected = 0.5 + math.sinh(r) ** 2
         for mode in ("a", "b"):
-            assert abs(independent.products[mode] - expected) < 1e-12
+            assert abs(table.products[mode] - expected) < 1e-12
         for mode in ("c", "d"):
-            assert abs(mixed.products[mode] - 0.5) < 1e-12
+            assert abs(table.products[mode] - 0.5) < 1e-12
 
 
 def test_mixed_moments_squeeze_antisqueeze():
-    table = mixed_moments(0.3)
+    table = full_moment_table(0.3)
     assert table.second["X_c"] == pytest.approx(0.5 * math.exp(-0.6),
                                                 rel=1e-15)
     assert table.second["Y_c"] == pytest.approx(0.5 * math.exp(0.6),
@@ -114,26 +112,25 @@ def test_mixed_moments_squeeze_antisqueeze():
     assert table.second["X_d"] == table.second["Y_c"]
     assert table.second["Y_d"] == table.second["X_c"]
     for r in R_GRID[1:]:
-        squeezing = mixed_moments(r).squeezing
+        squeezing = full_moment_table(r).squeezing
         assert squeezing["X_c"] < 0.0 < squeezing["Y_c"]
         assert squeezing["X_c"] == squeezing["Y_d"]
         assert squeezing["Y_c"] == squeezing["X_d"]
 
 
 def test_reference_device_squeezing_values():
-    squeezing = mixed_moments(R_REF).squeezing
+    squeezing = full_moment_table(R_REF).squeezing
     assert squeezing["X_c"] == pytest.approx(-0.0475, abs=5e-4)
     assert squeezing["Y_c"] == pytest.approx(0.0525, abs=5e-4)
-    antisqueeze = independent_moments(R_REF).squeezing["X_a"]
+    antisqueeze = squeezing["X_a"]
     assert antisqueeze == pytest.approx(0.0025, abs=1e-4)
 
 
 def test_marginal_variances_are_additive():
     for r in R_GRID:
-        independent = independent_moments(r)
-        mixed = mixed_moments(r)
-        total = mixed.second["X_c"] + mixed.second["X_d"]
-        assert total == pytest.approx(2.0 * independent.second["X_a"],
+        second = full_moment_table(r).second
+        total = second["X_c"] + second["X_d"]
+        assert total == pytest.approx(2.0 * second["X_a"],
                                       rel=1e-14)
 
 
@@ -163,6 +160,9 @@ def test_full_table_merges_consistently():
     assert set(table.products) == {"a", "b", "c", "d"}
     assert len(table.cross) == 10
     assert table.r == 0.3
+    # a table is built whole: no section has a default
+    with pytest.raises(TypeError):
+        MomentTable(r=0.3, second=dict(table.second))
     for r in R_GRID:
         table = full_moment_table(r)
         assert list(table.first) == list(QUAD_KEYS)
@@ -170,26 +170,24 @@ def test_full_table_merges_consistently():
         assert list(table.squeezing) == list(QUAD_KEYS)
         assert list(table.products) == list(MODE_KEYS)
         assert list(table.cross) == list(CROSS_KEYS)
-        # the bare- and mixed-mode tables are views of the full one
-        for view, modes in ((independent_moments(r), "ab"),
-                            (mixed_moments(r), "cd")):
-            quads = [k for k in QUAD_KEYS if k[-1] in modes]
-            assert view == MomentTable(
-                r=r,
-                first={k: table.first[k] for k in quads},
-                second={k: table.second[k] for k in quads},
-                products={m: table.products[m] for m in modes},
-                squeezing={k: table.squeezing[k] for k in quads},
-            )
-            assert list(view.second) == quads
-            assert list(view.products) == list(modes)
 
 
 def test_table_deviation():
     left = full_moment_table(0.3)
     assert table_deviation(left, full_moment_table(0.3)) == 0.0
-    bumped = MomentTable(r=0.3, second={"X_a": left.second["X_a"] + 1e-3})
+    bumped = dataclasses.replace(
+        left, second={**left.second, "X_a": left.second["X_a"] + 1e-3})
     assert table_deviation(left, bumped) == pytest.approx(1e-3, rel=1e-9)
+    # every entry is compared by name: a moment one side lacks is an
+    # error, whichever side it is
+    for section in ("first", "second", "products", "squeezing", "cross"):
+        entries = dict(getattr(left, section))
+        entries.popitem()
+        short = dataclasses.replace(left, **{section: entries})
+        with pytest.raises(KeyError):
+            table_deviation(left, short)
+        with pytest.raises(KeyError):
+            table_deviation(short, left)
 
 
 def test_thermal_occupation_reference_bath():
