@@ -20,7 +20,6 @@ import numpy before brisq.
 from .bogoliubov import diagonalize
 from .errors import PhysicsError, ScenarioError, Unstable
 from .focksim import (
-    TruncatedFockSpace,
     apply_squeeze_factorized,
     bogoliubov_check,
     herald,
@@ -60,7 +59,6 @@ __all__ = [
     "ScenarioError",
     "SweepReport",
     "ThermalEnv",
-    "TruncatedFockSpace",
     "Unstable",
     "WaveguideParams",
     "apply_squeeze_factorized",

@@ -5,7 +5,9 @@ here by building states and operators in a finite photon-phonon number
 basis and measuring them with no analytic shortcuts: every expectation
 value is <psi|O|psi> with O applied to the state vector.
 
-Basis ordering is row major over (n_a, n_b) with the phonon index n_b
+Every builder takes the cutoff, the number of levels per mode, and a
+TwoModeState carries it; require_cutoff is the one gate for it. Basis
+ordering is row major over (n_a, n_b) with the phonon index n_b
 fastest: index = n_a * cutoff + n_b. Truncation artifacts concentrate
 near the edge n ~ cutoff, so operator identities are checked on the
 low-occupation block n_a, n_b < cutoff/2; the closed-form tail mass
@@ -48,54 +50,48 @@ SQRT2 = math.sqrt(2.0)
 _SPECTRUM_MEMO = 256
 
 
-@dataclass(frozen=True)
-class TruncatedFockSpace:
-    """Two-mode Fock space with occupations 0..cutoff-1 per mode.
+def require_cutoff(cutoff: int) -> None:
+    """The one cutoff gate: ValueError unless cutoff is an int in
+    [2, CUTOFF_CAP].
 
-    The joint dimension is cutoff**2. A dense operator on the space
-    costs 8 * cutoff**4 bytes, 2.1 GB at CUTOFF_CAP, so the one dense
-    builder, squeeze_operator, stops at DENSE_CAP, ~42 MB per matrix;
-    everything else works sector by sector or on state vectors.
+    A basis of cutoff levels per mode has cutoff**2 states. A dense
+    operator on it costs 8 * cutoff**4 bytes, 2.1 GB at CUTOFF_CAP, so
+    the one dense builder, squeeze_operator, stops at DENSE_CAP, ~42 MB
+    per matrix; everything else works sector by sector or on state
+    vectors.
     """
+    if type(cutoff) is not int or not 2 <= cutoff <= CUTOFF_CAP:
+        raise ValueError(f"cutoff: expected an integer in [2, {CUTOFF_CAP}]")
 
-    cutoff: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.cutoff, int):
-            raise TypeError("cutoff must be an int")
-        if not 2 <= self.cutoff <= CUTOFF_CAP:
-            raise ValueError(f"cutoff must be in [2, {CUTOFF_CAP}]")
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff * self.cutoff
-
-    def index(self, n_a: int, n_b: int) -> int:
-        """Flat basis index of |n_a, n_b>."""
-        if not (0 <= n_a < self.cutoff and 0 <= n_b < self.cutoff):
-            raise ValueError("occupation outside the truncated basis")
-        return n_a * self.cutoff + n_b
+def _require_occupation(cutoff: int, *levels: int) -> None:
+    # a bool is an int to Python and a float reaches numpy's indexing
+    # as an IndexError, so both are refused here
+    for n in levels:
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or not 0 <= n < cutoff):
+            raise ValueError(f"occupation {n!r} outside the truncated basis: "
+                             f"expected an int in [0, {cutoff})")
 
 
 @dataclass(frozen=True)
 class TwoModeState:
     """State vector over the row-major (n_a, n_b) basis.
 
-    The amplitudes are taken as given; measure_moments requires them
-    normalized, <psi|psi> = 1 to NORM_TOL.
+    The cutoff must pass require_cutoff; the amplitudes are taken as
+    given, but measure_moments requires them normalized, <psi|psi> = 1
+    to NORM_TOL.
     """
 
     amplitudes: np.ndarray
     cutoff: int
 
     def __post_init__(self) -> None:
+        require_cutoff(self.cutoff)
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (self.cutoff * self.cutoff,):
             raise ValueError("amplitude vector does not match cutoff**2")
         object.__setattr__(self, "amplitudes", amp)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def grid(self) -> np.ndarray:
         """Amplitudes reshaped to (n_a, n_b); a view, not a copy."""
@@ -103,8 +99,7 @@ class TwoModeState:
 
     def probability(self, n_a: int, n_b: int) -> float:
         """Weight of |n_a, n_b>; ValueError outside the truncated basis."""
-        if not (0 <= n_a < self.cutoff and 0 <= n_b < self.cutoff):
-            raise ValueError("occupation outside the truncated basis")
+        _require_occupation(self.cutoff, n_a, n_b)
         return float(abs(self.grid()[n_a, n_b]) ** 2)
 
 
@@ -134,14 +129,16 @@ class BogoliubovResiduals:
     block: int
 
 
-def fock_state(space: TruncatedFockSpace, n_a: int, n_b: int) -> TwoModeState:
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[space.index(n_a, n_b)] = 1.0
-    return TwoModeState(amplitudes=amp, cutoff=space.cutoff)
+def fock_state(cutoff: int, n_a: int, n_b: int) -> TwoModeState:
+    require_cutoff(cutoff)
+    _require_occupation(cutoff, n_a, n_b)
+    amp = np.zeros(cutoff * cutoff, dtype=complex)
+    amp[n_a * cutoff + n_b] = 1.0
+    return TwoModeState(amplitudes=amp, cutoff=cutoff)
 
 
-def vacuum_state(space: TruncatedFockSpace) -> TwoModeState:
-    return fock_state(space, 0, 0)
+def vacuum_state(cutoff: int) -> TwoModeState:
+    return fock_state(cutoff, 0, 0)
 
 
 def choose_cutoff(r: float, flux_tol: float = math.inf) -> int:
@@ -269,7 +266,7 @@ def _sector_block(r: float, cutoff: int, m: int) -> np.ndarray:
     return out
 
 
-def squeeze_operator(space: TruncatedFockSpace, r: float) -> np.ndarray:
+def squeeze_operator(cutoff: int, r: float) -> np.ndarray:
     """Dense two-mode squeeze operator exp(r (a^dag b^dag - a b)).
 
     The generator conserves n_a - n_b, so the matrix is assembled
@@ -277,31 +274,35 @@ def squeeze_operator(space: TruncatedFockSpace, r: float) -> np.ndarray:
     exp of the full dense generator to rounding but stays cheap at
     large cutoffs. The result is real orthogonal.
 
-    Raises ValueError above DENSE_CAP, checked before anything is
-    allocated, or when r is NaN, and CutoffTooSmall when the closed-form
-    tail mass of the squeezed vacuum at this r exceeds TAIL_TOL.
+    Raises ValueError for a cutoff the gate refuses or above DENSE_CAP,
+    both checked before anything is allocated, or when r is NaN, and
+    CutoffTooSmall when the closed-form tail mass of the squeezed vacuum
+    at this r exceeds TAIL_TOL.
     """
-    n = space.cutoff
+    require_cutoff(cutoff)
+    n = cutoff
     if n > DENSE_CAP:
         raise ValueError(f"cutoff {n} > {DENSE_CAP}: a dense operator would need "
-                         f"{8 * space.dim ** 2 / 1e6:.0f} MB")
+                         f"{8 * n ** 4 / 1e6:.0f} MB")
     _require_tail(n, r)
-    out = np.zeros((space.dim, space.dim))
+    out = np.zeros((n * n, n * n))
     for m in range(-(n - 1), n):
         idx = _sector_index(n, m)
         out[np.ix_(idx, idx)] = _sector_block(r, n, m)
     return out
 
 
-def squeezed_vacuum(space: TruncatedFockSpace, r: float) -> TwoModeState:
+def squeezed_vacuum(cutoff: int, r: float) -> TwoModeState:
     """Squeeze operator applied to the two-mode vacuum.
 
     The vacuum lives in the n_a = n_b sector, so only column 0 of that
     sector's block is needed; the restriction is exact, not an
     approximation, and the column is formed without the block. Raises
-    CutoffTooSmall and ValueError as squeeze_operator does.
+    CutoffTooSmall and ValueError as squeeze_operator does, but has no
+    dense cap.
     """
-    n = space.cutoff
+    require_cutoff(cutoff)
+    n = cutoff
     _require_tail(n, r)
     u, wt, sin, versine = _sector_rotation(r, n, 0)
     # column 0 of _sector_block: e_0 - U (1 - cos rS) U[0] on the even
@@ -310,13 +311,12 @@ def squeezed_vacuum(space: TruncatedFockSpace, r: float) -> TwoModeState:
     column[0] = 1.0
     column[0::2] -= u @ (versine * u[0])
     column[1::2] = (u[0, :wt.shape[0]] * sin) @ wt
-    amp = np.zeros(space.dim, dtype=complex)
+    amp = np.zeros(n * n, dtype=complex)
     amp[_sector_index(n, 0)] = column
     return TwoModeState(amplitudes=amp, cutoff=n)
 
 
-def apply_squeeze_factorized(space: TruncatedFockSpace, r: float,
-                             state: TwoModeState) -> TwoModeState:
+def apply_squeeze_factorized(state: TwoModeState, r: float) -> TwoModeState:
     """Apply the squeeze operator through its normal-ordered factorization
 
         exp(tanh r * a^dag b^dag)
@@ -330,9 +330,7 @@ def apply_squeeze_factorized(space: TruncatedFockSpace, r: float,
     in the untruncated space, and the two paths shed different edge
     flux).
     """
-    if state.cutoff != space.cutoff:
-        raise ValueError("state does not live in this space")
-    n = space.cutoff
+    n = state.cutoff
     t = math.tanh(r)
     grid = state.grid().astype(complex).copy()
     root = np.sqrt(np.arange(1.0, n))
@@ -396,7 +394,7 @@ def _sector_ladder(cutoff: int, m: int, da: int, db: int) -> np.ndarray:
     return hits * np.sqrt(occupation + max(da + db, 0))
 
 
-def bogoliubov_check(space: TruncatedFockSpace, r: float) -> BogoliubovResiduals:
+def bogoliubov_check(cutoff: int, r: float) -> BogoliubovResiduals:
     """Conjugate the ladder operators with the squeeze operator and compare
     against the hyperbolic mixing, on the edge-safe low-occupation block.
 
@@ -407,7 +405,8 @@ def bogoliubov_check(space: TruncatedFockSpace, r: float) -> BogoliubovResiduals
     Raises CutoffTooSmall and, for a NaN r, ValueError as squeeze_operator
     does, but has no dense cap.
     """
-    n = space.cutoff
+    require_cutoff(cutoff)
+    n = cutoff
     _require_tail(n, r)
     c, s = math.cosh(r), math.sinh(r)
     diagonal = _sector_block(r, n, 0)
@@ -543,11 +542,10 @@ def herald(state: TwoModeState, n_detected: int) -> HeraldResult:
 
     Returns the normalized phonon number distribution and the herald
     probability. Raises ZeroProbability when the state assigns zero
-    weight to that photon number, and ValueError when n_detected lies
-    outside the truncated basis.
+    weight to that photon number, and ValueError when n_detected is not
+    an int in [0, cutoff).
     """
-    if not 0 <= n_detected < state.cutoff:
-        raise ValueError("n_detected outside the truncated basis")
+    _require_occupation(state.cutoff, n_detected)
     joint = np.abs(state.grid()) ** 2
     probability = float(joint[n_detected, :].sum())
     if probability == 0.0:

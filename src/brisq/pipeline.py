@@ -22,13 +22,7 @@ from typing import Any, Iterable
 
 from .bogoliubov import SqueezeSpec, diagonalize
 from .errors import PhysicsError, ScenarioError, Unstable
-from .focksim import (
-    CUTOFF_CAP,
-    TruncatedFockSpace,
-    choose_cutoff,
-    measure_moments,
-    squeezed_vacuum,
-)
+from .focksim import choose_cutoff, measure_moments, require_cutoff, squeezed_vacuum
 from .pump import PumpDrive, PumpSteadyState, pump_steady_state
 from .squeezing import (
     QUAD_KEYS,
@@ -116,9 +110,8 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.enabled, bool):
             raise ValueError("enabled: expected true or false")
-        if self.cutoff is not None and (type(self.cutoff) is not int
-                                        or not 2 <= self.cutoff <= CUTOFF_CAP):
-            raise ValueError(f"cutoff: expected an integer in [2, {CUTOFF_CAP}]")
+        if self.cutoff is not None:
+            require_cutoff(self.cutoff)
         if not self.tolerance > 0:
             raise ValueError("tolerance: must be positive")
 
@@ -204,6 +197,12 @@ def _parse_sweep(raw: Any) -> SweepConfig:
             values = [start]
         else:
             width = (stop - start) / (steps - 1)
+            # rounding is monotonic, so every grid value lies between
+            # start and the far end: a finite far end means a finite grid
+            if not math.isfinite(start + (steps - 1) * width):
+                raise ScenarioError(
+                    f"sweep: the grid from start {start!r} to stop {stop!r} "
+                    "overflows the float range")
             values = [start + i * width for i in range(steps)]
     return SweepConfig(parameter=block["parameter"], values=tuple(
         parse_value(value, kind, "sweep.values") for value in values))
@@ -358,8 +357,7 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
         if cutoff is None:
             cutoff = choose_cutoff(squeeze.r,
                                    flux_tol=scenario.oracle.tolerance)
-        space = TruncatedFockSpace(cutoff)
-        state = squeezed_vacuum(space, squeeze.r)
+        state = squeezed_vacuum(cutoff, squeeze.r)
         numeric = measure_moments(state)
         deviation = table_deviation(analytic, numeric)
         for n, p_analytic in enumerate(pair_probs):

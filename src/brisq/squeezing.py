@@ -133,12 +133,16 @@ def thermal_occupation(env: ThermalEnv) -> float:
     """Bose occupation of the phonon mode, 1/(exp(h*Omega/(kB*T)) - 1).
 
     Omega is an ordinary frequency, so the quantum of energy is
-    h*Omega. Returns 0 for T = 0.
+    h*Omega. Returns 0 for T = 0, and inf when h*Omega/(kB*T)
+    underflows to 0: the occupation kB*T/(h*Omega) is then beyond the
+    float range.
     """
     thermal_energy = BOLTZMANN_K * env.temperature
     if thermal_energy == 0.0:  # T = 0, or so small that kB*T underflows
         return 0.0
     x = PLANCK_H * env.Omega / thermal_energy
+    if x == 0.0:
+        return math.inf
     if x > 700.0:
         # expm1 would overflow; the occupation is exp(-x) to this accuracy
         return math.exp(-x)

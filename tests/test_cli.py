@@ -237,7 +237,7 @@ STEPS_ERROR = "sweep.steps: expected an int in [1, 1000000]"
     ({"parameter": "drive.flux_in", "start": "1 kHz", "stop": 2e12, "steps": 2},
      "sweep.start: expected a number"),
     ({"parameter": "k_pump", "start": -1e308, "stop": 1e308, "steps": 3},
-     "sweep.values: nan is not a finite number"),
+     "sweep: the grid from start -1e+308 to stop 1e+308 overflows the float range"),
     ({"parameter": "drive.flux_in", "start": 1e11, "stop": 2e13, "steps": 1000001},
      STEPS_ERROR),
     ({"parameter": "drive.flux_in", "start": 1e11, "stop": 2e13, "steps": 1000000000},
@@ -257,9 +257,12 @@ def test_sweep_grid_takes_the_fields_kind(tmp_path, capsys, grid, message):
     ("k_pump", 1e301),
     ("k_pump", 1e150),
     ("thermal", {"Omega": "1 mHz", "temperature": 1e300, "Gamma": "1 MHz"}),
+    # h*Omega/(kB*T) underflows to 0, and the occupation kB*T/(h*Omega) with it
+    ("thermal", {"Omega": 1e-300, "temperature": 0.2, "Gamma": "1 MHz"}),
     ("waveguide", {"omega0": "193 THz", "vg": 7e7, "va": 8433.0, "length": 0.01,
                    "g": "1 MHz", "u": 1e-300, "gamma": 0.0}),
-], ids=["k_pump-1e301", "k_pump-1e150", "thermal-n_bar", "pump-photon-number"])
+], ids=["k_pump-1e301", "k_pump-1e150", "thermal-n_bar", "thermal-tiny-Omega",
+        "pump-photon-number"])
 def test_overflowing_results_exit_three(tmp_path, capsys, path, value):
     raw = read_scenario(RUN_SCENARIO)
     raw[path] = value

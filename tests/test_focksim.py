@@ -16,7 +16,6 @@ from brisq.focksim import (
     DENSE_CAP,
     EDGE_TOL,
     TAIL_TOL,
-    TruncatedFockSpace,
     TwoModeState,
     apply_squeeze_factorized,
     bogoliubov_check,
@@ -53,7 +52,7 @@ class Ladders(NamedTuple):
     bdag: np.ndarray
 
 
-def ladder_operators(space):
+def ladder_operators(cutoff):
     """Dense two-mode ladder matrices in the row-major basis, the reference
     for the grid shifts, the moments and the sector exponentials.
 
@@ -62,15 +61,15 @@ def ladder_operators(space):
     [a, a^dag] equals the identity except for the expected -(cutoff-1)
     entry in the highest photon row.
     """
-    low = np.diag(np.sqrt(np.arange(1.0, space.cutoff)), 1)
-    eye = np.eye(space.cutoff)
+    low = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    eye = np.eye(cutoff)
     a = np.kron(low, eye)
     b = np.kron(eye, low)
     return Ladders(a=a, adag=a.T.copy(), b=b, bdag=b.T.copy())
 
 
 def test_ladder_operators_two_levels():
-    ops = ladder_operators(TruncatedFockSpace(2))
+    ops = ladder_operators(2)
     low = [[0.0, 1.0], [0.0, 0.0]]
     assert np.array_equal(ops.a, np.kron(low, np.eye(2)))
     assert np.array_equal(ops.b, np.kron(np.eye(2), low))
@@ -81,37 +80,46 @@ def test_ladder_operators_two_levels():
 def test_dense_path_refuses_cutoffs_above_its_cap():
     # checked before anything is allocated: one operator at cutoff 49
     # would take ~46 MB
-    space = TruncatedFockSpace(DENSE_CAP + 1)
+    cutoff = DENSE_CAP + 1
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="dense operator"):
-            squeeze_operator(space, 0.1)
+            squeeze_operator(cutoff, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
     # the state-vector path and the sector-wise check keep the larger cap
-    assert squeezed_vacuum(space, 0.1).cutoff == DENSE_CAP + 1
-    residuals = bogoliubov_check(space, 0.1)
+    assert squeezed_vacuum(cutoff, 0.1).cutoff == DENSE_CAP + 1
+    residuals = bogoliubov_check(cutoff, 0.1)
     assert max(residuals.alpha, residuals.beta, residuals.commutator) < 1e-10
 
 
 def test_space_validation():
-    assert TruncatedFockSpace(6).dim == 36
-    assert TruncatedFockSpace(6).index(2, 3) == 15
-    with pytest.raises(ValueError):
-        TruncatedFockSpace(1)
-    with pytest.raises(ValueError):
-        TruncatedFockSpace(129)
-    with pytest.raises(TypeError):
-        TruncatedFockSpace(8.0)
-    with pytest.raises(ValueError):
-        TruncatedFockSpace(6).index(6, 0)
+    # one cutoff gate: every builder and TwoModeState refuse what
+    # OracleConfig refuses, with its message
+    builders = (vacuum_state,
+                lambda n: fock_state(n, 0, 0),
+                lambda n: squeezed_vacuum(n, 0.1),
+                lambda n: squeeze_operator(n, 0.1),
+                lambda n: bogoliubov_check(n, 0.1))
+    refusal = r"^cutoff: expected an integer in \[2, 128\]$"
+    for cutoff in (1, -2, 2.0, True, 200, CUTOFF_CAP + 1, None, "8"):
+        for build in builders:
+            with pytest.raises(ValueError, match=refusal):
+                build(cutoff)
+    # amplitudes of the matching length: only the gate can refuse these
+    for cutoff in (1, -2, 2.0, True, 200):
+        with pytest.raises(ValueError, match=refusal):
+            TwoModeState(amplitudes=np.full(int(cutoff) ** 2, 0.5), cutoff=cutoff)
+    assert vacuum_state(2).cutoff == 2
+    assert squeezed_vacuum(CUTOFF_CAP, 0.1).cutoff == CUTOFF_CAP
+    # the basis is row major: |n_a, n_b> sits at n_a * cutoff + n_b
+    assert np.flatnonzero(fock_state(6, 2, 3).amplitudes).tolist() == [15]
 
 
 def test_ladder_commutators():
-    space = TruncatedFockSpace(5)
-    ops = ladder_operators(space)
+    ops = ladder_operators(5)
     eye = np.eye(5)
     # [a, a^dag] = 1 everywhere except the truncation row
     expected = np.kron(np.diag([1.0, 1.0, 1.0, 1.0, -4.0]), eye)
@@ -127,8 +135,7 @@ def test_ladder_commutators():
 
 
 def test_grid_actions_match_dense_products():
-    space = TruncatedFockSpace(6)
-    ops = ladder_operators(space)
+    ops = ladder_operators(6)
     rng = np.random.default_rng(5)
     amp = rng.normal(size=36) + 1j * rng.normal(size=36)
     images = _ladder_images(amp.reshape(6, 6)).reshape(5, -1)
@@ -137,18 +144,17 @@ def test_grid_actions_match_dense_products():
 
 
 def test_squeeze_operator_identity_at_zero():
-    space = TruncatedFockSpace(7)
-    assert np.array_equal(squeeze_operator(space, 0.0), np.eye(49))
+    assert np.array_equal(squeeze_operator(7, 0.0), np.eye(49))
 
 
 def test_squeeze_operator_matches_dense_generator_exponential():
     # independent construction: exp of the full dense generator
-    space = TruncatedFockSpace(20)
+    cutoff = 20
     r = 0.43
-    ops = ladder_operators(space)
+    ops = ladder_operators(cutoff)
     generator = r * (ops.adag @ ops.bdag - ops.a @ ops.b)
     dense = expm(generator)
-    assert np.max(np.abs(squeeze_operator(space, r) - dense)) < 1e-12
+    assert np.max(np.abs(squeeze_operator(cutoff, r) - dense)) < 1e-12
 
 
 def sector_generator(r, cutoff, m):
@@ -198,7 +204,7 @@ def test_sector_blocks_match_expm(cutoff):
     # the oracle's own path, which forms that column without the block,
     # at the largest r the tail gate lets through
     edge = gate_edge(cutoff)
-    state = squeezed_vacuum(TruncatedFockSpace(cutoff), edge)
+    state = squeezed_vacuum(cutoff, edge)
     amplitudes = state.amplitudes[_sector_index(cutoff, 0)]
     expected = expm(sector_generator(edge, cutoff, 0))[:, 0]
     assert np.max(np.abs(amplitudes - expected)) <= 1e-14
@@ -211,9 +217,8 @@ def test_r_zero_gives_exactly_the_identity():
         for m in sectors(cutoff):
             block = _sector_block(0.0, cutoff, m)
             assert np.array_equal(block, np.eye(cutoff - abs(m))), (cutoff, m)
-        space = TruncatedFockSpace(cutoff)
-        assert np.array_equal(squeezed_vacuum(space, 0.0).amplitudes,
-                              vacuum_state(space).amplitudes)
+        assert np.array_equal(squeezed_vacuum(cutoff, 0.0).amplitudes,
+                              vacuum_state(cutoff).amplitudes)
 
 
 @pytest.mark.parametrize("cutoff", [2, 5, 16, 48])
@@ -227,7 +232,7 @@ def test_negative_r_matches_expm(cutoff):
         column = expected[cutoff - 1][:, 0]  # sector 0
         assert np.max(np.abs(blocks[cutoff - 1][:, 0] - column)) <= 1e-14, r
         if pair_tail(r, cutoff) <= TAIL_TOL:
-            state = squeezed_vacuum(TruncatedFockSpace(cutoff), r)
+            state = squeezed_vacuum(cutoff, r)
             amplitudes = state.amplitudes[_sector_index(cutoff, 0)]
             assert np.max(np.abs(amplitudes - column)) <= 1e-14, r
 
@@ -235,15 +240,15 @@ def test_negative_r_matches_expm(cutoff):
 def test_outputs_do_not_depend_on_call_order():
     # cold: the spectrum is decomposed for this call; warm: it was left
     # by a sector walk at another r
-    space, r = TruncatedFockSpace(40), 0.7
+    cutoff, r = 40, 0.7
     _sector_spectrum.cache_clear()
-    cold_state = squeezed_vacuum(space, r).amplitudes
+    cold_state = squeezed_vacuum(cutoff, r).amplitudes
     _sector_spectrum.cache_clear()
     cold_block = _sector_block(r, 40, 3)
     _sector_spectrum.cache_clear()
-    bogoliubov_check(space, 0.2)
+    bogoliubov_check(cutoff, 0.2)
     hits = _sector_spectrum.cache_info().hits
-    warm_state = squeezed_vacuum(space, r).amplitudes
+    warm_state = squeezed_vacuum(cutoff, r).amplitudes
     warm_block = _sector_block(r, 40, 3)
     assert _sector_spectrum.cache_info().hits == hits + 2
     assert np.array_equal(cold_state, warm_state)
@@ -261,9 +266,9 @@ def test_spectrum_memo_memory_is_bounded():
     tracemalloc.start()
     try:
         for cutoff in range(2, CUTOFF_CAP + 1):
-            squeezed_vacuum(TruncatedFockSpace(cutoff), 0.0)
+            squeezed_vacuum(cutoff, 0.0)
         for cutoff in range(100, CUTOFF_CAP + 1):
-            bogoliubov_check(TruncatedFockSpace(cutoff), 1.0)
+            bogoliubov_check(cutoff, 1.0)
         walked = retained()
         # the 256 largest sectors of all: sizes 113-128
         for size in range(113, CUTOFF_CAP + 1):
@@ -283,10 +288,10 @@ def test_spectrum_memo_memory_is_bounded():
 
 def test_nan_r_is_refused_by_name():
     # NaN passes every tail comparison; the infinities fail the tail gate
-    space = TruncatedFockSpace(5)
-    for call in (choose_cutoff, lambda r: squeezed_vacuum(space, r),
-                 lambda r: bogoliubov_check(space, r),
-                 lambda r: squeeze_operator(space, r)):
+    cutoff = 5
+    for call in (choose_cutoff, lambda r: squeezed_vacuum(cutoff, r),
+                 lambda r: bogoliubov_check(cutoff, r),
+                 lambda r: squeeze_operator(cutoff, r)):
         with pytest.raises(ValueError, match="r = nan"):
             call(math.nan)
         for r in (math.inf, -math.inf):
@@ -297,14 +302,13 @@ def test_nan_r_is_refused_by_name():
 @pytest.mark.parametrize("cutoff", [5, 16, 40])
 def test_squeeze_operator_is_orthogonal(cutoff):
     r = math.atanh(TAIL_TOL ** (1.0 / (2 * cutoff)))  # tail mass 1e-12
-    squeeze = squeeze_operator(TruncatedFockSpace(cutoff), r)
+    squeeze = squeeze_operator(cutoff, r)
     gram = squeeze @ squeeze.T
     assert np.max(np.abs(gram - np.eye(cutoff * cutoff))) <= 1e-12
 
 
 def test_squeeze_operator_unitary_on_low_block():
-    space = TruncatedFockSpace(40)
-    squeeze = squeeze_operator(space, 0.5)
+    squeeze = squeeze_operator(40, 0.5)
     gram = squeeze @ squeeze.T
     low = [na * 40 + nb for na in range(20) for nb in range(20)]
     residual = np.abs(gram[np.ix_(low, low)] - np.eye(400))
@@ -313,23 +317,23 @@ def test_squeeze_operator_unitary_on_low_block():
 
 def test_cutoff_gate():
     with pytest.raises(CutoffTooSmall):
-        squeeze_operator(TruncatedFockSpace(10), 1.0)
+        squeeze_operator(10, 1.0)
     with pytest.raises(CutoffTooSmall):
-        squeezed_vacuum(TruncatedFockSpace(10), 1.0)
+        squeezed_vacuum(10, 1.0)
 
 
 def test_squeezed_vacuum_matches_operator_application():
-    space = TruncatedFockSpace(16)
-    state = squeezed_vacuum(space, 0.3)
-    direct = squeeze_operator(space, 0.3) @ vacuum_state(space).amplitudes
+    cutoff = 16
+    state = squeezed_vacuum(cutoff, 0.3)
+    direct = squeeze_operator(cutoff, 0.3) @ vacuum_state(cutoff).amplitudes
     assert np.max(np.abs(state.amplitudes - direct)) < 1e-13
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_squeezed_vacuum_amplitudes_closed_form():
-    space = TruncatedFockSpace(60)
+    cutoff = 60
     r = 0.8
-    state = squeezed_vacuum(space, r)
+    state = squeezed_vacuum(cutoff, r)
     grid = state.grid()
     for n in range(30):
         expected = math.tanh(r) ** n / math.cosh(r)
@@ -341,42 +345,38 @@ def test_squeezed_vacuum_amplitudes_closed_form():
 
 
 def test_squeezed_vacuum_reference_pair_weight():
-    space = TruncatedFockSpace(12)
-    state = squeezed_vacuum(space, R_REF)
+    state = squeezed_vacuum(12, R_REF)
     assert state.probability(1, 1) == pytest.approx(0.0025, abs=1e-4)
     assert state.probability(1, 1) == pytest.approx(
         pair_probability(R_REF, 1), rel=1e-9)
 
 
 def test_factorized_application_agrees_with_direct():
-    space = TruncatedFockSpace(40)
+    cutoff = 40
     r = 0.5
-    direct = squeezed_vacuum(space, r)
-    factorized = apply_squeeze_factorized(space, r, vacuum_state(space))
+    direct = squeezed_vacuum(cutoff, r)
+    factorized = apply_squeeze_factorized(vacuum_state(cutoff), r)
     assert np.max(np.abs(direct.amplitudes - factorized.amplitudes)) < 1e-10
     # also on a low-occupation superposition, against the dense operator
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[space.index(0, 0)] = 1.0 / math.sqrt(3.0)
-    amp[space.index(1, 1)] = 1.0 / math.sqrt(3.0)
-    amp[space.index(2, 1)] = 1j / math.sqrt(3.0)
-    state = TwoModeState(amplitudes=amp, cutoff=space.cutoff)
-    dense = squeeze_operator(space, r) @ amp
-    routed = apply_squeeze_factorized(space, r, state)
+    grid = np.zeros((cutoff, cutoff), dtype=complex)
+    grid[0, 0] = grid[1, 1] = 1.0 / math.sqrt(3.0)
+    grid[2, 1] = 1j / math.sqrt(3.0)
+    amp = grid.reshape(-1)
+    state = TwoModeState(amplitudes=amp, cutoff=cutoff)
+    dense = squeeze_operator(cutoff, r) @ amp
+    routed = apply_squeeze_factorized(state, r)
     assert np.max(np.abs(routed.amplitudes - dense)) < 1e-10
-    with pytest.raises(ValueError):
-        apply_squeeze_factorized(TruncatedFockSpace(8), r, state)
 
 
 def test_bogoliubov_conjugation_residuals():
-    space = TruncatedFockSpace(40)
-    residuals = bogoliubov_check(space, 0.3)
+    residuals = bogoliubov_check(40, 0.3)
     # the block stops where squeezed Fock columns start leaking off the
     # edge; inside it the identities hold to rounding, far below 1e-8
     assert residuals.block == 8
     assert residuals.alpha < 1e-10
     assert residuals.beta < 1e-10
     assert residuals.commutator < 1e-10
-    calm = bogoliubov_check(TruncatedFockSpace(12), 0.0)
+    calm = bogoliubov_check(12, 0.0)
     assert calm.block == 6
     assert calm.alpha == 0.0
     assert calm.beta == 0.0
@@ -394,14 +394,14 @@ def test_bogoliubov_check_builds_each_sector_once(monkeypatch):
         return sector_block(r, cutoff, m)
 
     monkeypatch.setattr(focksim, "_sector_block", counted)
-    assert bogoliubov_check(TruncatedFockSpace(40), 0.3).block == 8
+    assert bogoliubov_check(40, 0.3).block == 8
     assert sorted(built) == list(range(-8, 9))
 
 
 def test_bogoliubov_block_starts_at_two():
     # every ladder operator moves the vacuum out of its sector, so a block
     # of 1 compared zeros with zeros; a 4-level basis is too small at this r
-    residuals = bogoliubov_check(TruncatedFockSpace(4), 0.025)
+    residuals = bogoliubov_check(4, 0.025)
     assert residuals.block == 2
     assert residuals.alpha > 1e-8
 
@@ -409,8 +409,8 @@ def test_bogoliubov_block_starts_at_two():
 def dense_residuals(cutoff, r):
     """bogoliubov_check's block and residuals from the dense matrices:
     S^T a S and S^T b S over the whole basis, read on the low block."""
-    squeeze = squeeze_operator(TruncatedFockSpace(cutoff), r)
-    ops = ladder_operators(TruncatedFockSpace(cutoff))
+    squeeze = squeeze_operator(cutoff, r)
+    ops = ladder_operators(cutoff)
     edge = np.abs(squeeze[-1, ::cutoff + 1])
     block = 2
     while block < cutoff // 2 and edge[block] < EDGE_TOL:
@@ -434,7 +434,7 @@ def test_bogoliubov_check_matches_dense_conjugation():
         for r in (0.0, 0.01, 0.3, 0.8):
             if pair_tail(r, cutoff) > TAIL_TOL:
                 continue
-            residuals = bogoliubov_check(TruncatedFockSpace(cutoff), r)
+            residuals = bogoliubov_check(cutoff, r)
             block, dense = dense_residuals(cutoff, r)
             assert residuals.block == block, (cutoff, r)
             measured = (residuals.alpha, residuals.beta, residuals.commutator)
@@ -450,11 +450,10 @@ def test_bogoliubov_check_matches_dense_conjugation():
 ])
 def test_bogoliubov_check_memory_is_bounded(cutoff, rs, bound):
     # sector by sector: no n^2 x n^2 matrix, whatever the cutoff
-    space = TruncatedFockSpace(cutoff)
     for r in rs:
         tracemalloc.start()
         try:
-            residuals = bogoliubov_check(space, r)
+            residuals = bogoliubov_check(cutoff, r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -464,7 +463,7 @@ def test_bogoliubov_check_memory_is_bounded(cutoff, rs, bound):
 
 def test_measure_moments_vacuum():
     # quadrature halves pick up one rounding from the 1/sqrt(2) factors
-    table = measure_moments(vacuum_state(TruncatedFockSpace(6)))
+    table = measure_moments(vacuum_state(6))
     for key, value in table.second.items():
         assert value == pytest.approx(0.5, abs=1e-15), key
     for key, value in table.squeezing.items():
@@ -481,7 +480,7 @@ def test_measure_moments_vacuum():
 def dense_moments(state):
     """Every first, second and cross moment as a complex <psi|O|psi> with
     O built from the dense ladder matrices."""
-    ops = ladder_operators(TruncatedFockSpace(state.cutoff))
+    ops = ladder_operators(state.cutoff)
     psi = state.amplitudes
     modes = {
         "a": ops.a, "b": ops.b,
@@ -551,7 +550,7 @@ def test_measure_moments_memory_is_bounded():
     # five grids for the state's four ladder images and the state itself,
     # five for their conjugate in the Gram matmul: 10 amplitude grids
     cutoff = 128
-    state = squeezed_vacuum(TruncatedFockSpace(cutoff), 1.0)
+    state = squeezed_vacuum(cutoff, 1.0)
     tracemalloc.start()
     try:
         measure_moments(state)
@@ -563,7 +562,7 @@ def test_measure_moments_memory_is_bounded():
 
 def test_measure_moments_against_closed_forms():
     for r, cutoff in ((R_REF, 24), (0.3, 40)):
-        state = squeezed_vacuum(TruncatedFockSpace(cutoff), r)
+        state = squeezed_vacuum(cutoff, r)
         numeric = measure_moments(state)
         analytic = full_moment_table(r)
         for section in ("first", "second", "products", "squeezing", "cross"):
@@ -572,14 +571,14 @@ def test_measure_moments_against_closed_forms():
         assert deviation < 1e-9
         assert numeric.max_imag_discarded < 1e-12
     # the reference device squeeze shows up in the mixed quadrature
-    state = squeezed_vacuum(TruncatedFockSpace(24), R_REF)
+    state = squeezed_vacuum(24, R_REF)
     squeezing = measure_moments(state).squeezing
     assert squeezing["X_c"] == pytest.approx(-0.0475, abs=5e-4)
     assert squeezing["Y_c"] == pytest.approx(0.0525, abs=5e-4)
 
 
 def test_herald_on_squeezed_vacuum_is_diagonal():
-    state = squeezed_vacuum(TruncatedFockSpace(20), 0.3)
+    state = squeezed_vacuum(20, 0.3)
     for n in (0, 1, 2):
         result = herald(state, n)
         expected = np.zeros(20)
@@ -590,7 +589,7 @@ def test_herald_on_squeezed_vacuum_is_diagonal():
 
 
 def test_herald_on_product_state():
-    state = fock_state(TruncatedFockSpace(6), 2, 0)
+    state = fock_state(6, 2, 0)
     result = herald(state, 2)
     assert result.probability == 1.0
     assert np.array_equal(result.distribution,
@@ -623,11 +622,31 @@ def test_choose_cutoff():
 def test_state_validation_and_accessors():
     with pytest.raises(ValueError):
         TwoModeState(amplitudes=np.zeros(5), cutoff=3)
-    state = fock_state(TruncatedFockSpace(3), 1, 2)
+    state = fock_state(3, 1, 2)
     assert state.probability(1, 2) == 1.0
-    # as herald and index do: no wrap-around from the far end, no IndexError
-    vacuum = squeezed_vacuum(TruncatedFockSpace(30), 0.3)
+    # as herald and fock_state do: no wrap-around from the far end, no IndexError
+    vacuum = squeezed_vacuum(30, 0.3)
     for n_a, n_b in ((-1, -1), (30, 30), (0, -1), (30, 0)):
         with pytest.raises(ValueError, match="outside the truncated basis"):
             vacuum.probability(n_a, n_b)
     assert state.grid()[1, 2] == 1.0 + 0j
+
+
+def test_occupation_is_an_int_in_the_basis():
+    # probability, herald and fock_state share one check: a bool, a
+    # float or a level past the edge is refused by name, not read as
+    # row 1, a numpy IndexError or the whole joint distribution
+    state = squeezed_vacuum(30, 0.3)
+    refused = (lambda n: state.probability(n, 0), lambda n: state.probability(0, n),
+               lambda n: herald(state, n), lambda n: fock_state(30, n, 0),
+               lambda n: fock_state(30, 0, n))
+    for n in (True, False, 1.0, 1.5, np.float64(1.0), -1, 30, None, "1"):
+        for call in refused:
+            with pytest.raises(ValueError, match="outside the truncated basis"):
+                call(n)
+    # numpy ints are ints
+    level = np.int64(2)
+    assert state.probability(level, level) == state.probability(2, 2)
+    assert np.array_equal(herald(state, level).distribution, herald(state, 2).distribution)
+    assert np.array_equal(fock_state(30, level, np.int32(1)).amplitudes,
+                          fock_state(30, 2, 1).amplitudes)

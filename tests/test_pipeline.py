@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,35 @@ def test_sweep_grid_construction():
     units = Scenario.from_dict(scenario_dict(
         sweep={"parameter": "waveguide.g", "values": ["1 MHz", 2e6]}))
     assert units.sweep.values == (1e6, 2e6)
+
+
+def test_overflowing_grid_names_start_and_stop():
+    # the width overflowed (0 * inf made the middle value NaN), or the
+    # steps did (6 * (max / 6) rounds past max): either was reported as a
+    # grid value the user never wrote
+    half = 0.5 * sys.float_info.max
+    for start, stop, steps in ((-1e308, 1e308, 3), (1e308, -1e308, 3), (-half, half, 7)):
+        with pytest.raises(ScenarioError, match="grid from start .* to stop .* overflows"):
+            Scenario.from_dict(scenario_dict(
+                sweep={"parameter": "k_pump", "start": start, "stop": stop, "steps": steps}))
+    # a span at the edge of the range still makes its grid
+    edge = Scenario.from_dict(scenario_dict(
+        sweep={"parameter": "k_pump", "start": -8e307, "stop": 8e307, "steps": 3}))
+    assert edge.sweep.values == (-8e307, 0.0, 8e307)
+
+
+def test_oracle_cutoff_goes_through_the_basis_gate():
+    for cutoff in (1, 2.0, True, 129):
+        with pytest.raises(ScenarioError,
+                           match=r"^oracle: cutoff: expected an integer in \[2, 128\]$"):
+            Scenario.from_dict(scenario_dict(oracle={"enabled": True, "cutoff": cutoff}))
+    assert OracleConfig(enabled=True, cutoff=128).cutoff == 128
+
+
+def test_reference_scenario_is_the_committed_file():
+    # brisq check runs the one, the goldens and the benchmark the other
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "backward_10ghz.json"
+    assert reference_scenario() == load_scenario(str(path))
 
 
 def test_sweep_values_list_is_bounded_before_parsing():

@@ -13,7 +13,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brisq.cli import main
@@ -116,6 +116,10 @@ def reject_constant(name):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+# found by random draws: h*Omega/(kB*T) underflowed to 0 and the thermal
+# occupation divided by expm1(0)
+@example(case=({**BASES[0], "thermal": {**BASES[0]["thermal"], "Omega": 1e-300}}, "run"),
+         flags=[])
 @given(case=cases(),
        flags=st.lists(st.sampled_from(["--db", "--oracle=on", "--oracle=off"]),
                       max_size=2, unique=True))

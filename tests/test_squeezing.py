@@ -215,6 +215,11 @@ def test_thermal_occupation_limits():
     # far detuned / ultracold: underflows to zero instead of overflowing
     frozen = ThermalEnv(Omega=1e14, temperature=1e-3, Gamma=1e6)
     assert thermal_occupation(frozen) == 0.0
+    # h*Omega/(kB*T) underflows to 0: kB*T/(h*Omega) is past the float
+    # range, so the occupation is inf, not a ZeroDivisionError
+    for Omega in (1e-300, 5e-324):
+        assert thermal_occupation(ThermalEnv(Omega, 0.2, 1e6)) == math.inf
+    assert math.isfinite(thermal_occupation(ThermalEnv(1e-290, 0.2, 1e6)))
     warm = thermal_occupation(ThermalEnv(Omega=1e10, temperature=4.0,
                                          Gamma=1e6))
     cold = thermal_occupation(ThermalEnv(Omega=1e10, temperature=0.1,
