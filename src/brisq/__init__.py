@@ -31,7 +31,6 @@ from .focksim import (
 from .pipeline import (
     RunReport,
     Scenario,
-    SweepReport,
     load_scenario,
     reference_checks,
     reference_scenario,
@@ -57,7 +56,6 @@ __all__ = [
     "RunReport",
     "Scenario",
     "ScenarioError",
-    "SweepReport",
     "ThermalEnv",
     "Unstable",
     "WaveguideParams",

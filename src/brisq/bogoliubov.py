@@ -2,12 +2,16 @@
 
 The linearized interaction in the signal/phonon pair frame is
 
-    H / h = omega a^dag a + Omega b^dag b + f (a b + a^dag b^dag)
+    H / h = omega a^dag a + Omega b^dag b - f (a b + a^dag b^dag)
 
 with omega the signal photon frequency, Omega the phonon frequency and
-f the real, nonnegative pair coupling, all in Hz. A two-mode squeeze
-rotation by r with tanh(2r) = f / omega_bar removes the pair terms and
-leaves two stable normal modes whenever f < omega_bar = (omega+Omega)/2.
+f the real, nonnegative pair coupling, all in Hz. The two-mode squeeze
+rotation a = cosh(r) alpha + sinh(r) beta^dag, b = cosh(r) beta +
+sinh(r) alpha^dag with tanh(2r) = f / omega_bar removes the pair terms
+and leaves two stable normal modes whenever f < omega_bar =
+(omega+Omega)/2. The ground state is the two-mode squeezed vacuum with
+Fock amplitudes c_{n+1}/c_n = +tanh(r) and <ab> = +cosh(r) sinh(r),
+the sign that the squeezing tables and the Fock oracle report.
 """
 
 from __future__ import annotations
@@ -88,29 +92,3 @@ def diagonalize(omega: float, Omega: float, f: float) -> SqueezeSpec:
         omega_zero=gap - omega_bar,
     )
 
-
-def hamiltonian_coefficients(omega: float, Omega: float, f: float,
-                             r: float) -> tuple[float, float, float, float]:
-    """Coefficients of H rewritten in trial squeeze modes at parameter r.
-
-    Substituting a = cosh(r) alpha - sinh(r) beta^dag and
-    b = cosh(r) beta - sinh(r) alpha^dag gives
-
-        H / h = constant + alpha_number alpha^dag alpha
-                + beta_number beta^dag beta
-                - offdiagonal (alpha beta + alpha^dag beta^dag)
-
-    Returns (constant, alpha_number, beta_number, offdiagonal); note the
-    minus sign in front of the off-diagonal bracket, so offdiagonal
-    equals -f at r = 0. The bracket crosses zero exactly at the
-    diagonalizing r, where alpha_number and beta_number reduce to the
-    normal-mode frequencies and constant to omega_zero.
-    """
-    c = math.cosh(r)
-    s = math.sinh(r)
-    cs = c * s
-    constant = (omega + Omega) * s * s - 2.0 * f * cs
-    alpha_number = omega * c * c + Omega * s * s - 2.0 * f * cs
-    beta_number = Omega * c * c + omega * s * s - 2.0 * f * cs
-    offdiagonal = (omega + Omega) * cs - f * (c * c + s * s)
-    return constant, alpha_number, beta_number, offdiagonal

@@ -153,13 +153,14 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_MISMATCH
             return EXIT_OK
 
-        report = sweep(scenario, with_decibels=args.db)
-        _write({"parameter": report.parameter, "scenario": report.scenario,
-                "rows": report.rows}, report.rows, args.format, args.out)
-        misses = sum(row.get("oracle_ok") is False for row in report.rows)
+        rows = sweep(scenario, with_decibels=args.db)
+        _write({"parameter": scenario.sweep.parameter,
+                "scenario": scenario.to_dict(), "rows": rows},
+               rows, args.format, args.out)
+        misses = sum(row.get("oracle_ok") is False for row in rows)
         if misses:
             print(f"oracle deviation beyond tolerance in {misses} of "
-                  f"{len(report.rows)} rows", file=sys.stderr)
+                  f"{len(rows)} rows", file=sys.stderr)
             return EXIT_MISMATCH
         return EXIT_OK
 

@@ -328,9 +328,11 @@ def apply_squeeze_factorized(state: TwoModeState, r: float) -> TwoModeState:
     factorization equals the direct exponential on states with
     negligible weight near the cutoff edge (the identity is exact only
     in the untruncated space, and the two paths shed different edge
-    flux).
+    flux). Raises CutoffTooSmall and ValueError for r as
+    squeezed_vacuum does, at the state's cutoff.
     """
     n = state.cutoff
+    _require_tail(n, r)
     t = math.tanh(r)
     grid = state.grid().astype(complex).copy()
     root = np.sqrt(np.arange(1.0, n))

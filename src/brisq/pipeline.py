@@ -410,23 +410,14 @@ def _replace_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
         raise ScenarioError(f"{path}: {err}") from err
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """Grid results: one row per sweep value, errors recorded in-row."""
-
-    parameter: str
-    scenario: dict
-    rows: tuple[dict, ...]
-
-
-def sweep(scenario: Scenario, with_decibels: bool = False) -> SweepReport:
+def sweep(scenario: Scenario, with_decibels: bool = False) -> tuple[dict, ...]:
     """Run the scenario once per grid value of the swept parameter.
 
-    Rows keep the grid order. A row that fails with a physics or
-    scenario error (a grid value its field rejects) records the error
-    class and message and the grid moves on; only scenario-level
-    problems (an unsweepable parameter, a missing sweep block) abort
-    the whole call.
+    Returns one row dict per grid value, in grid order. A row that
+    fails with a physics or scenario error (a grid value its field
+    rejects) records the error class and message and the grid moves on;
+    only scenario-level problems (an unsweepable parameter, a missing
+    sweep block) abort the whole call.
     """
     if scenario.sweep is None:
         raise ScenarioError("scenario has no sweep block")
@@ -460,8 +451,7 @@ def sweep(scenario: Scenario, with_decibels: bool = False) -> SweepReport:
             for quad, db in report.decibels.items():
                 row[f"db_{quad}"] = db
         rows.append(row)
-    return SweepReport(parameter=scenario.sweep.parameter,
-                       scenario=scenario.to_dict(), rows=tuple(rows))
+    return tuple(rows)
 
 
 def reference_scenario(flux_in: float = 1e12,

@@ -20,8 +20,8 @@ from .waveguide import WaveguideParams
 class PumpDrive:
     """Coherent drive at carrier frequency omega_p with photon flux flux_in.
 
-    The input field amplitude is sqrt(flux_in), so |amplitude_in|^2 is
-    the injected photon flux in photons/s.
+    flux_in is the injected photon flux in photons/s, so the input field
+    amplitude is sqrt(flux_in).
     """
 
     omega_p: float
@@ -32,10 +32,6 @@ class PumpDrive:
             raise ValueError("omega_p must be positive")
         if self.flux_in < 0:
             raise ValueError("flux_in must be nonnegative")
-
-    @property
-    def amplitude_in(self) -> float:
-        return math.sqrt(self.flux_in)
 
 
 @dataclass(frozen=True)
@@ -54,38 +50,26 @@ class PumpSteadyState:
     coupling: complex
 
 
-def pump_detuning(omega_mode: float, omega_p: float, u: float, gamma: float) -> complex:
-    """Complex detuning (omega_mode - omega_p) - i*(u + gamma/2).
+def pump_steady_state(params: WaveguideParams, drive: PumpDrive,
+                      omega_mode: float) -> PumpSteadyState:
+    """Resolve the full steady state of the pump mode at omega_mode.
 
-    The imaginary part is minus the half linewidth of the mode.
+    The complex detuning is (omega_mode - omega_p) - i*(u + gamma/2),
+    minus the half linewidth in its imaginary part, and the steady
+    intracavity amplitude is sqrt(u) * sqrt(flux_in) / (i * detuning):
+    real and positive on resonance, with |amplitude|^2 =
+    u * flux_in / |detuning|^2.
 
     Raises
     ------
     DegenerateLinewidth
         If u + gamma/2 == 0; an undamped driven mode has no steady state.
     """
-    half_linewidth = u + 0.5 * gamma
+    half_linewidth = params.u + 0.5 * params.gamma
     if half_linewidth == 0.0:
         raise DegenerateLinewidth("u + gamma/2 == 0: driven mode never settles")
-    return (omega_mode - omega_p) - 1j * half_linewidth
-
-
-def pump_steady_amplitude(drive: PumpDrive, detuning: complex, u: float) -> complex:
-    """Steady intracavity amplitude sqrt(u) * amplitude_in / (i * detuning).
-
-    On resonance (real part of detuning zero) this is real and positive.
-    The steady photon number |amplitude|^2 equals u * flux_in / |detuning|^2.
-    """
-    if detuning.imag == 0.0:
-        raise DegenerateLinewidth("detuning has no damping part")
-    return math.sqrt(u) * drive.amplitude_in / (1j * detuning)
-
-
-def pump_steady_state(params: WaveguideParams, drive: PumpDrive,
-                      omega_mode: float) -> PumpSteadyState:
-    """Resolve the full steady state of the pump mode at omega_mode."""
-    detuning = pump_detuning(omega_mode, drive.omega_p, params.u, params.gamma)
-    amplitude = pump_steady_amplitude(drive, detuning, params.u)
+    detuning = (omega_mode - drive.omega_p) - 1j * half_linewidth
+    amplitude = math.sqrt(params.u) * math.sqrt(drive.flux_in) / (1j * detuning)
     return PumpSteadyState(
         detuning=detuning,
         amplitude=amplitude,

@@ -78,24 +78,6 @@ class BrillouinTriple:
     Omega_phonon: float
 
 
-def photon_frequency(params: WaveguideParams, k: float, branch: str = FORWARD) -> float:
-    """Photon frequency at wavenumber k on the chosen linearized branch.
-
-    The forward branch rises with k (omega0 + vg*k), the backward branch
-    falls (omega0 - vg*k). Both are defined for either sign of k.
-    """
-    if branch == FORWARD:
-        return params.omega0 + params.vg * k
-    if branch == BACKWARD:
-        return params.omega0 - params.vg * k
-    raise ValueError(f"unknown branch {branch!r}")
-
-
-def phonon_frequency(params: WaveguideParams, q: float) -> float:
-    """Acoustic frequency va*|q| at wavenumber q. Even in q."""
-    return params.va * abs(q)
-
-
 def phase_match(params, k_pump: float, geometry: str = BACKWARD) -> BrillouinTriple:
     """Solve momentum and energy conservation for the Stokes process.
 
@@ -111,9 +93,11 @@ def phase_match(params, k_pump: float, geometry: str = BACKWARD) -> BrillouinTri
     the only intra-branch solution is the degenerate one, q = 0,
     Omega = 0.
 
-    The pump is placed on the branch matching its propagation direction
-    (forward branch for k_pump >= 0, backward otherwise); the returned
-    triple then has Omega_phonon >= 0 and omega_signal <= omega_pump.
+    The photon branches are omega0 + vg*k (forward) and omega0 - vg*k
+    (backward), the acoustic one va*|q|. The pump is placed on the
+    branch matching its propagation direction (forward branch for
+    k_pump >= 0, backward otherwise); the returned triple then has
+    Omega_phonon >= 0 and omega_signal <= omega_pump.
 
     Raises
     ------
@@ -123,22 +107,21 @@ def phase_match(params, k_pump: float, geometry: str = BACKWARD) -> BrillouinTri
     vg, va = params.vg, params.va
     if vg == va:
         raise NoSolution("vg == va: phonon and photon branches are parallel")
-    pump_branch = FORWARD if k_pump >= 0 else BACKWARD
+    pump_slope = vg if k_pump >= 0 else -vg
     if geometry == FORWARD:
         q = 0.0
-        k_signal = k_pump
-        signal_branch = pump_branch
+        signal_slope = pump_slope
     elif geometry == BACKWARD:
         q = 2.0 * k_pump * vg / (vg + va)
-        k_signal = k_pump - q
-        signal_branch = BACKWARD if pump_branch == FORWARD else FORWARD
+        signal_slope = -pump_slope
     else:
         raise ValueError(f"unknown geometry {geometry!r}")
+    k_signal = k_pump - q
     return BrillouinTriple(
         k_pump=k_pump,
         k_signal=k_signal,
         q_phonon=q,
-        omega_pump=photon_frequency(params, k_pump, pump_branch),
-        omega_signal=photon_frequency(params, k_signal, signal_branch),
-        Omega_phonon=phonon_frequency(params, q),
+        omega_pump=params.omega0 + pump_slope * k_pump,
+        omega_signal=params.omega0 + signal_slope * k_signal,
+        Omega_phonon=va * abs(q),
     )

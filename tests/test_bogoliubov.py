@@ -5,12 +5,39 @@ import math
 import numpy as np
 import pytest
 
-from brisq.bogoliubov import diagonalize, hamiltonian_coefficients
+from brisq.bogoliubov import diagonalize
 from brisq.errors import Unstable
+from brisq.focksim import choose_cutoff, squeezed_vacuum
 
 # reference device: omega = Omega = 10 GHz, f from the resonant pump chain
 F_REF = 999999995.0
 R_REF = 0.05016767361301254
+
+
+def hamiltonian_coefficients(omega, Omega, f, r):
+    """Coefficients of H rewritten in trial squeeze modes at parameter r.
+
+    Substituting a = cosh(r) alpha + sinh(r) beta^dag and
+    b = cosh(r) beta + sinh(r) alpha^dag into
+    H / h = omega a^dag a + Omega b^dag b - f (a b + a^dag b^dag) gives
+
+        H / h = constant + alpha_number alpha^dag alpha
+                + beta_number beta^dag beta
+                + offdiagonal (alpha beta + alpha^dag beta^dag)
+
+    Returns (constant, alpha_number, beta_number, offdiagonal), so
+    offdiagonal equals -f at r = 0. The bracket crosses zero exactly at
+    the diagonalizing r, where alpha_number and beta_number reduce to
+    the normal-mode frequencies and constant to omega_zero.
+    """
+    c = math.cosh(r)
+    s = math.sinh(r)
+    cs = c * s
+    constant = (omega + Omega) * s * s - 2.0 * f * cs
+    alpha_number = omega * c * c + Omega * s * s - 2.0 * f * cs
+    beta_number = Omega * c * c + omega * s * s - 2.0 * f * cs
+    offdiagonal = (omega + Omega) * cs - f * (c * c + s * s)
+    return constant, alpha_number, beta_number, offdiagonal
 
 
 def test_reference_device_numbers():
@@ -37,7 +64,7 @@ def test_normal_modes_match_dynamical_matrix():
     for (omega, Omega, f) in [(1e10, 1e10, 1e9), (1.2e10, 0.8e10, 3e9),
                               (5e6, 2e6, 3.4e6)]:
         spec = diagonalize(omega, Omega, f)
-        dyn = np.array([[omega, f], [-f, -Omega]])
+        dyn = np.array([[omega, -f], [f, -Omega]])
         eigen = np.sort(np.linalg.eigvals(dyn).real)
         assert eigen[1] == pytest.approx(spec.omega_alpha, rel=1e-10)
         assert eigen[0] == pytest.approx(-spec.omega_beta, rel=1e-10)
@@ -141,3 +168,23 @@ def test_offdiagonal_changes_sign_at_diagonalizing_r():
     below = hamiltonian_coefficients(1.2e10, 0.8e10, 3e9, spec.r - 1e-4)[3]
     above = hamiltonian_coefficients(1.2e10, 0.8e10, 3e9, spec.r + 1e-4)[3]
     assert below < 0.0 < above
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9, 0.99])
+def test_ground_state_is_the_reported_squeezed_vacuum(ratio):
+    # the n_a = n_b sector of H / h = omega a^dag a + Omega b^dag b
+    # - f (a b + a^dag b^dag): <n, n|H|n, n> = (omega + Omega) n and
+    # <n+1, n+1|H|n, n> = -f (n + 1)
+    omega, Omega = 1.2e10, 0.8e10
+    spec = diagonalize(omega, Omega, ratio * 0.5 * (omega + Omega))
+    cutoff = choose_cutoff(spec.r)
+    n = np.arange(cutoff)
+    sector = (np.diag((omega + Omega) * n.astype(float))
+              - np.diag(spec.f * n[1:].astype(float), 1)
+              - np.diag(spec.f * n[1:].astype(float), -1))
+    energies, vectors = np.linalg.eigh(sector)
+    ground = vectors[:, 0] * np.sign(vectors[0, 0])
+    reported = squeezed_vacuum(cutoff, spec.r).grid().diagonal()
+    assert np.max(np.abs(ground - reported)) < 1e-5
+    assert energies[0] / spec.omega_bar == pytest.approx(
+        spec.omega_zero / spec.omega_bar, abs=1e-10)

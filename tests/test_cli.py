@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from brisq.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _flatten, main
+from brisq.pipeline import Scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 RUN_SCENARIO = str(SCENARIOS / "backward_10ghz.json")
@@ -156,6 +157,24 @@ def test_sweep_repo_scenario(capsys):
     assert payload["parameter"] == "drive.flux_in"
     assert len(payload["rows"]) == 9
     assert all(row["status"] == "ok" for row in payload["rows"])
+
+
+def test_sweep_serializes_the_scenario_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    to_dict = Scenario.to_dict
+
+    def counted(self):
+        calls.append(self)
+        return to_dict(self)
+
+    monkeypatch.setattr(Scenario, "to_dict", counted)
+    raw = read_scenario(SWEEP_SCENARIO)
+    raw["sweep"] = {"parameter": "drive.flux_in", "values": [1e10, 1e11, 1e12, 1e15]}
+    assert main(["sweep", write_scenario(tmp_path, raw), "--oracle", "off"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["rows"]) == 4
+    assert len(calls) == 1
+    assert payload["scenario"] == to_dict(calls[0])
 
 
 def test_sweep_csv_format(capsys):

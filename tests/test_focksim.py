@@ -291,7 +291,8 @@ def test_nan_r_is_refused_by_name():
     cutoff = 5
     for call in (choose_cutoff, lambda r: squeezed_vacuum(cutoff, r),
                  lambda r: bogoliubov_check(cutoff, r),
-                 lambda r: squeeze_operator(cutoff, r)):
+                 lambda r: squeeze_operator(cutoff, r),
+                 lambda r: apply_squeeze_factorized(vacuum_state(cutoff), r)):
         with pytest.raises(ValueError, match="r = nan"):
             call(math.nan)
         for r in (math.inf, -math.inf):

@@ -1,20 +1,12 @@
 """Dispersion and phase-matching tests."""
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from brisq.errors import NoSolution
-from brisq.waveguide import (
-    BACKWARD,
-    FORWARD,
-    WaveguideParams,
-    phase_match,
-    phonon_frequency,
-    photon_frequency,
-)
+from brisq.waveguide import BACKWARD, FORWARD, WaveguideParams, phase_match
 
 
 def make_params(**overrides):
@@ -26,37 +18,66 @@ def make_params(**overrides):
 
 def test_reference_mode_frequency():
     params = make_params()
-    assert photon_frequency(params, 0.0, FORWARD) == 193e12
-    assert photon_frequency(params, 0.0, BACKWARD) == 193e12
+    for geometry in (FORWARD, BACKWARD):
+        triple = phase_match(params, 0.0, geometry)
+        assert triple.omega_pump == 193e12
+        assert triple.omega_signal == 193e12
 
 
 def test_forward_branch_slope():
     params = make_params()
-    assert photon_frequency(params, 1e4, FORWARD) == 193e12 + 7e7 * 1e4
-    assert photon_frequency(params, 1e4, FORWARD) == pytest.approx(
-        1.937e14, rel=1e-15)
+    triple = phase_match(params, 1e4, FORWARD)
+    assert triple.omega_pump == 193e12 + 7e7 * 1e4
+    assert triple.omega_pump == pytest.approx(1.937e14, rel=1e-15)
 
 
 def test_branch_mirror_symmetry():
+    # the pump sits on the branch of its propagation direction, so the
+    # triple at -k mirrors the one at k
     params = make_params()
     for k in (0.0, 12.5, 1e4, -3.7e5, 5.9e5):
-        assert photon_frequency(params, k, FORWARD) == \
-            photon_frequency(params, -k, BACKWARD)
-
-
-def test_unknown_branch_rejected():
-    with pytest.raises(ValueError):
-        photon_frequency(make_params(), 1.0, "sideways")
+        for geometry in (FORWARD, BACKWARD):
+            ahead = phase_match(params, k, geometry)
+            behind = phase_match(params, -k, geometry)
+            assert ahead.omega_pump == behind.omega_pump
+            assert ahead.omega_signal == behind.omega_signal
+            assert ahead.Omega_phonon == behind.Omega_phonon
 
 
 def test_phonon_frequency_even_and_linear():
     params = make_params()
-    assert phonon_frequency(params, 0.0) == 0.0
-    for q in (1.0, 1e3, 2.7e6):
-        assert phonon_frequency(params, q) == phonon_frequency(params, -q)
+    assert phase_match(params, 0.0, BACKWARD).Omega_phonon == 0.0
+    for k in (1.0, 1e3, 2.7e6):
+        ahead = phase_match(params, k, BACKWARD)
+        behind = phase_match(params, -k, BACKWARD)
+        assert ahead.Omega_phonon == behind.Omega_phonon
+        assert ahead.Omega_phonon == params.va * ahead.q_phonon
     # 10 GHz phonon sits at q = Omega / va
     q = 1e10 / 8433.0
-    assert phonon_frequency(params, q) == pytest.approx(1e10, rel=1e-12)
+    k_pump = q * (params.vg + params.va) / (2.0 * params.vg)
+    triple = phase_match(params, k_pump, BACKWARD)
+    assert triple.q_phonon == pytest.approx(q, rel=1e-15)
+    assert triple.Omega_phonon == pytest.approx(1e10, rel=1e-12)
+
+
+def test_phase_match_branches_are_bit_exact():
+    # forward branch omega0 + vg*k, backward branch omega0 - vg*k; the
+    # pump takes the branch of its sign, the signal the same one in the
+    # forward geometry and the other one in the backward geometry
+    params = make_params()
+    omega0, vg, va = params.omega0, params.vg, params.va
+
+    def branch(k, forward):
+        return omega0 + vg * k if forward else omega0 - vg * k
+
+    for k_pump in (-4.2e5, -12.5, -0.0, 0.0, 3.3, 5.9e5):
+        for geometry in (FORWARD, BACKWARD):
+            triple = phase_match(params, k_pump, geometry)
+            pump_forward = k_pump >= 0
+            signal_forward = pump_forward == (geometry == FORWARD)
+            assert triple.omega_pump == branch(k_pump, pump_forward)
+            assert triple.omega_signal == branch(triple.k_signal, signal_forward)
+            assert triple.Omega_phonon == va * abs(triple.q_phonon)
 
 
 def test_phase_match_backward_reference_device():
