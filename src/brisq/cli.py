@@ -31,7 +31,6 @@ from .pipeline import (
     _replace_parameter,
     load_scenario,
     reference_checks,
-    reference_scenario,
     run,
     sweep,
 )
@@ -126,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.verb == "check":
-            rows = reference_checks(run(reference_scenario()))
+            rows = reference_checks()
             if args.out is not None:
                 _write(rows, rows, args.format, args.out)
             _write_stdout("".join(

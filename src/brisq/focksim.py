@@ -37,7 +37,7 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
 import numpy as np
 
 from .errors import CutoffTooSmall, ZeroProbability
-from .squeezing import CROSS_KEYS, MODE_KEYS, MomentTable, pair_tail
+from .squeezing import CROSS_KEYS, MODE_KEYS, MomentTable, _require_number, pair_tail
 
 CUTOFF_CAP = 128
 DENSE_CAP = 48
@@ -170,14 +170,7 @@ def choose_cutoff(r: float, flux_tol: float = math.inf) -> int:
     return n
 
 
-def _require_number(r: float) -> None:
-    # NaN passes every tail comparison, so it is refused by name
-    if math.isnan(r):
-        raise ValueError(f"squeeze parameter r = {r!r} is not a number")
-
-
 def _require_tail(cutoff: int, r: float) -> None:
-    _require_number(r)
     tail = pair_tail(r, cutoff)
     if tail > TAIL_TOL:
         raise CutoffTooSmall(

@@ -116,8 +116,8 @@ class OracleConfig:
             raise ValueError("tolerance: must be positive")
 
 
-# block -> (dataclass, field -> kind), each in report key order. A kind of
-# None passes the value to the dataclass unchanged, which checks it.
+# block -> (dataclass, field -> kind), the kinds in the dataclass's field
+# order. A kind of None passes the value to the dataclass, which checks it.
 _BLOCKS = {
     "waveguide": (WaveguideParams, {
         "omega0": FREQUENCY, "g": FREQUENCY, "u": FREQUENCY, "gamma": FREQUENCY,
@@ -237,20 +237,10 @@ class Scenario:
         return cls(geometry=geometry, **fields)
 
     def to_dict(self) -> dict:
-        """Re-emittable scenario fragment; running it reproduces the run."""
-        out: dict[str, Any] = {}
-        for key in _SCENARIO_KEYS:
-            value = getattr(self, key)
-            if key in _BLOCKS:
-                if value is not None:
-                    out[key] = {name: getattr(value, name)
-                                for name in _BLOCKS[key][1]}
-            elif key != "sweep":
-                out[key] = value
-        if self.sweep is not None:
-            out["sweep"] = {"parameter": self.sweep.parameter,
-                            "values": list(self.sweep.values)}
-        return out
+        """Re-emittable scenario fragment; running it reproduces the run.
+        Blocks that are None are left out; k_pump None is written as null."""
+        return {key: _plain(getattr(self, key)) for key in _SCENARIO_KEYS
+                if getattr(self, key) is not None or key == "k_pump"}
 
 
 # the scenario's keys, in report key order
@@ -292,14 +282,14 @@ class RunReport:
 
 def _plain(value: Any) -> Any:
     """JSON-ready form of a report value: a number, string or None as
-    is, a complex number as {"re", "im"}, a tuple as a list, a dict as a
-    copy, the scenario as it re-emits itself and any other dataclass as
-    a dict of its fields."""
+    is, a complex number as {"re", "im"}, a tuple or list as a list, a
+    dict as a copy, the scenario as it re-emits itself and any other
+    dataclass as a dict of its fields."""
     if isinstance(value, (float, int, str)) or value is None:
         return value
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_plain(item) for item in value]
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
@@ -454,8 +444,7 @@ def sweep(scenario: Scenario, with_decibels: bool = False) -> tuple[dict, ...]:
     return tuple(rows)
 
 
-def reference_scenario(flux_in: float = 1e12,
-                       oracle: bool = True) -> Scenario:
+def reference_scenario(oracle: bool = True) -> Scenario:
     """Backward-scattering reference device with a 10 GHz phonon.
 
     Representative single-mode waveguide numbers (193 THz carrier,
@@ -472,7 +461,7 @@ def reference_scenario(flux_in: float = 1e12,
     omega_p = waveguide.omega0 + waveguide.vg * k_pump
     return Scenario(
         waveguide=waveguide,
-        drive=PumpDrive(omega_p=omega_p, flux_in=flux_in),
+        drive=PumpDrive(omega_p=omega_p, flux_in=1e12),
         geometry=BACKWARD,
         k_pump=k_pump,
         oracle=OracleConfig(enabled=oracle),
@@ -481,46 +470,42 @@ def reference_scenario(flux_in: float = 1e12,
 
 
 def _squeezing(quad: str):
-    return lambda table: table.squeezing[quad]
+    return lambda report: report.analytic.squeezing[quad]
 
 
 REFERENCE_CHECKS = (
-    # name, report field read, value from that field, kind, expected, tolerance
-    ("coupling |f|", "squeeze", lambda squeeze: squeeze.f, "rel", 1e9, 1e-3),
-    ("cosh^2 r", "squeeze", lambda squeeze: math.cosh(squeeze.r) ** 2,
+    # name, value read from the report, kind, expected, tolerance
+    ("coupling |f|", lambda report: report.squeeze.f, "rel", 1e9, 1e-3),
+    ("cosh^2 r", lambda report: math.cosh(report.squeeze.r) ** 2,
      "abs", 1.0025, 1e-4),
-    ("tanh r", "squeeze", lambda squeeze: math.tanh(squeeze.r), "abs", 0.05, 1e-3),
-    ("P_0", "pair_probabilities", lambda probs: probs[0], "abs", 0.9975, 1e-4),
-    ("P_1", "pair_probabilities", lambda probs: probs[1], "abs", 0.0025, 1e-4),
-    ("P_2", "pair_probabilities", lambda probs: probs[2], "rel", 6.25e-6, 2e-2),
-    ("S_X_a", "analytic", _squeezing("X_a"), "abs", 0.0025, 1e-4),
-    ("S_Y_a", "analytic", _squeezing("Y_a"), "abs", 0.0025, 1e-4),
-    ("S_X_b", "analytic", _squeezing("X_b"), "abs", 0.0025, 1e-4),
-    ("S_Y_b", "analytic", _squeezing("Y_b"), "abs", 0.0025, 1e-4),
-    ("S_X_c", "analytic", _squeezing("X_c"), "abs", -0.0475, 5e-4),
-    ("S_Y_d", "analytic", _squeezing("Y_d"), "abs", -0.0475, 5e-4),
-    ("S_Y_c", "analytic", _squeezing("Y_c"), "abs", 0.0525, 5e-4),
-    ("S_X_d", "analytic", _squeezing("X_d"), "abs", 0.0525, 5e-4),
-    ("quality Q", "thermal", lambda thermal: thermal["quality"], "exact", 1e4, 0.0),
-    ("thermal n_bar", "thermal", lambda thermal: thermal["n_bar"], "rel", 0.1, 5e-2),
+    ("tanh r", lambda report: math.tanh(report.squeeze.r), "abs", 0.05, 1e-3),
+    ("P_0", lambda report: report.pair_probabilities[0], "abs", 0.9975, 1e-4),
+    ("P_1", lambda report: report.pair_probabilities[1], "abs", 0.0025, 1e-4),
+    ("P_2", lambda report: report.pair_probabilities[2], "rel", 6.25e-6, 2e-2),
+    ("S_X_a", _squeezing("X_a"), "abs", 0.0025, 1e-4),
+    ("S_Y_a", _squeezing("Y_a"), "abs", 0.0025, 1e-4),
+    ("S_X_b", _squeezing("X_b"), "abs", 0.0025, 1e-4),
+    ("S_Y_b", _squeezing("Y_b"), "abs", 0.0025, 1e-4),
+    ("S_X_c", _squeezing("X_c"), "abs", -0.0475, 5e-4),
+    ("S_Y_d", _squeezing("Y_d"), "abs", -0.0475, 5e-4),
+    ("S_Y_c", _squeezing("Y_c"), "abs", 0.0525, 5e-4),
+    ("S_X_d", _squeezing("X_d"), "abs", 0.0525, 5e-4),
+    ("quality Q", lambda report: report.thermal["quality"], "exact", 1e4, 0.0),
+    ("thermal n_bar", lambda report: report.thermal["n_bar"], "rel", 0.1, 5e-2),
 )
 
 
-def reference_checks(report: RunReport) -> list[dict]:
-    """Compare a reference-scenario run against its documented values.
+def reference_checks() -> list[dict]:
+    """Run the reference device and compare it against its documented values.
 
     Returns one row per check: name, measured value, expected value,
-    tolerance, kind ('abs', 'rel' or 'exact') and ok. A check whose
-    report field is absent (a run without a thermal block) is left out.
-    When the oracle block is present its deviation-vs-tolerance verdict
-    is appended.
+    tolerance, kind ('abs', 'rel' or 'exact') and ok, then the oracle's
+    deviation-vs-tolerance verdict as a row of kind 'max'.
     """
+    report = run(reference_scenario())
     rows = []
-    for name, field, read, kind, expected, tolerance in REFERENCE_CHECKS:
-        source = getattr(report, field)
-        if source is None:
-            continue
-        value = read(source)
+    for name, read, kind, expected, tolerance in REFERENCE_CHECKS:
+        value = read(report)
         if kind == "abs":
             ok = abs(value - expected) <= tolerance
         elif kind == "rel":
@@ -529,14 +514,12 @@ def reference_checks(report: RunReport) -> list[dict]:
             ok = value == expected
         rows.append({"name": name, "value": value, "expected": expected,
                      "tolerance": tolerance, "kind": kind, "ok": ok})
-    if report.oracle is not None:
-        rows.append({
-            "name": "oracle deviation",
-            "value": report.oracle["deviation"],
-            "expected": report.oracle["tolerance"],
-            "tolerance": report.oracle["tolerance"],
-            "kind": "max",
-            "ok": bool(report.oracle["ok"]),
-        })
+    rows.append({
+        "name": "oracle deviation",
+        "value": report.oracle["deviation"],
+        "expected": report.oracle["tolerance"],
+        "tolerance": report.oracle["tolerance"],
+        "kind": "max",
+        "ok": bool(report.oracle["ok"]),
+    })
     return rows
-

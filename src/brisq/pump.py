@@ -30,7 +30,7 @@ class PumpDrive:
     def __post_init__(self) -> None:
         if not self.omega_p > 0:
             raise ValueError("omega_p must be positive")
-        if self.flux_in < 0:
+        if not self.flux_in >= 0:
             raise ValueError("flux_in must be nonnegative")
 
 

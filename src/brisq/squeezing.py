@@ -56,7 +56,7 @@ class ThermalEnv:
     def __post_init__(self) -> None:
         if not self.Omega > 0:
             raise ValueError("Omega must be positive")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ValueError("temperature must be nonnegative")
         if not self.Gamma > 0:
             raise ValueError("Gamma must be positive")
@@ -67,11 +67,18 @@ class ThermalEnv:
         return self.Omega / self.Gamma
 
 
+def _require_number(r: float) -> None:
+    # NaN passes every tail comparison, so it is refused by name
+    if math.isnan(r):
+        raise ValueError(f"squeeze parameter r = {r!r} is not a number")
+
+
 def pair_probability(r: float, n: int) -> float:
     """Probability of n photon-phonon pairs in the squeezed vacuum,
     P_n = tanh(r)^(2n) / cosh(r)^2. Geometric in n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _require_number(r)
     t = math.tanh(r)
     return t ** (2 * n) / math.cosh(r) ** 2
 
@@ -81,6 +88,7 @@ def pair_tail(r: float, n_min: int) -> float:
     to exactly tanh(r)^(2*n_min)."""
     if n_min < 0:
         raise ValueError("n_min must be nonnegative")
+    _require_number(r)
     return math.tanh(r) ** (2 * n_min)
 
 
@@ -96,6 +104,7 @@ def full_moment_table(r: float) -> MomentTable:
     nonzero pair moments are <ab> = cosh(r) sinh(r) and the mixed-mode
     squeezes <c^2> = -<d^2> = -cosh(r) sinh(r).
     """
+    _require_number(r)
     var = 0.5 * math.cosh(2.0 * r)
     s2 = math.sinh(r) ** 2
     lo = 0.5 * math.exp(-2.0 * r)

@@ -18,7 +18,7 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class WaveguideParams:
     """Waveguide with linearized photon branches and a linear acoustic branch.
 
@@ -26,6 +26,12 @@ class WaveguideParams:
     ----------
     omega0 : float
         Reference photon frequency in Hz (branch crossing point).
+    g : float
+        Single-quantum photon-phonon coupling rate in Hz.
+    u : float
+        External coupling loss rate of the photon modes in Hz.
+    gamma : float
+        Intrinsic photon loss rate in Hz.
     vg : float
         Photon group velocity in m/s.
     va : float
@@ -33,21 +39,15 @@ class WaveguideParams:
     length : float
         Waveguide length in m. Validated and echoed in reports; no
         result depends on it.
-    g : float
-        Single-quantum photon-phonon coupling rate in Hz.
-    u : float
-        External coupling loss rate of the photon modes in Hz.
-    gamma : float
-        Intrinsic photon loss rate in Hz.
     """
 
     omega0: float
-    vg: float
-    va: float
-    length: float
     g: float
     u: float
     gamma: float
+    vg: float
+    va: float
+    length: float
 
     def __post_init__(self) -> None:
         if not self.omega0 > 0:
@@ -57,7 +57,7 @@ class WaveguideParams:
         if not self.length > 0:
             raise ValueError("length must be positive")
         for name in ("g", "u", "gamma"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from brisq.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _flatten, main
-from brisq.pipeline import Scenario
+from brisq import pipeline
+from brisq.pipeline import OracleConfig, Scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 RUN_SCENARIO = str(SCENARIOS / "backward_10ghz.json")
@@ -206,6 +208,42 @@ def test_check_writes_rows(tmp_path, capsys):
     rows = json.loads(out.read_text())
     assert len(rows) == 17
     assert all(row["ok"] for row in rows)
+
+
+def patch_reference(monkeypatch, **changes):
+    """Make brisq check run the reference device with changed blocks."""
+    changed = dataclasses.replace(pipeline.reference_scenario(), **changes)
+    monkeypatch.setattr(pipeline, "reference_scenario", lambda: changed)
+
+
+def test_check_fails_off_the_documented_values(monkeypatch, tmp_path, capsys):
+    # four times the flux doubles f: tanh r = 0.101 against 0.05
+    drive = dataclasses.replace(pipeline.reference_scenario().drive, flux_in=4e12)
+    patch_reference(monkeypatch, drive=drive)
+    out = tmp_path / "checks.json"
+    assert main(["check", "--out", str(out)]) == EXIT_MISMATCH
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 17
+    failed = [line for line in lines if ": FAIL" in line]
+    assert "check tanh r: FAIL (value 0.101021, expected 0.05, " \
+        "abs tolerance 0.001)" in failed
+    assert any(line.startswith("check P_1: FAIL") for line in failed)
+    assert "check oracle deviation: PASS" in lines[-1]
+    # the rows that failed are written with the rest
+    rows = json.loads(out.read_text())
+    assert [row["name"] for row in rows] == [line.split(":")[0][len("check "):]
+                                             for line in lines]
+    assert sum(not row["ok"] for row in rows) == len(failed)
+
+
+def test_check_fails_on_the_oracle_row_alone(monkeypatch, capsys):
+    patch_reference(monkeypatch,
+                    oracle=OracleConfig(enabled=True, tolerance=1e-30))
+    assert main(["check"]) == EXIT_MISMATCH
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if ": FAIL" in line]
+    assert len(failed) == 1
+    assert failed[0].startswith("check oracle deviation: FAIL")
 
 
 @pytest.mark.parametrize("path, literal", [

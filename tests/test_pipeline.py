@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from brisq.errors import CutoffTooSmall, PhysicsError, ScenarioError, Unstable
 from brisq.focksim import _sector_spectrum
 from brisq.pipeline import (
+    _BLOCKS,
     FREQUENCY,
     MAX_SWEEP_STEPS,
     NUMBER,
@@ -225,8 +226,13 @@ def test_run_report_serializes_to_json():
     assert payload["scenario"]["geometry"] == "backward"
 
 
+def with_flux(scenario, flux_in):
+    return dataclasses.replace(
+        scenario, drive=dataclasses.replace(scenario.drive, flux_in=flux_in))
+
+
 def test_run_zero_drive_gives_vacuum():
-    scenario = reference_scenario(flux_in=0.0)
+    scenario = with_flux(reference_scenario(), 0.0)
     report = run(scenario)
     assert report.squeeze.f == 0.0
     assert report.squeeze.r == 0.0
@@ -244,7 +250,7 @@ def test_run_forward_geometry_degenerates():
 
 def test_run_strong_drive_goes_unstable():
     with pytest.raises(Unstable):
-        run(reference_scenario(flux_in=1e15))
+        run(with_flux(reference_scenario(), 1e15))
 
 
 def test_run_default_pump_wavenumber_from_drive():
@@ -448,7 +454,7 @@ def test_decibel_table():
 
 
 def test_reference_checks_all_pass():
-    rows = reference_checks(run(reference_scenario()))
+    rows = reference_checks()
     assert len(rows) == 17
     names = [row["name"] for row in rows]
     assert len(set(names)) == 17
@@ -457,8 +463,28 @@ def test_reference_checks_all_pass():
     assert failing == []
 
 
-def test_reference_checks_leave_out_absent_blocks():
-    scenario = dataclasses.replace(reference_scenario(oracle=False), thermal=None)
-    names = [row["name"] for row in reference_checks(run(scenario))]
-    assert len(names) == 14
-    assert not {"quality Q", "thermal n_bar", "oracle deviation"} & set(names)
+def test_block_kinds_follow_the_dataclass_field_order():
+    # the kinds order the "choose one of" list, the fields the report's
+    # keys; one order serves both
+    for block, (cls, kinds) in _BLOCKS.items():
+        assert list(kinds) == [f.name for f in dataclasses.fields(cls)], block
+
+
+def test_scenario_to_dict_leaves_out_absent_blocks_but_not_k_pump():
+    scenario = dataclasses.replace(
+        reference_scenario(), k_pump=None, thermal=None,
+        sweep=SweepConfig(parameter="waveguide.vg", values=(7e7, 8e7)))
+    out = scenario.to_dict()
+    assert list(out) == ["waveguide", "drive", "geometry", "k_pump", "oracle",
+                         "sweep"]
+    assert out["k_pump"] is None
+    assert out["sweep"] == {"parameter": "waveguide.vg", "values": [7e7, 8e7]}
+    assert list(out["waveguide"]) == ["omega0", "g", "u", "gamma", "vg", "va",
+                                      "length"]
+    assert out["oracle"] == {"enabled": True, "cutoff": None, "tolerance": 1e-8}
+    assert Scenario.from_dict(json.loads(json.dumps(out))) == scenario
+    assert list(reference_scenario().to_dict()) == [
+        "waveguide", "drive", "geometry", "k_pump", "oracle", "thermal"]
+    # a grid given as a list, not the parser's tuple, is written the same
+    listed = dataclasses.replace(scenario, sweep=SweepConfig("waveguide.vg", [7e7]))
+    assert listed.to_dict()["sweep"] == {"parameter": "waveguide.vg", "values": [7e7]}

@@ -54,6 +54,19 @@ def test_vacuum_limit():
         pair_tail(0.3, -2)
 
 
+def test_nan_r_is_refused_by_name():
+    # without the gate each returns NaN, or a table of NaNs
+    for call in (lambda r: pair_probability(r, 3), lambda r: pair_tail(r, 3),
+                 full_moment_table):
+        with pytest.raises(ValueError, match="r = nan"):
+            call(math.nan)
+    # the order checks still come first
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        pair_probability(math.nan, -1)
+    with pytest.raises(ValueError, match="n_min must be nonnegative"):
+        pair_tail(math.nan, -1)
+
+
 def test_tail_closed_form_matches_brute_sum():
     for r in (0.05, 0.3, 0.8):
         for n_min in (0, 1, 4, 10):
@@ -227,6 +240,8 @@ def test_thermal_occupation_limits():
     assert warm > cold
     with pytest.raises(ValueError):
         ThermalEnv(Omega=1e10, temperature=-0.1, Gamma=1e6)
+    with pytest.raises(ValueError, match="^temperature must be nonnegative$"):
+        ThermalEnv(Omega=1e10, temperature=math.nan, Gamma=1e6)
     with pytest.raises(ValueError):
         ThermalEnv(Omega=0.0, temperature=0.2, Gamma=1e6)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Dispersion and phase-matching tests."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,3 +156,27 @@ def test_params_validation():
         make_params(g=-1.0)
     with pytest.raises(ValueError):
         make_params(gamma=-0.5)
+
+
+def test_params_refuse_nan_rates():
+    # NaN passes `< 0`, so the rates are checked as `not x >= 0`
+    for name in ("g", "u", "gamma"):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+            make_params(**{name: math.nan})
+
+
+def test_params_first_error_follows_the_check_order():
+    # the field order changed, the order of the checks did not
+    with pytest.raises(ValueError, match="omega0"):
+        make_params(omega0=-1.0, g=-1.0, va=0.0, length=0.0)
+    with pytest.raises(ValueError, match="velocities"):
+        make_params(g=-1.0, va=0.0, length=0.0)
+    with pytest.raises(ValueError, match="length"):
+        make_params(g=-1.0, length=0.0)
+
+
+def test_params_are_keyword_only():
+    # the fields are in report order, so a positional call in the old
+    # (omega0, vg, va, length, ...) order must not fill them silently
+    with pytest.raises(TypeError):
+        WaveguideParams(193e12, 7e7, 8433.0, 0.01, 1e6, 1e6, 0.01)
