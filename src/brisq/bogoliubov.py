@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import Unstable
+from .errors import Unstable, require_finite
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,9 @@ class SqueezeSpec:
     omega_beta: float
     omega_zero: float
 
+    def __post_init__(self) -> None:
+        require_finite("squeeze values", *vars(self).values())
+
 
 def diagonalize(omega: float, Omega: float, f: float) -> SqueezeSpec:
     """Diagonalize H by a two-mode squeeze rotation.
@@ -62,6 +65,10 @@ def diagonalize(omega: float, Omega: float, f: float) -> SqueezeSpec:
     Unstable
         If f >= omega_bar; the normal-mode frequencies turn complex and
         no squeezed ground state exists.
+    ValueError
+        If omega or Omega is not positive or f is negative, or any is NaN.
+    PhysicsError
+        If a value of the spec is beyond the float range.
     """
     if isinstance(f, complex):
         raise TypeError("f must be real; rotate the pump phase out first")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the two float gates shared across the package."""
+
+import cmath
+import math
 
 
 class PhysicsError(Exception):
@@ -31,3 +34,15 @@ class ZeroProbability(PhysicsError):
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario input, or an output file the
     CLI cannot write. CLI exit code 2."""
+
+
+def require_number(name: str, value: float) -> None:
+    """ValueError naming a NaN argument, which passes every range check."""
+    if math.isnan(value):
+        raise ValueError(f"{name} = {value!r} is not a number")
+
+
+def require_finite(what: str, *values: complex) -> None:
+    """PhysicsError unless each value is finite (a complex one in both parts)."""
+    if not all(map(cmath.isfinite, values)):
+        raise PhysicsError(f"{what} overflow the float range")

@@ -36,8 +36,8 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
 
 import numpy as np
 
-from .errors import CutoffTooSmall, ZeroProbability
-from .squeezing import CROSS_KEYS, MODE_KEYS, MomentTable, _require_number, pair_tail
+from .errors import CutoffTooSmall, ZeroProbability, require_number
+from .squeezing import CROSS_KEYS, MODE_KEYS, MomentTable, pair_tail
 
 CUTOFF_CAP = 128
 DENSE_CAP = 48
@@ -153,7 +153,7 @@ def choose_cutoff(r: float, flux_tol: float = math.inf) -> int:
     Raises CutoffTooSmall when no cutoff up to CUTOFF_CAP suffices and
     ValueError when r is NaN.
     """
-    _require_number(r)
+    require_number("squeeze parameter r", r)
     t = math.tanh(abs(r))
     if t == 0.0:
         return 2

@@ -12,7 +12,6 @@ failures without aborting the grid.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import json
 import math
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .bogoliubov import SqueezeSpec, diagonalize
-from .errors import PhysicsError, ScenarioError, Unstable
+from .errors import PhysicsError, ScenarioError, Unstable, require_finite
 from .focksim import choose_cutoff, measure_moments, require_cutoff, squeezed_vacuum
 from .pump import PumpDrive, PumpSteadyState, pump_steady_state
 from .squeezing import (
@@ -145,15 +144,23 @@ def _sweep_kind(parameter: Any) -> str:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One-dimensional grid over a numeric scenario field."""
+    """One-dimensional grid over a numeric scenario field; values, a list
+    or tuple of the field's kind, is stored as a tuple of floats."""
 
     parameter: str
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _sweep_kind(self.parameter)
+        kind = _sweep_kind(self.parameter)
+        if not isinstance(self.values, (list, tuple)):
+            raise ScenarioError("sweep.values: expected a list")
+        if len(self.values) > MAX_SWEEP_STEPS:
+            raise ScenarioError(
+                f"sweep.values: expected at most {MAX_SWEEP_STEPS} entries")
         if not self.values:
             raise ScenarioError("sweep: empty value grid")
+        object.__setattr__(self, "values", tuple(
+            parse_value(value, kind, "sweep.values") for value in self.values))
 
 
 def _parse_block(block: str, raw: Any) -> Any:
@@ -178,11 +185,6 @@ def _parse_sweep(raw: Any) -> SweepConfig:
         if set(block) & {"start", "stop", "steps"}:
             raise ScenarioError("sweep: give either values or start/stop/steps")
         values = block["values"]
-        if not isinstance(values, list):
-            raise ScenarioError("sweep.values: expected a list")
-        if len(values) > MAX_SWEEP_STEPS:
-            raise ScenarioError(
-                f"sweep.values: expected at most {MAX_SWEEP_STEPS} entries")
     else:
         for key in ("start", "stop", "steps"):
             if key not in block:
@@ -204,8 +206,7 @@ def _parse_sweep(raw: Any) -> SweepConfig:
                     f"sweep: the grid from start {start!r} to stop {stop!r} "
                     "overflows the float range")
             values = [start + i * width for i in range(steps)]
-    return SweepConfig(parameter=block["parameter"], values=tuple(
-        parse_value(value, kind, "sweep.values") for value in values))
+    return SweepConfig(parameter=block["parameter"], values=values)
 
 
 @dataclass(frozen=True)
@@ -282,14 +283,14 @@ class RunReport:
 
 def _plain(value: Any) -> Any:
     """JSON-ready form of a report value: a number, string or None as
-    is, a complex number as {"re", "im"}, a tuple or list as a list, a
-    dict as a copy, the scenario as it re-emits itself and any other
+    is, a complex number as {"re", "im"}, a tuple as a list, a dict as
+    a copy, the scenario as it re-emits itself and any other
     dataclass as a dict of its fields."""
     if isinstance(value, (float, int, str)) or value is None:
         return value
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):
         return [_plain(item) for item in value]
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
@@ -320,23 +321,15 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
         # drive carrier on the forward branch fixes the pump mode
         k_pump = (drive.omega_p - waveguide.omega0) / waveguide.vg
     triple = phase_match(waveguide, k_pump, scenario.geometry)
-    try:
-        pump = pump_steady_state(waveguide, drive, triple.omega_pump)
-    except OverflowError as err:
-        raise PhysicsError(f"pump steady state overflows: {err}") from err
+    pump = pump_steady_state(waveguide, drive, triple.omega_pump)
+    # both frequencies of the finite triple are positive, so omega fits
     omega = triple.omega_pump - triple.omega_signal
     Omega = triple.Omega_phonon
-    _require_finite("phase-matched frequencies", omega, Omega)
     if omega <= 0 or Omega <= 0:
         raise Unstable(
             f"{scenario.geometry} geometry leaves no positive-frequency "
             "signal/phonon pair to squeeze")
-    f = abs(pump.coupling)
-    if math.isnan(f):  # the pump overflowed; diagonalize would refuse the NaN
-        _require_finite("pump and squeeze values", *vars(pump).values())
-    squeeze = diagonalize(omega, Omega, f)
-    _require_finite("pump and squeeze values", *vars(pump).values(),
-                    *vars(squeeze).values())
+    squeeze = diagonalize(omega, Omega, abs(pump.coupling))
     analytic = full_moment_table(squeeze.r)
     pair_probs = tuple(pair_probability(squeeze.r, n)
                        for n in range(PAIR_PROBABILITY_ORDERS))
@@ -368,7 +361,7 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
             "n_bar": thermal_occupation(scenario.thermal),
             "quality": scenario.thermal.quality,
         }
-        _require_finite("thermal occupation and quality", *thermal_block.values())
+        require_finite("thermal occupation and quality", *thermal_block.values())
 
     decibels = decibel_table(analytic) if with_decibels else None
     return RunReport(
@@ -382,11 +375,6 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
         thermal=thermal_block,
         decibels=decibels,
     )
-
-
-def _require_finite(what: str, *values: complex) -> None:
-    if not all(map(cmath.isfinite, values)):
-        raise PhysicsError(f"{what} overflow the float range")
 
 
 def _replace_parameter(scenario: Scenario, path: str, value: float) -> Scenario:

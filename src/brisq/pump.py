@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateLinewidth
+from .errors import DegenerateLinewidth, require_finite, require_number
 from .waveguide import WaveguideParams
 
 
@@ -49,6 +49,11 @@ class PumpSteadyState:
     photon_number: float
     coupling: complex
 
+    def __post_init__(self) -> None:
+        # |coupling| is the f that diagonalize takes, so it must fit too
+        require_finite("pump steady-state values", *vars(self).values(),
+                       math.hypot(self.coupling.real, self.coupling.imag))
+
 
 def pump_steady_state(params: WaveguideParams, drive: PumpDrive,
                       omega_mode: float) -> PumpSteadyState:
@@ -64,15 +69,25 @@ def pump_steady_state(params: WaveguideParams, drive: PumpDrive,
     ------
     DegenerateLinewidth
         If u + gamma/2 == 0; an undamped driven mode has no steady state.
+    ValueError
+        If omega_mode is NaN.
+    PhysicsError
+        If a value, or the magnitude of the coupling, is beyond the
+        float range.
     """
+    require_number("omega_mode", omega_mode)
     half_linewidth = params.u + 0.5 * params.gamma
     if half_linewidth == 0.0:
         raise DegenerateLinewidth("u + gamma/2 == 0: driven mode never settles")
     detuning = (omega_mode - drive.omega_p) - 1j * half_linewidth
     amplitude = math.sqrt(params.u) * math.sqrt(drive.flux_in) / (1j * detuning)
+    try:
+        photon_number = abs(amplitude) ** 2
+    except OverflowError:  # ** and complex abs raise where * gives inf
+        photon_number = math.inf
     return PumpSteadyState(
         detuning=detuning,
         amplitude=amplitude,
-        photon_number=abs(amplitude) ** 2,
+        photon_number=photon_number,
         coupling=params.g * amplitude,
     )

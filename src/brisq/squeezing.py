@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import require_finite, require_number
+
 # exact by definition since the 2019 SI redefinition
 PLANCK_H = 6.62607015e-34  # J s
 BOLTZMANN_K = 1.380649e-23  # J / K
@@ -67,20 +69,16 @@ class ThermalEnv:
         return self.Omega / self.Gamma
 
 
-def _require_number(r: float) -> None:
-    # NaN passes every tail comparison, so it is refused by name
-    if math.isnan(r):
-        raise ValueError(f"squeeze parameter r = {r!r} is not a number")
-
-
 def pair_probability(r: float, n: int) -> float:
     """Probability of n photon-phonon pairs in the squeezed vacuum,
     P_n = tanh(r)^(2n) / cosh(r)^2. Geometric in n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _require_number(r)
-    t = math.tanh(r)
-    return t ** (2 * n) / math.cosh(r) ** 2
+    require_number("squeeze parameter r", r)
+    try:
+        return math.tanh(r) ** (2 * n) / math.cosh(r) ** 2
+    except OverflowError:  # cosh(r)^2 overflows; P_n is 0, as at r = inf
+        return 0.0
 
 
 def pair_tail(r: float, n_min: int) -> float:
@@ -88,7 +86,7 @@ def pair_tail(r: float, n_min: int) -> float:
     to exactly tanh(r)^(2*n_min)."""
     if n_min < 0:
         raise ValueError("n_min must be nonnegative")
-    _require_number(r)
+    require_number("squeeze parameter r", r)
     return math.tanh(r) ** (2 * n_min)
 
 
@@ -102,13 +100,18 @@ def full_moment_table(r: float) -> MomentTable:
     and <Y_c^2> = <X_d^2> = exp(+2r)/2, so each saturates the Heisenberg
     bound dX*dY = 1/2. All four mode populations equal sinh(r)^2; the only
     nonzero pair moments are <ab> = cosh(r) sinh(r) and the mixed-mode
-    squeezes <c^2> = -<d^2> = -cosh(r) sinh(r).
+    squeezes <c^2> = -<d^2> = -cosh(r) sinh(r). Raises PhysicsError
+    where exp(2|r|)/2, the largest entry, overflows (|r| >~ 355).
     """
-    _require_number(r)
+    require_number("squeeze parameter r", r)
+    try:
+        lo = 0.5 * math.exp(-2.0 * r)
+        hi = 0.5 * math.exp(2.0 * r)
+    except OverflowError:  # math.exp raises where * gives inf
+        lo = hi = math.inf
+    require_finite("squeezed-vacuum moments", lo, hi)
     var = 0.5 * math.cosh(2.0 * r)
     s2 = math.sinh(r) ** 2
-    lo = 0.5 * math.exp(-2.0 * r)
-    hi = 0.5 * math.exp(2.0 * r)
     s_lo = 0.5 * math.expm1(-2.0 * r)
     s_hi = 0.5 * math.expm1(2.0 * r)
     cs = math.cosh(r) * math.sinh(r)
@@ -144,12 +147,13 @@ def thermal_occupation(env: ThermalEnv) -> float:
     Omega is an ordinary frequency, so the quantum of energy is
     h*Omega. Returns 0 for T = 0, and inf when h*Omega/(kB*T)
     underflows to 0: the occupation kB*T/(h*Omega) is then beyond the
-    float range.
+    float range. An infinite Omega and T raise ValueError.
     """
     thermal_energy = BOLTZMANN_K * env.temperature
     if thermal_energy == 0.0:  # T = 0, or so small that kB*T underflows
         return 0.0
     x = PLANCK_H * env.Omega / thermal_energy
+    require_number("h*Omega/(kB*T)", x)  # inf / inf
     if x == 0.0:
         return math.inf
     if x > 700.0:

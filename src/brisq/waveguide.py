@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoSolution
+from .errors import NoSolution, require_finite, require_number
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -77,6 +77,9 @@ class BrillouinTriple:
     omega_signal: float
     Omega_phonon: float
 
+    def __post_init__(self) -> None:
+        require_finite("phase-matched values", *vars(self).values())
+
 
 def phase_match(params, k_pump: float, geometry: str = BACKWARD) -> BrillouinTriple:
     """Solve momentum and energy conservation for the Stokes process.
@@ -103,7 +106,12 @@ def phase_match(params, k_pump: float, geometry: str = BACKWARD) -> BrillouinTri
     ------
     NoSolution
         If vg == va, which makes the conservation system singular.
+    ValueError
+        If k_pump is NaN.
+    PhysicsError
+        If a value of the triple is beyond the float range.
     """
+    require_number("k_pump", k_pump)
     vg, va = params.vg, params.va
     if vg == va:
         raise NoSolution("vg == va: phonon and photon branches are parallel")

@@ -318,8 +318,11 @@ def test_sweep_grid_takes_the_fields_kind(tmp_path, capsys, grid, message):
     ("thermal", {"Omega": 1e-300, "temperature": 0.2, "Gamma": "1 MHz"}),
     ("waveguide", {"omega0": "193 THz", "vg": 7e7, "va": 8433.0, "length": 0.01,
                    "g": "1 MHz", "u": 1e-300, "gamma": 0.0}),
+    # g * amplitude overflows; it used to reach diagonalize as f = inf
+    ("waveguide", {"omega0": "193 THz", "vg": 7e7, "va": 8433.0, "length": 0.01,
+                   "g": 1e308, "u": "1 MHz", "gamma": "10 mHz"}),
 ], ids=["k_pump-1e301", "k_pump-1e150", "thermal-n_bar", "thermal-tiny-Omega",
-        "pump-photon-number"])
+        "pump-photon-number", "pump-coupling"])
 def test_overflowing_results_exit_three(tmp_path, capsys, path, value):
     raw = read_scenario(RUN_SCENARIO)
     raw[path] = value

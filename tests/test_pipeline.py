@@ -28,6 +28,7 @@ from brisq.pipeline import (
     run,
     sweep,
 )
+from brisq.pump import PumpDrive
 from brisq.squeezing import full_moment_table
 
 K_PUMP_REF = 592980.2391963544
@@ -182,6 +183,19 @@ def test_sweep_values_list_is_bounded_before_parsing():
     with pytest.raises(ScenarioError, match="sweep.values: expected a list"):
         Scenario.from_dict(scenario_dict(
             sweep={"parameter": "drive.flux_in", "values": "1e12"}))
+
+
+def test_sweep_config_checks_its_own_grid():
+    # a string grid was iterated as characters, and sweep() died with a
+    # TypeError inside PumpDrive
+    with pytest.raises(ScenarioError, match="sweep.values: expected a list"):
+        SweepConfig(parameter="drive.flux_in", values="12")
+    with pytest.raises(ScenarioError, match="sweep.values: expected a number"):
+        SweepConfig(parameter="drive.flux_in", values=("1", "2"))
+    with pytest.raises(ScenarioError, match=f"at most {MAX_SWEEP_STEPS}"):
+        SweepConfig(parameter="drive.flux_in", values=[1e12] * (MAX_SWEEP_STEPS + 1))
+    listed = SweepConfig(parameter="drive.omega_p", values=[1e10, "1 GHz"])
+    assert listed.values == (1e10, 1e9)
 
 
 def test_run_reference_device():
@@ -375,11 +389,24 @@ def test_sweep_rows_record_scenario_and_overflow_errors():
 
 
 def test_overflowed_pump_coupling_is_a_physics_error():
-    # u + gamma/2 overflows, the pump amplitude turns NaN and so does |f|,
-    # which diagonalize refuses with a ValueError
+    # u + gamma/2 overflows and the pump amplitude turns NaN, which the
+    # pump steady state refuses before diagonalize sees |f|
     scenario = reference_scenario()
     scenario = dataclasses.replace(scenario, waveguide=dataclasses.replace(
         scenario.waveguide, u=1.7e308, gamma=1.7e308))
+    with pytest.raises(PhysicsError, match="overflow the float range"):
+        run(scenario)
+
+
+def test_coupling_magnitude_beyond_the_float_range_is_a_physics_error():
+    # a drive one half linewidth off resonance puts f at 45 degrees: both
+    # parts fit the float range, |f| does not, and abs() used to raise a
+    # raw OverflowError inside run
+    scenario = reference_scenario(oracle=False)
+    waveguide = dataclasses.replace(scenario.waveguide, g=1.5e308, u=1.0, gamma=0.0)
+    omega_pump = run(scenario).triple.omega_pump
+    scenario = dataclasses.replace(scenario, waveguide=waveguide, drive=PumpDrive(
+        omega_p=omega_pump + 1.0, flux_in=4.0))
     with pytest.raises(PhysicsError, match="overflow the float range"):
         run(scenario)
 
