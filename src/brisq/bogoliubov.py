@@ -83,8 +83,12 @@ def diagonalize(omega: float, Omega: float, f: float) -> SqueezeSpec:
             f"pair coupling f = {f:g} Hz reaches the mean frequency "
             f"omega_bar = {omega_bar:g} Hz"
         )
-    # product form keeps the gap accurate close to threshold
-    gap = math.sqrt((omega_bar - f) * (omega_bar + f))
+    # product form keeps the gap accurate close to threshold; scaling both
+    # factors by omega_bar's power of two keeps the product in the float
+    # range, and the scalings are exact
+    exponent = math.frexp(omega_bar)[1]
+    bar, pair = math.ldexp(omega_bar, -exponent), math.ldexp(f, -exponent)
+    gap = math.ldexp(math.sqrt((bar - pair) * (bar + pair)), exponent)
     r = 0.5 * math.atanh(f / omega_bar)
     return SqueezeSpec(
         omega=omega,

@@ -21,19 +21,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 from typing import Any, Sequence
 
 from .errors import PhysicsError, ScenarioError
-from .pipeline import (
-    _replace_parameter,
-    load_scenario,
-    reference_checks,
-    run,
-    sweep,
-)
+from .pipeline import load_scenario, reference_checks, run, sweep
+from .squeezing import QUAD_KEYS
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -68,6 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "check", help="run the reference device and verify documented values")
     add_io_flags(check_parser)
     return parser
+
+
+def _decibels(squeezing: float) -> float:
+    """A quadrature's variance in dB relative to vacuum, 10*log10(var / 0.5)."""
+    return 10.0 * math.log10((squeezing + 0.5) / 0.5)
 
 
 def _flatten(value: Any, prefix: str = "") -> dict[str, Any]:
@@ -137,11 +139,15 @@ def main(argv: list[str] | None = None) -> int:
 
         scenario = load_scenario(args.scenario)
         if args.oracle is not None:
-            scenario = _replace_parameter(scenario, "oracle.enabled",
-                                          args.oracle == "on")
+            scenario = dataclasses.replace(scenario, oracle=dataclasses.replace(
+                scenario.oracle, enabled=args.oracle == "on"))
         if args.verb == "run":
-            report = run(scenario, with_decibels=args.db)
+            report = run(scenario)
             payload = report.to_dict()
+            if args.db:
+                payload["decibels"] = {
+                    quad: _decibels(report.analytic.squeezing[quad])
+                    for quad in QUAD_KEYS}
             _write(payload, [_flatten(payload)], args.format, args.out)
             if report.oracle is not None and not report.oracle["ok"]:
                 print(
@@ -152,7 +158,11 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_MISMATCH
             return EXIT_OK
 
-        rows = sweep(scenario, with_decibels=args.db)
+        rows = sweep(scenario)
+        for row in rows:
+            if args.db and row["status"] == "ok":
+                row.update({f"db_{quad}": _decibels(row[f"S_{quad}"])
+                            for quad in QUAD_KEYS})
         _write({"parameter": scenario.sweep.parameter,
                 "scenario": scenario.to_dict(), "rows": rows},
                rows, args.format, args.out)

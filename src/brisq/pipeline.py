@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .bogoliubov import SqueezeSpec, diagonalize
-from .errors import PhysicsError, ScenarioError, Unstable, require_finite
+from .errors import PhysicsError, ScenarioError, Unstable
 from .focksim import choose_cutoff, measure_moments, require_cutoff, squeezed_vacuum
 from .pump import PumpDrive, PumpSteadyState, pump_steady_state
 from .squeezing import (
@@ -273,7 +273,6 @@ class RunReport:
     analytic: MomentTable
     oracle: dict | None
     thermal: dict | None
-    decibels: dict | None
 
     def to_dict(self) -> dict:
         """Fields in declaration order, leaving out the blocks that are None."""
@@ -300,13 +299,7 @@ def _plain(value: Any) -> Any:
             for f in dataclasses.fields(value)}
 
 
-def decibel_table(table: MomentTable) -> dict[str, float]:
-    """Quadrature variances as dB relative to vacuum, 10*log10(var / 0.5)."""
-    return {quad: 10.0 * math.log10((table.squeezing[quad] + 0.5) / 0.5)
-            for quad in QUAD_KEYS}
-
-
-def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
+def run(scenario: Scenario) -> RunReport:
     """Resolve one scenario end to end.
 
     Pipeline: phase match the pump, settle the classical pump steady
@@ -361,9 +354,7 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
             "n_bar": thermal_occupation(scenario.thermal),
             "quality": scenario.thermal.quality,
         }
-        require_finite("thermal occupation and quality", *thermal_block.values())
 
-    decibels = decibel_table(analytic) if with_decibels else None
     return RunReport(
         scenario=scenario,
         triple=triple,
@@ -373,7 +364,6 @@ def run(scenario: Scenario, with_decibels: bool = False) -> RunReport:
         analytic=analytic,
         oracle=oracle_block,
         thermal=thermal_block,
-        decibels=decibels,
     )
 
 
@@ -388,7 +378,7 @@ def _replace_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
         raise ScenarioError(f"{path}: {err}") from err
 
 
-def sweep(scenario: Scenario, with_decibels: bool = False) -> tuple[dict, ...]:
+def sweep(scenario: Scenario) -> tuple[dict, ...]:
     """Run the scenario once per grid value of the swept parameter.
 
     Returns one row dict per grid value, in grid order. A row that
@@ -405,7 +395,7 @@ def sweep(scenario: Scenario, with_decibels: bool = False) -> tuple[dict, ...]:
                                "value": value, "status": "ok"}
         try:
             sub = _replace_parameter(scenario, scenario.sweep.parameter, value)
-            report = run(sub, with_decibels=with_decibels)
+            report = run(sub)
         except (PhysicsError, ScenarioError) as err:
             row["status"] = "error"
             row["error_type"] = type(err).__name__
@@ -425,9 +415,6 @@ def sweep(scenario: Scenario, with_decibels: bool = False) -> tuple[dict, ...]:
         if report.oracle is not None:
             row["oracle_deviation"] = report.oracle["deviation"]
             row["oracle_ok"] = report.oracle["ok"]
-        if report.decibels is not None:
-            for quad, db in report.decibels.items():
-                row[f"db_{quad}"] = db
         rows.append(row)
     return tuple(rows)
 

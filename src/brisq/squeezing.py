@@ -65,8 +65,11 @@ class ThermalEnv:
 
     @property
     def quality(self) -> float:
-        """Quality factor Q = Omega / Gamma."""
-        return self.Omega / self.Gamma
+        """Quality factor Q = Omega / Gamma. Raises PhysicsError where
+        Q is beyond the float range (a Gamma below ~Omega * 5.6e-309)."""
+        quality = self.Omega / self.Gamma
+        require_finite("quality factors Omega/Gamma", quality)
+        return quality
 
 
 def pair_probability(r: float, n: int) -> float:
@@ -145,18 +148,18 @@ def thermal_occupation(env: ThermalEnv) -> float:
     """Bose occupation of the phonon mode, 1/(exp(h*Omega/(kB*T)) - 1).
 
     Omega is an ordinary frequency, so the quantum of energy is
-    h*Omega. Returns 0 for T = 0, and inf when h*Omega/(kB*T)
-    underflows to 0: the occupation kB*T/(h*Omega) is then beyond the
-    float range. An infinite Omega and T raise ValueError.
+    h*Omega. Returns 0 for T = 0. Where x = h*Omega/(kB*T) is 0 or a
+    subnormal below ~5.6e-309, the occupation ~1/x is beyond the float
+    range and raises PhysicsError. An infinite Omega and T raise ValueError.
     """
     thermal_energy = BOLTZMANN_K * env.temperature
     if thermal_energy == 0.0:  # T = 0, or so small that kB*T underflows
         return 0.0
     x = PLANCK_H * env.Omega / thermal_energy
     require_number("h*Omega/(kB*T)", x)  # inf / inf
-    if x == 0.0:
-        return math.inf
     if x > 700.0:
         # expm1 would overflow; the occupation is exp(-x) to this accuracy
         return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    occupation = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    require_finite("thermal occupation numbers", occupation)
+    return occupation

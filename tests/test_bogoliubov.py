@@ -1,6 +1,7 @@
 """Bogoliubov diagonalization tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +124,35 @@ def test_transform_identities_over_random_stable_draws():
         scale = spec.gap + abs(spec.delta)
         assert abs(diff - (spec.omega - spec.Omega)) <= 8.0 * np.finfo(float).eps * scale
         assert spec.omega_zero <= 0.0
+
+
+def test_gap_is_the_product_form_wherever_that_product_is_normal():
+    # the power-of-two scaling is exact, so it changes no bit of the gap
+    rng = np.random.default_rng(11)
+    for _ in range(20000):
+        omega_bar = 10.0 ** rng.uniform(-150.0, 150.0)
+        ratio = rng.choice([rng.uniform(0.0, 1.0), 1.0 - 10.0 ** rng.uniform(-16.0, 0.0),
+                            10.0 ** rng.uniform(-300.0, 0.0)])
+        spec = diagonalize(omega_bar, omega_bar, ratio * omega_bar)
+        product = (spec.omega_bar - spec.f) * (spec.omega_bar + spec.f)
+        if product >= sys.float_info.min:
+            assert spec.gap == math.sqrt(product)
+
+
+@pytest.mark.parametrize("omega, f", [(1.7e154, 1e-143), (8e307, 4e307)])
+def test_gap_where_its_product_form_overflows(omega, f):
+    # (omega_bar - f) * (omega_bar + f) is past the float range, the gap not
+    spec = diagonalize(omega, omega, f)
+    assert spec.gap == pytest.approx(math.sqrt(1.0 - (f / omega) ** 2) * omega,
+                                     rel=1e-15)
+
+
+def test_gap_where_its_product_form_underflows():
+    # (1e-160)^2 underflows to a subnormal; the exact gap is 1e-160
+    spec = diagonalize(1e-160, 1e-160, 0.0)
+    assert spec.gap == 1e-160
+    assert spec.omega_zero == 0.0
+    assert spec.omega_alpha == spec.omega_beta == 1e-160
 
 
 def test_squeeze_parameter_paths_agree():

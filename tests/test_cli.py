@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from brisq.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _flatten, main
+from brisq.cli import (
+    EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _decibels, _flatten, main)
 from brisq import pipeline
 from brisq.pipeline import OracleConfig, Scenario
+from brisq.squeezing import full_moment_table
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 RUN_SCENARIO = str(SCENARIOS / "backward_10ghz.json")
@@ -107,6 +110,16 @@ def test_run_db_flag(capsys):
     assert main(["run", RUN_SCENARIO, "--db"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["decibels"]["X_c"] == pytest.approx(-0.4357, abs=2e-4)
+
+
+def test_decibel_table():
+    flat = full_moment_table(0.0).squeezing
+    assert all(_decibels(value) == 0.0 for value in flat.values())
+    squeezed = full_moment_table(0.5).squeezing
+    assert _decibels(squeezed["X_c"]) == pytest.approx(
+        10.0 * math.log10(math.exp(-1.0)), rel=1e-12)
+    assert _decibels(squeezed["Y_c"]) == pytest.approx(
+        10.0 * math.log10(math.exp(1.0)), rel=1e-12)
 
 
 def test_run_oracle_mismatch_still_writes_report(tmp_path, capsys):
@@ -312,7 +325,6 @@ def test_sweep_grid_takes_the_fields_kind(tmp_path, capsys, grid, message):
 
 @pytest.mark.parametrize("path, value", [
     ("k_pump", 1e301),
-    ("k_pump", 1e150),
     ("thermal", {"Omega": "1 mHz", "temperature": 1e300, "Gamma": "1 MHz"}),
     # h*Omega/(kB*T) underflows to 0, and the occupation kB*T/(h*Omega) with it
     ("thermal", {"Omega": 1e-300, "temperature": 0.2, "Gamma": "1 MHz"}),
@@ -321,7 +333,7 @@ def test_sweep_grid_takes_the_fields_kind(tmp_path, capsys, grid, message):
     # g * amplitude overflows; it used to reach diagonalize as f = inf
     ("waveguide", {"omega0": "193 THz", "vg": 7e7, "va": 8433.0, "length": 0.01,
                    "g": 1e308, "u": "1 MHz", "gamma": "10 mHz"}),
-], ids=["k_pump-1e301", "k_pump-1e150", "thermal-n_bar", "thermal-tiny-Omega",
+], ids=["k_pump-1e301", "thermal-n_bar", "thermal-tiny-Omega",
         "pump-photon-number", "pump-coupling"])
 def test_overflowing_results_exit_three(tmp_path, capsys, path, value):
     raw = read_scenario(RUN_SCENARIO)
@@ -330,6 +342,17 @@ def test_overflowing_results_exit_three(tmp_path, capsys, path, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "PhysicsError" in captured.err
+
+
+def test_huge_finite_pair_runs_to_a_finite_report(tmp_path, capsys):
+    # omega = Omega ~ 1.7e154 Hz: the gap's product form would overflow
+    raw = read_scenario(RUN_SCENARIO)
+    raw["k_pump"] = 1e150
+    assert main(["run", write_scenario(tmp_path, raw)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["squeeze"]["gap"] == payload["squeeze"]["omega_bar"]
+    assert all(math.isfinite(value) for value in _flatten(payload).values()
+               if isinstance(value, float))
 
 
 def test_sweep_oracle_miss_exits_four_after_full_report(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brisq import cli
 from brisq.errors import CutoffTooSmall, PhysicsError, ScenarioError, Unstable
 from brisq.focksim import _sector_spectrum
 from brisq.pipeline import (
@@ -20,7 +21,6 @@ from brisq.pipeline import (
     OracleConfig,
     Scenario,
     SweepConfig,
-    decibel_table,
     load_scenario,
     parse_value,
     reference_checks,
@@ -29,8 +29,9 @@ from brisq.pipeline import (
     sweep,
 )
 from brisq.pump import PumpDrive
-from brisq.squeezing import full_moment_table
+from brisq.squeezing import QUAD_KEYS
 
+REFERENCE_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "backward_10ghz.json"
 K_PUMP_REF = 592980.2391963544
 Q_PHONON_REF = 1185817.6212498515
 F_REF = 999999995.0
@@ -168,8 +169,7 @@ def test_oracle_cutoff_goes_through_the_basis_gate():
 
 def test_reference_scenario_is_the_committed_file():
     # brisq check runs the one, the goldens and the benchmark the other
-    path = Path(__file__).resolve().parents[1] / "scenarios" / "backward_10ghz.json"
-    assert reference_scenario() == load_scenario(str(path))
+    assert reference_scenario() == load_scenario(str(REFERENCE_FILE))
 
 
 def test_sweep_values_list_is_bounded_before_parsing():
@@ -226,18 +226,22 @@ def test_run_reference_device():
 
     assert report.thermal["quality"] == 1e4
     assert report.thermal["n_bar"] == pytest.approx(NBAR_REF, rel=1e-12)
-    assert report.decibels is None
 
 
-def test_run_report_serializes_to_json():
-    report = run(reference_scenario(), with_decibels=True)
+def test_run_report_serializes_to_json(capsys):
+    report = run(reference_scenario())
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["pump"]["detuning"]["im"] < 0
     assert payload["squeeze"]["r"] == report.squeeze.r
     assert payload["oracle"]["table"]["squeezing"]["X_c"] == pytest.approx(
         -0.0477, abs=1e-4)
-    assert payload["decibels"]["X_c"] == pytest.approx(-0.4357, abs=2e-4)
     assert payload["scenario"]["geometry"] == "backward"
+    # `brisq run --db` writes the same report with the decibels block last
+    assert cli.main(["run", str(REFERENCE_FILE), "--db"]) == 0
+    *blocks, decibels = json.loads(capsys.readouterr().out).items()
+    assert dict(blocks) == payload
+    assert decibels[0] == "decibels"
+    assert decibels[1]["X_c"] == pytest.approx(-0.4357, abs=2e-4)
 
 
 def with_flux(scenario, flux_in):
@@ -454,30 +458,25 @@ def test_sweep_other_parameters():
     assert wavenumbers[1]["r"] == pytest.approx(R_REF, rel=1e-12)
 
 
-def test_sweep_with_decibels():
+def test_sweep_with_decibels(tmp_path, capsys):
     scenario = dataclasses.replace(
         reference_scenario(),
-        sweep=SweepConfig(parameter="drive.flux_in", values=(1e12,)))
-    row = sweep(scenario, with_decibels=True)[0]
-    assert row["db_X_c"] == pytest.approx(-0.4357, abs=2e-4)
-    assert row["db_Y_c"] > 0
+        sweep=SweepConfig(parameter="drive.flux_in", values=(1e12, 1e15)))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario.to_dict()))
+    assert cli.main(["sweep", str(path), "--db"]) == 0
+    ok, unstable = json.loads(capsys.readouterr().out)["rows"]
+    assert ok["db_X_c"] == pytest.approx(-0.4357, abs=2e-4)
+    assert ok["db_Y_c"] > 0
+    # the dB columns follow the row's other columns, and an error row has none
+    assert list(ok)[-8:] == [f"db_{quad}" for quad in QUAD_KEYS]
+    assert unstable["error_type"] == "Unstable"
+    assert not any(key.startswith("db_") for key in unstable)
 
 
 def test_sweep_requires_sweep_block():
     with pytest.raises(ScenarioError):
         sweep(reference_scenario())
-
-
-def test_decibel_table():
-    flat = decibel_table(full_moment_table(0.0))
-    assert set(flat) == {"X_a", "Y_a", "X_b", "Y_b", "X_c", "Y_c",
-                         "X_d", "Y_d"}
-    assert all(value == 0.0 for value in flat.values())
-    squeezed = decibel_table(full_moment_table(0.5))
-    assert squeezed["X_c"] == pytest.approx(
-        10.0 * math.log10(math.exp(-1.0)), rel=1e-12)
-    assert squeezed["Y_c"] == pytest.approx(
-        10.0 * math.log10(math.exp(1.0)), rel=1e-12)
 
 
 def test_reference_checks_all_pass():

@@ -6,6 +6,7 @@ import math
 import pytest
 import scipy.constants
 
+from brisq.errors import PhysicsError
 from brisq.squeezing import (
     BOLTZMANN_K,
     CROSS_KEYS,
@@ -228,11 +229,18 @@ def test_thermal_occupation_limits():
     # far detuned / ultracold: underflows to zero instead of overflowing
     frozen = ThermalEnv(Omega=1e14, temperature=1e-3, Gamma=1e6)
     assert thermal_occupation(frozen) == 0.0
-    # h*Omega/(kB*T) underflows to 0: kB*T/(h*Omega) is past the float
-    # range, so the occupation is inf, not a ZeroDivisionError
-    for Omega in (1e-300, 5e-324):
-        assert thermal_occupation(ThermalEnv(Omega, 0.2, 1e6)) == math.inf
+    # h*Omega/(kB*T) underflows to 0, or to a subnormal (4.8e-311 at
+    # 1 Hz and 1e300 K) whose inverse overflows: kB*T/(h*Omega) is past
+    # the float range, a PhysicsError, not inf or a ZeroDivisionError
+    for Omega, temperature in ((1e-300, 0.2), (5e-324, 0.2), (1.0, 1e300)):
+        with pytest.raises(PhysicsError, match="overflow the float range"):
+            thermal_occupation(ThermalEnv(Omega, temperature, 1e6))
     assert math.isfinite(thermal_occupation(ThermalEnv(1e-290, 0.2, 1e6)))
+    # Omega/Gamma overflows: the check is made where Q is read, not at
+    # construction, so a sweep row with this bath ends in a row error
+    slow = ThermalEnv(Omega=1e10, temperature=0.2, Gamma=1e-300)
+    with pytest.raises(PhysicsError, match="overflow the float range"):
+        slow.quality
     warm = thermal_occupation(ThermalEnv(Omega=1e10, temperature=4.0,
                                          Gamma=1e6))
     cold = thermal_occupation(ThermalEnv(Omega=1e10, temperature=0.1,
