@@ -9,9 +9,14 @@ f the real, nonnegative pair coupling, all in Hz. The two-mode squeeze
 rotation a = cosh(r) alpha + sinh(r) beta^dag, b = cosh(r) beta +
 sinh(r) alpha^dag with tanh(2r) = f / omega_bar removes the pair terms
 and leaves two stable normal modes whenever f < omega_bar =
-(omega+Omega)/2. The ground state is the two-mode squeezed vacuum with
-Fock amplitudes c_{n+1}/c_n = +tanh(r) and <ab> = +cosh(r) sinh(r),
-the sign that the squeezing tables and the Fock oracle report.
+(omega+Omega)/2. While f^2 < omega Omega, the ground state is the
+two-mode squeezed vacuum with Fock amplitudes c_{n+1}/c_n = +tanh(r)
+and <ab> = +cosh(r) sinh(r), the sign that the squeezing tables and
+the Fock oracle report. Between sqrt(omega Omega) and omega_bar, a band
+that needs omega != Omega, omega_beta = gap - delta is negative and H
+is unbounded below: the squeezed vacuum is then the stationary
+Bogoliubov vacuum, annihilated by alpha and beta, but not a ground
+state.
 """
 
 from __future__ import annotations
@@ -76,8 +81,10 @@ def diagonalize(omega: float, Omega: float, f: float) -> SqueezeSpec:
         raise ValueError("omega and Omega must be positive")
     if not f >= 0:  # NaN fails every comparison, so it is refused here
         raise ValueError("f must be nonnegative")
-    omega_bar = 0.5 * (omega + Omega)
-    delta = 0.5 * (omega - Omega)
+    # halving first keeps the mean finite where omega + Omega overflows;
+    # each halving is exact above 2**-1021, so nothing else moves
+    omega_bar = 0.5 * omega + 0.5 * Omega
+    delta = 0.5 * omega - 0.5 * Omega
     if omega_bar <= f:
         raise Unstable(
             f"pair coupling f = {f:g} Hz reaches the mean frequency "

@@ -13,6 +13,12 @@ near the edge n ~ cutoff, so operator identities are checked on the
 low-occupation block n_a, n_b < cutoff/2; the closed-form tail mass
 tanh(r)^(2*cutoff) bounds how much of the squeezed vacuum the basis
 cannot hold.
+
+A TwoModeState keeps the dtype of its amplitudes, promoted to at least
+float64. The builders make real states, since the squeezed vacuum's
+amplitudes are real, and everything downstream follows the state's
+dtype: a real state is squeezed and measured in real arithmetic, a
+complex one in complex arithmetic, on one code path.
 """
 
 from __future__ import annotations
@@ -80,7 +86,9 @@ class TwoModeState:
 
     The cutoff must pass require_cutoff; the amplitudes are taken as
     given, but measure_moments requires them normalized, <psi|psi> = 1
-    to NORM_TOL.
+    to NORM_TOL. A numeric dtype is kept, promoted to at least float64:
+    a real state stays float64 and is measured in real arithmetic, a
+    complex one stays complex128. Other dtypes convert to complex128.
     """
 
     amplitudes: np.ndarray
@@ -88,7 +96,12 @@ class TwoModeState:
 
     def __post_init__(self) -> None:
         require_cutoff(self.cutoff)
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.asarray(self.amplitudes)
+        # a numeric dtype is kept, promoted to at least float64; anything
+        # else, such as an object array, converts to complex128
+        numeric = amp.dtype.kind in "biufc"
+        amp = amp.astype(np.result_type(amp.dtype, float) if numeric else complex,
+                         copy=False)
         if amp.shape != (self.cutoff * self.cutoff,):
             raise ValueError("amplitude vector does not match cutoff**2")
         object.__setattr__(self, "amplitudes", amp)
@@ -132,7 +145,7 @@ class BogoliubovResiduals:
 def fock_state(cutoff: int, n_a: int, n_b: int) -> TwoModeState:
     require_cutoff(cutoff)
     _require_occupation(cutoff, n_a, n_b)
-    amp = np.zeros(cutoff * cutoff, dtype=complex)
+    amp = np.zeros(cutoff * cutoff)
     amp[n_a * cutoff + n_b] = 1.0
     return TwoModeState(amplitudes=amp, cutoff=cutoff)
 
@@ -304,7 +317,7 @@ def squeezed_vacuum(cutoff: int, r: float) -> TwoModeState:
     column[0] = 1.0
     column[0::2] -= u @ (versine * u[0])
     column[1::2] = (u[0, :wt.shape[0]] * sin) @ wt
-    amp = np.zeros(n * n, dtype=complex)
+    amp = np.zeros(n * n)
     amp[_sector_index(n, 0)] = column
     return TwoModeState(amplitudes=amp, cutoff=n)
 
@@ -327,7 +340,7 @@ def apply_squeeze_factorized(state: TwoModeState, r: float) -> TwoModeState:
     n = state.cutoff
     _require_tail(n, r)
     t = math.tanh(r)
-    grid = state.grid().astype(complex).copy()
+    grid = state.grid()
     root = np.sqrt(np.arange(1.0, n))
 
     def lower_pair(y: np.ndarray) -> np.ndarray:  # a b
@@ -440,7 +453,7 @@ def _ladder_images(grid: np.ndarray) -> np.ndarray:
     """
     n = grid.shape[0]
     root = np.sqrt(np.arange(1.0, n))
-    images = np.zeros((5, n, n), dtype=complex)
+    images = np.zeros((5, n, n), dtype=grid.dtype)
     images[0] = grid
     np.multiply(root[:, None], grid[1:, :], out=images[1, :-1, :])
     np.multiply(root[None, :], grid[:, 1:], out=images[2, :, :-1])
@@ -500,7 +513,9 @@ def measure_moments(state: TwoModeState) -> MomentTable:
     combination of its entries. No commutation relation is used; the
     combinations rely only on the raising matrix being the transpose of
     the lowering one and on a and b commuting in the Kronecker basis,
-    both exact for the truncated matrices. Imaginary parts, which vanish
+    both exact for the truncated matrices. The images and the Gram
+    matrix take the state's dtype, so a real state is measured in real
+    arithmetic and .conj() copies nothing. Imaginary parts, which vanish
     for the real squeezed states produced here, are dropped and their
     largest magnitude recorded in max_imag_discarded. The squeezing and
     Heisenberg entries use variances, so they remain meaningful for
@@ -510,7 +525,7 @@ def measure_moments(state: TwoModeState) -> MomentTable:
     the Gram matrix's first entry, must be within NORM_TOL of 1.
     """
     images = _ladder_images(state.grid()).reshape(5, -1)
-    gram = np.conj(images) @ images.T
+    gram = images.conj() @ images.T
     norm2 = gram[0, 0].real
     if not abs(norm2 - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized: <psi|psi> = {norm2!r}")

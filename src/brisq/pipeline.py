@@ -335,10 +335,11 @@ def run(scenario: Scenario) -> RunReport:
                                    flux_tol=scenario.oracle.tolerance)
         state = squeezed_vacuum(cutoff, squeeze.r)
         numeric = measure_moments(state)
-        deviation = table_deviation(analytic, numeric)
-        for n, p_analytic in enumerate(pair_probs):
-            p_numeric = state.probability(n, n) if n < cutoff else 0.0
-            deviation = max(deviation, abs(p_analytic - p_numeric))
+        # |n, n> weights, read once from the diagonal; 0 beyond the basis
+        weights = (abs(state.grid().diagonal()[:PAIR_PROBABILITY_ORDERS]) ** 2).tolist()
+        weights += [0.0] * (PAIR_PROBABILITY_ORDERS - len(weights))
+        deviation = max(table_deviation(analytic, numeric),
+                        *(abs(p - q) for p, q in zip(pair_probs, weights)))
         oracle_block = {
             "cutoff": cutoff,
             "tail_mass": pair_tail(squeeze.r, cutoff),

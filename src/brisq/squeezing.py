@@ -135,13 +135,12 @@ def full_moment_table(r: float) -> MomentTable:
 def table_deviation(left: MomentTable, right: MomentTable) -> float:
     """Largest absolute difference over every entry, matched by name; an
     entry only one table holds raises KeyError instead of being skipped."""
-    worst = 0.0
-    for name in ("first", "second", "products", "squeezing", "cross"):
-        a = getattr(left, name)
-        b = getattr(right, name)
-        for key in a.keys() | b.keys():
-            worst = max(worst, abs(a[key] - b[key]))
-    return worst
+    sections = [(getattr(left, name), getattr(right, name))
+                for name in ("first", "second", "products", "squeezing", "cross")]
+    for a, b in sections:
+        if a.keys() != b.keys():
+            raise KeyError(f"entries on one side only: {sorted(a.keys() ^ b.keys())}")
+    return max(abs(a[key] - b[key]) for a, b in sections for key in a)
 
 
 def thermal_occupation(env: ThermalEnv) -> float:

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from brisq.bogoliubov import diagonalize
 from brisq.errors import Unstable
@@ -153,6 +155,41 @@ def test_gap_where_its_product_form_underflows():
     assert spec.gap == 1e-160
     assert spec.omega_zero == 0.0
     assert spec.omega_alpha == spec.omega_beta == 1e-160
+
+
+# halving is exact from 2**-1021 up; below it a half is subnormal and rounds
+HALVABLE = st.floats(min_value=2.0 ** -1021, max_value=sys.float_info.max)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@example(omega=8.9e307, Omega=8.9e307)
+@example(omega=1e10, Omega=9999999999.999998)
+@given(omega=HALVABLE, Omega=HALVABLE)
+def test_halved_mean_and_difference_are_the_halved_sum_and_difference(omega, Omega):
+    # 0.5 * omega + 0.5 * Omega is bit-equal to 0.5 * (omega + Omega)
+    # wherever that sum is finite, and likewise for the difference
+    assume(math.isfinite(omega + Omega))
+    spec = diagonalize(omega, Omega, 0.0)
+    assert spec.omega_bar.hex() == (0.5 * (omega + Omega)).hex()
+    assert spec.delta.hex() == (0.5 * (omega - Omega)).hex()
+
+
+def test_mean_where_the_sum_of_frequencies_overflows():
+    # omega + Omega = 2e308 is past the float range, omega_bar not
+    spec = diagonalize(1e308, 1e308, 0.0)
+    assert spec.gap == spec.omega_bar == 1e308
+    assert spec.omega_zero == 0.0
+    assert spec.delta == 0.0
+
+
+def test_beyond_the_ground_state_range_a_normal_mode_turns_negative():
+    # omega_beta >= 0 exactly while f^2 <= omega * Omega; with omega != Omega
+    # a stable f can pass that, and H is then unbounded below
+    omega, Omega, f = 1.2e10, 0.8e10, 0.99e10
+    assert omega * Omega < f * f and f < 0.5 * (omega + Omega)
+    spec = diagonalize(omega, Omega, f)
+    assert spec.omega_beta < 0
+    assert spec.omega_alpha > 0
 
 
 def test_squeeze_parameter_paths_agree():

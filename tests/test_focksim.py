@@ -548,8 +548,10 @@ def test_measure_moments_requires_a_normalized_state():
 
 
 def test_measure_moments_memory_is_bounded():
-    # five grids for the state's four ladder images and the state itself,
-    # five for their conjugate in the Gram matmul: 10 amplitude grids
+    # the bound is a complex state's: five complex grids for its four
+    # ladder images and itself, five for their conjugate in the Gram
+    # matmul. The squeezed vacuum is real and takes about 6.5 real grids
+    # (see the next test)
     cutoff = 128
     state = squeezed_vacuum(cutoff, 1.0)
     tracemalloc.start()
@@ -559,6 +561,59 @@ def test_measure_moments_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 11 * cutoff * cutoff * 16
+
+
+def test_measure_moments_of_a_real_state_takes_real_grids():
+    # a real state's five images are real grids, and .conj() of a real
+    # array is the array itself, so the Gram matmul copies nothing
+    cutoff = 128
+    state = squeezed_vacuum(cutoff, 1.0)
+    tracemalloc.start()
+    try:
+        measure_moments(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * cutoff * cutoff * 8
+
+
+def test_states_keep_the_dtype_they_are_given():
+    real = squeezed_vacuum(24, 0.3)
+    assert real.amplitudes.dtype == np.float64
+    assert fock_state(5, 1, 2).amplitudes.dtype == np.float64
+    assert vacuum_state(5).amplitudes.dtype == np.float64
+    assert apply_squeeze_factorized(real, 0.1).amplitudes.dtype == np.float64
+    # integers are promoted to float64, not kept
+    assert TwoModeState(amplitudes=[1, 0, 0, 0], cutoff=2).amplitudes.dtype == np.float64
+    # a complex state stays complex, through the builder too
+    complex_state = TwoModeState(amplitudes=real.amplitudes.astype(complex), cutoff=24)
+    assert complex_state.amplitudes.dtype == np.complex128
+    assert apply_squeeze_factorized(complex_state, 0.1).amplitudes.dtype == np.complex128
+    single = np.zeros(4, dtype=np.complex64)
+    single[0] = 1.0
+    assert TwoModeState(amplitudes=single, cutoff=2).amplitudes.dtype == np.complex128
+    # a non-numeric dtype converts to complex128
+    boxed = TwoModeState(amplitudes=np.array([1.0, 0.0, 0.0, 0.0], dtype=object), cutoff=2)
+    assert boxed.amplitudes.dtype == np.complex128
+    assert measure_moments(boxed).second["X_a"] == pytest.approx(0.5, abs=1e-15)
+
+
+# At cutoff 128 and r = 1.46 the real and complex BLAS kernels add the
+# Gram entries' ~128 products in different orders and land up to 6 ulp
+# apart (5.3e-15 on entries ~5). The c and d products amplify that ~9
+# times: sqrt(var_X * var_Y) with var_X = 0.027 and var_Y = 9.27.
+@pytest.mark.parametrize("cutoff, bound", [(5, 1e-15), (24, 1e-15), (128, 1e-13)])
+def test_real_and_complex_states_measure_alike(cutoff, bound):
+    # the widest squeeze each cutoff holds
+    real = squeezed_vacuum(cutoff, gate_edge(cutoff))
+    twin = TwoModeState(amplitudes=real.amplitudes.astype(complex), cutoff=cutoff)
+    measured, reference = measure_moments(real), measure_moments(twin)
+    for section in ("first", "second", "products", "squeezing", "cross"):
+        ours, theirs = getattr(measured, section), getattr(reference, section)
+        assert list(ours) == list(theirs)
+        for key, value in ours.items():
+            assert abs(value - theirs[key]) <= bound, (section, key)
+    assert measured.max_imag_discarded == 0.0
 
 
 def test_measure_moments_against_closed_forms():
