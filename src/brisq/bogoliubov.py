@@ -81,20 +81,22 @@ def diagonalize(omega: float, Omega: float, f: float) -> SqueezeSpec:
         raise ValueError("omega and Omega must be positive")
     if not f >= 0:  # NaN fails every comparison, so it is refused here
         raise ValueError("f must be nonnegative")
-    # halving first keeps the mean finite where omega + Omega overflows;
-    # each halving is exact above 2**-1021, so nothing else moves
-    omega_bar = 0.5 * omega + 0.5 * Omega
-    delta = 0.5 * omega - 0.5 * Omega
+    # one power-of-two scale keeps the sum and the product-form gap in the
+    # float range; what it drops of a tiny frequency lies far below the
+    # sum's last bit, so omega_bar and delta are correctly rounded
+    exponent = math.frexp(max(omega, Omega))[1]
+    w, v = math.ldexp(omega, -exponent), math.ldexp(Omega, -exponent)
+    bar = 0.5 * (w + v)
+    omega_bar = math.ldexp(bar, exponent)
+    delta = math.ldexp(0.5 * (w - v), exponent)
     if omega_bar <= f:
         raise Unstable(
             f"pair coupling f = {f:g} Hz reaches the mean frequency "
             f"omega_bar = {omega_bar:g} Hz"
         )
-    # product form keeps the gap accurate close to threshold; scaling both
-    # factors by omega_bar's power of two keeps the product in the float
-    # range, and the scalings are exact
-    exponent = math.frexp(omega_bar)[1]
-    bar, pair = math.ldexp(omega_bar, -exponent), math.ldexp(f, -exponent)
+    # product form keeps the gap accurate close to threshold; f is scaled
+    # only here, as f * 2**-exponent would overflow for a huge f
+    pair = math.ldexp(f, -exponent)
     gap = math.ldexp(math.sqrt((bar - pair) * (bar + pair)), exponent)
     r = 0.5 * math.atanh(f / omega_bar)
     return SqueezeSpec(

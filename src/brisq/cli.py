@@ -7,11 +7,10 @@ Verbs:
                                 compare against its documented values
 
 Exit codes: 0 success, 2 malformed scenario or arguments, or an --out
-file or stdout that cannot be written, 3 physical failure (no
-phase-matching solution, unstable coupling, degenerate linewidth,
-cutoff too small, a result beyond the float range), 4 oracle deviation
-beyond tolerance (in a run or in any sweep row) or a failed reference
-check.
+file or stdout that cannot be written, 3 physical failure (unstable
+coupling, degenerate linewidth, cutoff too small, a result beyond the
+float range), 4 oracle deviation beyond tolerance (in a run or in any
+sweep row) or a failed reference check.
 
 Identical inputs produce bit-identical outputs on one platform: the
 pipeline is deterministic and serialization uses repr-exact floats.

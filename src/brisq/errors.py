@@ -9,10 +9,6 @@ class PhysicsError(Exception):
     malformed input). The CLI maps these to exit code 3."""
 
 
-class NoSolution(PhysicsError):
-    """Phase matching has no solution (degenerate dispersion, vg == va)."""
-
-
 class DegenerateLinewidth(PhysicsError):
     """u + gamma/2 == 0: the driven pump mode has no steady state."""
 

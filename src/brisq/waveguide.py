@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoSolution, require_finite, require_number
+from .errors import require_finite, require_number
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -81,7 +81,9 @@ class BrillouinTriple:
         require_finite("phase-matched values", *vars(self).values())
 
 
-def phase_match(params, k_pump: float, geometry: str = BACKWARD) -> BrillouinTriple:
+def phase_match(
+    params: WaveguideParams, k_pump: float, geometry: str = BACKWARD
+) -> BrillouinTriple:
     """Solve momentum and energy conservation for the Stokes process.
 
     A pump photon at k_pump scatters into a signal photon at
@@ -104,8 +106,6 @@ def phase_match(params, k_pump: float, geometry: str = BACKWARD) -> BrillouinTri
 
     Raises
     ------
-    NoSolution
-        If vg == va, which makes the conservation system singular.
     ValueError
         If k_pump is NaN.
     PhysicsError
@@ -113,8 +113,6 @@ def phase_match(params, k_pump: float, geometry: str = BACKWARD) -> BrillouinTri
     """
     require_number("k_pump", k_pump)
     vg, va = params.vg, params.va
-    if vg == va:
-        raise NoSolution("vg == va: phonon and photon branches are parallel")
     pump_slope = vg if k_pump >= 0 else -vg
     if geometry == FORWARD:
         q = 0.0

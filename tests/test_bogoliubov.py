@@ -2,10 +2,11 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brisq.bogoliubov import diagonalize
@@ -157,21 +158,22 @@ def test_gap_where_its_product_form_underflows():
     assert spec.omega_alpha == spec.omega_beta == 1e-160
 
 
-# halving is exact from 2**-1021 up; below it a half is subnormal and rounds
-HALVABLE = st.floats(min_value=2.0 ** -1021, max_value=sys.float_info.max)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,
+                     allow_subnormal=True)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=500)
 @example(omega=8.9e307, Omega=8.9e307)
 @example(omega=1e10, Omega=9999999999.999998)
-@given(omega=HALVABLE, Omega=HALVABLE)
-def test_halved_mean_and_difference_are_the_halved_sum_and_difference(omega, Omega):
-    # 0.5 * omega + 0.5 * Omega is bit-equal to 0.5 * (omega + Omega)
-    # wherever that sum is finite, and likewise for the difference
-    assume(math.isfinite(omega + Omega))
+# in the lowest normal octave half of x is subnormal, and halving first
+# rounded the mean of x and x down to 2**-1022
+@example(omega=float.fromhex("0x1.0000000000001p-1022"),
+         Omega=float.fromhex("0x1.0000000000001p-1022"))
+@given(omega=POSITIVE, Omega=POSITIVE)
+def test_mean_and_difference_are_correctly_rounded(omega, Omega):
     spec = diagonalize(omega, Omega, 0.0)
-    assert spec.omega_bar.hex() == (0.5 * (omega + Omega)).hex()
-    assert spec.delta.hex() == (0.5 * (omega - Omega)).hex()
+    assert spec.omega_bar == float((Fraction(omega) + Fraction(Omega)) / 2)
+    assert spec.delta == float((Fraction(omega) - Fraction(Omega)) / 2)
 
 
 def test_mean_where_the_sum_of_frequencies_overflows():

@@ -26,7 +26,7 @@ from brisq.squeezing import (
 )
 from brisq.waveguide import WaveguideParams, phase_match
 
-EDGES = (0.0, -0.0, 5e-324, 1e-300, -1.0, 1e308, math.inf, -math.inf, math.nan)
+EDGES = (0.0, -0.0, 5e-324, 1e-300, -1.0, 400.0, 1e308, math.inf, -math.inf, math.nan)
 
 # the reference device: a 193 THz carrier, g = u = 1 MHz, a resonant drive
 WAVEGUIDE = dict(omega0=193e12, g=1e6, u=1e6, gamma=0.01, vg=7e7, va=8433.0,

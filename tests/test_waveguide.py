@@ -1,12 +1,10 @@
 """Dispersion and phase-matching tests."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from brisq.errors import NoSolution
 from brisq.waveguide import BACKWARD, FORWARD, WaveguideParams, phase_match
 
 
@@ -130,12 +128,6 @@ def test_phase_match_counterpropagating_pump():
     assert triple.Omega_phonon > 0.0
     assert triple.omega_pump > params.omega0
     assert triple.omega_signal < triple.omega_pump
-
-
-def test_phase_match_no_solution_for_parallel_branches():
-    degenerate = SimpleNamespace(vg=5e3, va=5e3, omega0=193e12)
-    with pytest.raises(NoSolution):
-        phase_match(degenerate, 1e4, BACKWARD)
 
 
 def test_phase_match_unknown_geometry():
