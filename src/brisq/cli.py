@@ -19,16 +19,17 @@ pipeline is deterministic and serialization uses repr-exact floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import PhysicsError, ScenarioError
-from .pipeline import load_scenario, reference_checks, run, sweep
+from .pipeline import _sweep_rows, load_scenario, reference_checks, run, sweep
 from .squeezing import QUAD_KEYS
 
 EXIT_OK = 0
@@ -85,41 +86,67 @@ def _flatten(value: Any, prefix: str = "") -> dict[str, Any]:
     return out
 
 
-def _write(payload: Any, rows: Sequence[dict[str, Any]], fmt: str,
-           out: str | None) -> None:
-    """Write JSON of payload or CSV of rows to the file out, or to stdout.
-
-    The CSV header is the union of the rows' keys in first-seen order.
-    A file or stdout that cannot be written is a ScenarioError naming
-    it.
-    """
+def _report_text(payload: Any, rows: Sequence[dict[str, Any]], fmt: str) -> str:
+    """JSON of payload, or CSV of rows."""
     if fmt == "json":
-        text = json.dumps(payload, indent=2, allow_nan=False)
-    else:
-        fieldnames = list(dict.fromkeys(key for row in rows for key in row))
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buffer.getvalue()
-    if out is None:
-        _write_stdout(text if text.endswith("\n") else text + "\n")
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as stream:
-            stream.write(text)
-    except OSError as err:
-        raise ScenarioError(f"cannot write {out!r}: {err.strerror}") from err
+        return json.dumps(payload, indent=2, allow_nan=False)
+    return _csv_text(rows)
 
 
-def _write_stdout(text: str) -> None:
-    """Write text to stdout and flush it, so that a failed write shows
-    here, as a ScenarioError, and not at interpreter shutdown."""
+def _csv_text(rows: Sequence[dict[str, Any]]) -> str:
+    """CSV of the rows. The header is the union of the rows' keys in
+    first-seen order, so it is known only once every row is in; a row
+    leaves the columns it lacks empty."""
+    header = list(dict.fromkeys(key for row in rows for key in row))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([row.get(key, "") for key in header] for row in rows)
+    return buffer.getvalue()
+
+
+def _json_sweep(header: dict[str, Any], rows: Iterable[dict[str, Any]]) -> Iterator[str]:
+    """json.dumps({**header, "rows": [*rows]}, indent=2, allow_nan=False)
+    in pieces, each row rendered as it arrives.
+
+    The header, not empty, goes through json.dumps. Each row (there is
+    at least one) is a non-empty dict of scalars; it goes through
+    JSONEncoder without indent, the C encoder, given the separators
+    that indent=2 puts between a row's items, so its keys and values
+    are written as json.dumps writes them and a NaN or infinity raises
+    ValueError.
+    """
+    head = json.dumps(header, indent=2, allow_nan=False)
+    yield head[:-2] + ',\n  "rows": ['  # head ends in "\n}"
+    encode = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": ")).encode
+    separator = "\n"
+    for row in rows:
+        yield f"{separator}    {{\n      {encode(row)[1:-1]}\n    }}"
+        separator = ",\n"
+    yield "\n  ]\n}"
+
+
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks, as they come, to the file out, or to stdout
+    followed by a newline if the text has no final one.
+
+    The file is opened before the first chunk is asked for. A file or
+    stdout that cannot be opened, written or flushed is a ScenarioError
+    naming it; stdout is flushed here, so that a failed write shows
+    here and not at interpreter shutdown.
+    """
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        with (open(out, "w", encoding="utf-8") if out is not None
+              else contextlib.nullcontext(sys.stdout)) as stream:
+            chunk = "\n"
+            for chunk in chunks:
+                stream.write(chunk)
+            if out is None and not chunk.endswith("\n"):
+                stream.write("\n")
+            stream.flush()
     except OSError as err:
-        raise ScenarioError(f"cannot write '<stdout>': {err.strerror}") from err
+        name = "<stdout>" if out is None else out
+        raise ScenarioError(f"cannot write {name!r}: {err.strerror}") from err
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -128,12 +155,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "check":
             rows = reference_checks()
             if args.out is not None:
-                _write(rows, rows, args.format, args.out)
-            _write_stdout("".join(
+                _write([_report_text(rows, rows, args.format)], args.out)
+            _write(["".join(
                 f"check {row['name']}: {'PASS' if row['ok'] else 'FAIL'} "
                 f"(value {row['value']:.6g}, expected {row['expected']:.6g}, "
                 f"{row['kind']} tolerance {row['tolerance']:.2g})\n"
-                for row in rows))
+                for row in rows)], None)
             return EXIT_OK if all(row["ok"] for row in rows) else EXIT_MISMATCH
 
         scenario = load_scenario(args.scenario)
@@ -147,7 +174,8 @@ def main(argv: list[str] | None = None) -> int:
                 payload["decibels"] = {
                     quad: _decibels(report.analytic.squeezing[quad])
                     for quad in QUAD_KEYS}
-            _write(payload, [_flatten(payload)], args.format, args.out)
+            _write([_report_text(payload, [_flatten(payload)], args.format)],
+                   args.out)
             if report.oracle is not None and not report.oracle["ok"]:
                 print(
                     f"oracle deviation {report.oracle['deviation']:.3e} "
@@ -157,18 +185,29 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_MISMATCH
             return EXIT_OK
 
-        rows = sweep(scenario)
-        for row in rows:
-            if args.db and row["status"] == "ok":
-                row.update({f"db_{quad}": _decibels(row[f"S_{quad}"])
-                            for quad in QUAD_KEYS})
-        _write({"parameter": scenario.sweep.parameter,
-                "scenario": scenario.to_dict(), "rows": rows},
-               rows, args.format, args.out)
-        misses = sum(row.get("oracle_ok") is False for row in rows)
+        count = misses = 0
+
+        def finished(rows: Iterable[dict[str, Any]]) -> Iterator[dict[str, Any]]:
+            nonlocal count, misses
+            for row in rows:
+                if args.db and row["status"] == "ok":
+                    row.update({f"db_{quad}": _decibels(row[f"S_{quad}"])
+                                for quad in QUAD_KEYS})
+                count += 1
+                misses += row.get("oracle_ok") is False
+                yield row
+
+        if args.format == "json":
+            # the rows go to the output as they are computed
+            rows = finished(_sweep_rows(scenario))
+            _write(_json_sweep({"parameter": scenario.sweep.parameter,
+                                "scenario": scenario.to_dict()}, rows), args.out)
+        else:
+            # the header needs every row's keys, so CSV waits for the last row
+            _write([_csv_text(list(finished(sweep(scenario))))], args.out)
         if misses:
             print(f"oracle deviation beyond tolerance in {misses} of "
-                  f"{len(rows)} rows", file=sys.stderr)
+                  f"{count} rows", file=sys.stderr)
             return EXIT_MISMATCH
         return EXIT_OK
 

@@ -17,7 +17,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .bogoliubov import SqueezeSpec, diagonalize
 from .errors import PhysicsError, ScenarioError, Unstable
@@ -369,14 +369,51 @@ def run(scenario: Scenario) -> RunReport:
 
 
 def _replace_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
+    """The scenario with one field set; the changed block is built anew,
+    so its __post_init__ checks the value."""
     block, _, name = path.rpartition(".")
     try:
         if not block:
-            return dataclasses.replace(scenario, **{name: value})
-        inner = dataclasses.replace(getattr(scenario, block), **{name: value})
-        return dataclasses.replace(scenario, **{block: inner})
+            return Scenario(**{**vars(scenario), name: value})
+        inner = getattr(scenario, block)
+        inner = type(inner)(**{**vars(inner), name: value})
     except ValueError as err:
         raise ScenarioError(f"{path}: {err}") from err
+    return Scenario(**{**vars(scenario), block: inner})
+
+
+def _sweep_row(scenario: Scenario, value: float) -> dict[str, Any]:
+    row: dict[str, Any] = {"parameter": scenario.sweep.parameter,
+                           "value": value, "status": "ok"}
+    try:
+        report = run(_replace_parameter(scenario, scenario.sweep.parameter, value))
+    except (PhysicsError, ScenarioError) as err:
+        row["status"] = "error"
+        row["error_type"] = type(err).__name__
+        row["error"] = str(err)
+        return row
+    row.update({
+        "f": report.squeeze.f,
+        "r": report.squeeze.r,
+        "pump_photons": report.pump.photon_number,
+        "P_0": report.pair_probabilities[0],
+        "P_1": report.pair_probabilities[1],
+        "P_2": report.pair_probabilities[2],
+    })
+    for quad in QUAD_KEYS:
+        row[f"S_{quad}"] = report.analytic.squeezing[quad]
+    if report.oracle is not None:
+        row["oracle_deviation"] = report.oracle["deviation"]
+        row["oracle_ok"] = report.oracle["ok"]
+    return row
+
+
+def _sweep_rows(scenario: Scenario) -> Iterator[dict[str, Any]]:
+    """The rows of sweep(scenario), each computed when it is asked for.
+    A scenario without a sweep block raises here, before any row runs."""
+    if scenario.sweep is None:
+        raise ScenarioError("scenario has no sweep block")
+    return (_sweep_row(scenario, value) for value in scenario.sweep.values)
 
 
 def sweep(scenario: Scenario) -> tuple[dict, ...]:
@@ -388,36 +425,7 @@ def sweep(scenario: Scenario) -> tuple[dict, ...]:
     only scenario-level problems (an unsweepable parameter, a missing
     sweep block) abort the whole call.
     """
-    if scenario.sweep is None:
-        raise ScenarioError("scenario has no sweep block")
-    rows = []
-    for value in scenario.sweep.values:
-        row: dict[str, Any] = {"parameter": scenario.sweep.parameter,
-                               "value": value, "status": "ok"}
-        try:
-            sub = _replace_parameter(scenario, scenario.sweep.parameter, value)
-            report = run(sub)
-        except (PhysicsError, ScenarioError) as err:
-            row["status"] = "error"
-            row["error_type"] = type(err).__name__
-            row["error"] = str(err)
-            rows.append(row)
-            continue
-        row.update({
-            "f": report.squeeze.f,
-            "r": report.squeeze.r,
-            "pump_photons": report.pump.photon_number,
-            "P_0": report.pair_probabilities[0],
-            "P_1": report.pair_probabilities[1],
-            "P_2": report.pair_probabilities[2],
-        })
-        for quad in QUAD_KEYS:
-            row[f"S_{quad}"] = report.analytic.squeezing[quad]
-        if report.oracle is not None:
-            row["oracle_deviation"] = report.oracle["deviation"]
-            row["oracle_ok"] = report.oracle["ok"]
-        rows.append(row)
-    return tuple(rows)
+    return tuple(_sweep_rows(scenario))
 
 
 def reference_scenario(oracle: bool = True) -> Scenario:

@@ -9,12 +9,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brisq.cli import (
-    EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _decibels, _flatten, main)
+    EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _csv_text, _decibels,
+    _flatten, _json_sweep, main)
 from brisq import pipeline
 from brisq.pipeline import OracleConfig, Scenario
 from brisq.squeezing import full_moment_table
@@ -422,6 +426,86 @@ def test_full_stdout_exits_two(args):
     assert done.returncode == EXIT_SCENARIO
     assert done.stderr == ("scenario error: cannot write '<stdout>': "
                            "No space left on device\n")
+
+
+@pytest.mark.parametrize("case", ["no-sweep-block", "unwritable-out"])
+def test_sweep_refuses_before_any_row_runs(monkeypatch, tmp_path, capsys, case):
+    runs = []
+    real_run = pipeline.run
+    monkeypatch.setattr(pipeline, "run",
+                        lambda scenario: runs.append(scenario) or real_run(scenario))
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report\n")
+    if case == "no-sweep-block":
+        args = ["sweep", RUN_SCENARIO, "--out", str(out)]
+    else:
+        args = ["sweep", SWEEP_SCENARIO, "--out", str(tmp_path / "missing" / "r.json")]
+    assert main(args) == EXIT_SCENARIO
+    assert capsys.readouterr().out == ""
+    assert runs == []
+    assert out.read_bytes() == b"an earlier report\n"
+
+
+def test_json_sweep_memory_stays_flat_in_the_row_count(tmp_path):
+    # rows go to the file as they are computed: a sweep that held every
+    # row and the whole text took ~4.9 KB per row here
+    steps = 4000
+    raw = read_scenario(SWEEP_SCENARIO)
+    raw["sweep"]["steps"] = steps
+    out = tmp_path / "rows.json"
+    args = ["sweep", write_scenario(tmp_path, raw), "--oracle", "off", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(args) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == steps and all(row["status"] == "ok" for row in rows)
+    assert peak < 1024 * steps
+
+
+# keys and strings with the characters a template or CSV could mishandle
+TEXT = st.text(st.sampled_from('%"\\,\n\r\t :ab\u00e9\u20ac\U0001d11e\x00'), max_size=6)
+SCALARS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308]),
+    st.integers(), st.booleans(), st.none(), TEXT)
+
+
+@st.composite
+def row_lists(draw):
+    """Rows in two key tuples, an ok one and a shorter error one."""
+    ok_keys = draw(st.lists(TEXT, min_size=1, max_size=6, unique=True))
+    error_keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+    shapes = draw(st.lists(st.sampled_from([ok_keys, error_keys]),
+                           min_size=1, max_size=6))
+    return [{key: draw(SCALARS) for key in keys} for keys in shapes]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(rows=row_lists(), parameter=TEXT, scenario=st.dictionaries(TEXT, SCALARS))
+def test_sweep_writers_match_the_library_writers(rows, parameter, scenario):
+    header = {"parameter": parameter, "scenario": scenario}
+    assert "".join(_json_sweep(header, rows)) == json.dumps(
+        {**header, "rows": rows}, indent=2, allow_nan=False)
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(dict.fromkeys(
+        key for row in rows for key in row)), restval="")
+    writer.writeheader()
+    writer.writerows(rows)
+    assert _csv_text(rows) == buffer.getvalue()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_sweep_refuses_non_finite_floats(value):
+    header = {"parameter": "k_pump", "scenario": {}}
+    rows = [{"value": 1.0}, {"value": value}]
+    message = "Out of range float values are not JSON compliant"
+    with pytest.raises(ValueError, match=message):
+        json.dumps({**header, "rows": rows}, indent=2, allow_nan=False)
+    with pytest.raises(ValueError, match=message):
+        "".join(_json_sweep(header, rows))
 
 
 def test_flatten():

@@ -355,7 +355,7 @@ def test_sweep_flux_scaling():
         sweep=SweepConfig(parameter="drive.flux_in",
                           values=(1e10, 4e10, 1.6e11)))
     rows = sweep(scenario)
-    assert len(rows) == 3
+    assert type(rows) is tuple and len(rows) == 3
     for row in rows:
         assert row["parameter"] == "drive.flux_in"
         assert row["status"] == "ok"
