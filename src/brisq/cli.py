@@ -13,7 +13,8 @@ float range), 4 oracle deviation beyond tolerance (in a run or in any
 sweep row) or a failed reference check.
 
 Identical inputs produce bit-identical outputs on one platform: the
-pipeline is deterministic and serialization uses repr-exact floats.
+pipeline is deterministic and serialization uses repr-exact floats. A
+sweep writes each row as it is computed; its CSV header is fixed first.
 """
 
 from __future__ import annotations
@@ -22,20 +23,21 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
 import sys
 from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import PhysicsError, ScenarioError
-from .pipeline import _sweep_rows, load_scenario, reference_checks, run, sweep
+from .pipeline import load_scenario, reference_checks, run, sweep, sweep_columns
 from .squeezing import QUAD_KEYS
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
 EXIT_PHYSICS = 3
 EXIT_MISMATCH = 4
+
+_DB_KEYS = tuple(f"db_{quad}" for quad in QUAD_KEYS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,23 +88,19 @@ def _flatten(value: Any, prefix: str = "") -> dict[str, Any]:
     return out
 
 
-def _report_text(payload: Any, rows: Sequence[dict[str, Any]], fmt: str) -> str:
-    """JSON of payload, or CSV of rows."""
-    if fmt == "json":
-        return json.dumps(payload, indent=2, allow_nan=False)
-    return _csv_text(rows)
+class _Echo:
+    """A file whose write returns the text, so writerow returns its line."""
+    def write(self, text: str) -> str:
+        return text
 
 
-def _csv_text(rows: Sequence[dict[str, Any]]) -> str:
-    """CSV of the rows. The header is the union of the rows' keys in
-    first-seen order, so it is known only once every row is in; a row
-    leaves the columns it lacks empty."""
-    header = list(dict.fromkeys(key for row in rows for key in row))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows([row.get(key, "") for key in header] for row in rows)
-    return buffer.getvalue()
+def _csv(header: Sequence[str], rows: Iterable[dict[str, Any]]) -> Iterator[str]:
+    """CSV of the rows under the header, a line as each row arrives; a
+    row leaves the columns it lacks empty."""
+    writer = csv.writer(_Echo())
+    yield writer.writerow(header)
+    for row in rows:
+        yield writer.writerow([row.get(key, "") for key in header])
 
 
 def _json_sweep(header: dict[str, Any], rows: Iterable[dict[str, Any]]) -> Iterator[str]:
@@ -155,7 +153,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "check":
             rows = reference_checks()
             if args.out is not None:
-                _write([_report_text(rows, rows, args.format)], args.out)
+                _write(_csv(list(rows[0]), rows) if args.format == "csv"
+                       else [json.dumps(rows, indent=2, allow_nan=False)], args.out)
             _write(["".join(
                 f"check {row['name']}: {'PASS' if row['ok'] else 'FAIL'} "
                 f"(value {row['value']:.6g}, expected {row['expected']:.6g}, "
@@ -174,8 +173,11 @@ def main(argv: list[str] | None = None) -> int:
                 payload["decibels"] = {
                     quad: _decibels(report.analytic.squeezing[quad])
                     for quad in QUAD_KEYS}
-            _write([_report_text(payload, [_flatten(payload)], args.format)],
-                   args.out)
+            if args.format == "csv":
+                payload = _flatten(payload)
+                _write(_csv(list(payload), [payload]), args.out)
+            else:
+                _write([json.dumps(payload, indent=2, allow_nan=False)], args.out)
             if report.oracle is not None and not report.oracle["ok"]:
                 print(
                     f"oracle deviation {report.oracle['deviation']:.3e} "
@@ -185,29 +187,28 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_MISMATCH
             return EXIT_OK
 
-        count = misses = 0
+        misses = 0
 
         def finished(rows: Iterable[dict[str, Any]]) -> Iterator[dict[str, Any]]:
-            nonlocal count, misses
+            nonlocal misses
             for row in rows:
                 if args.db and row["status"] == "ok":
-                    row.update({f"db_{quad}": _decibels(row[f"S_{quad}"])
-                                for quad in QUAD_KEYS})
-                count += 1
+                    row.update(zip(_DB_KEYS, (_decibels(row[f"S_{quad}"])
+                                             for quad in QUAD_KEYS)))
                 misses += row.get("oracle_ok") is False
                 yield row
 
-        if args.format == "json":
-            # the rows go to the output as they are computed
-            rows = finished(_sweep_rows(scenario))
+        # the rows go to the output as they are computed, in either format
+        rows = finished(sweep(scenario))
+        if args.format == "csv":
+            header = sweep_columns(scenario) + (_DB_KEYS if args.db else ())
+            _write(_csv(header, rows), args.out)
+        else:
             _write(_json_sweep({"parameter": scenario.sweep.parameter,
                                 "scenario": scenario.to_dict()}, rows), args.out)
-        else:
-            # the header needs every row's keys, so CSV waits for the last row
-            _write([_csv_text(list(finished(sweep(scenario))))], args.out)
         if misses:
             print(f"oracle deviation beyond tolerance in {misses} of "
-                  f"{count} rows", file=sys.stderr)
+                  f"{len(scenario.sweep.values)} rows", file=sys.stderr)
             return EXIT_MISMATCH
         return EXIT_OK
 

@@ -6,8 +6,8 @@ null entry counts as absent. Every numeric field is either a NUMBER or
 a FREQUENCY, which may also be a string with a unit suffix ("10 GHz");
 recognized suffixes are mHz, Hz, kHz, MHz, GHz, THz (case sensitive).
 Non-finite values are rejected. run() resolves one scenario end to end;
-sweep() runs a grid over one numeric scenario field, recording per-row
-failures without aborting the grid.
+sweep() runs a grid over one numeric scenario field row by row, recording
+per-row failures without aborting the grid.
 """
 
 from __future__ import annotations
@@ -382,50 +382,48 @@ def _replace_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
     return Scenario(**{**vars(scenario), block: inner})
 
 
+_ERROR_KEYS = ("parameter", "value", "status", "error_type", "error")
+_OK_KEYS = (*_ERROR_KEYS[:3], "f", "r", "pump_photons", "P_0", "P_1", "P_2",
+            *(f"S_{quad}" for quad in QUAD_KEYS))
+_ORACLE_KEYS = ("oracle_deviation", "oracle_ok")
+
+
+def sweep_columns(scenario: Scenario) -> tuple[str, ...]:
+    """Every key of sweep(scenario)'s rows, in row order: an error
+    row's keys, of which an ok row has the first three, then the rest."""
+    return (_ERROR_KEYS + _OK_KEYS[3:]
+            + (_ORACLE_KEYS if scenario.oracle.enabled else ()))
+
+
 def _sweep_row(scenario: Scenario, value: float) -> dict[str, Any]:
-    row: dict[str, Any] = {"parameter": scenario.sweep.parameter,
-                           "value": value, "status": "ok"}
+    parameter = scenario.sweep.parameter
     try:
-        report = run(_replace_parameter(scenario, scenario.sweep.parameter, value))
+        report = run(_replace_parameter(scenario, parameter, value))
     except (PhysicsError, ScenarioError) as err:
-        row["status"] = "error"
-        row["error_type"] = type(err).__name__
-        row["error"] = str(err)
-        return row
-    row.update({
-        "f": report.squeeze.f,
-        "r": report.squeeze.r,
-        "pump_photons": report.pump.photon_number,
-        "P_0": report.pair_probabilities[0],
-        "P_1": report.pair_probabilities[1],
-        "P_2": report.pair_probabilities[2],
-    })
-    for quad in QUAD_KEYS:
-        row[f"S_{quad}"] = report.analytic.squeezing[quad]
+        return dict(zip(_ERROR_KEYS,
+                        (parameter, value, "error", type(err).__name__, str(err))))
+    keys = _OK_KEYS
+    cells = (parameter, value, "ok", report.squeeze.f, report.squeeze.r,
+             report.pump.photon_number, *report.pair_probabilities[:3],
+             *map(report.analytic.squeezing.__getitem__, QUAD_KEYS))
     if report.oracle is not None:
-        row["oracle_deviation"] = report.oracle["deviation"]
-        row["oracle_ok"] = report.oracle["ok"]
-    return row
+        keys += _ORACLE_KEYS
+        cells += (report.oracle["deviation"], report.oracle["ok"])
+    return dict(zip(keys, cells))
 
 
-def _sweep_rows(scenario: Scenario) -> Iterator[dict[str, Any]]:
-    """The rows of sweep(scenario), each computed when it is asked for.
-    A scenario without a sweep block raises here, before any row runs."""
+def sweep(scenario: Scenario) -> Iterator[dict[str, Any]]:
+    """Run the scenario once per grid value of the swept parameter.
+
+    Returns an iterator of row dicts in grid order, each computed when it
+    is asked for; sweep_columns(scenario) names their keys. A row that
+    fails with a physics or scenario error (a grid value its field
+    rejects) records the error class and message, and the grid moves on.
+    A missing sweep block raises at this call, before any row runs.
+    """
     if scenario.sweep is None:
         raise ScenarioError("scenario has no sweep block")
     return (_sweep_row(scenario, value) for value in scenario.sweep.values)
-
-
-def sweep(scenario: Scenario) -> tuple[dict, ...]:
-    """Run the scenario once per grid value of the swept parameter.
-
-    Returns one row dict per grid value, in grid order. A row that
-    fails with a physics or scenario error (a grid value its field
-    rejects) records the error class and message and the grid moves on;
-    only scenario-level problems (an unsweepable parameter, a missing
-    sweep block) abort the whole call.
-    """
-    return tuple(_sweep_rows(scenario))
 
 
 def reference_scenario(oracle: bool = True) -> Scenario:

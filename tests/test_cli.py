@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brisq.cli import (
-    EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _csv_text, _decibels,
+    EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _csv, _decibels,
     _flatten, _json_sweep, main)
 from brisq import pipeline
 from brisq.pipeline import OracleConfig, Scenario
@@ -428,7 +428,8 @@ def test_full_stdout_exits_two(args):
                            "No space left on device\n")
 
 
-@pytest.mark.parametrize("case", ["no-sweep-block", "unwritable-out"])
+@pytest.mark.parametrize("case", ["no-sweep-block", "unwritable-out",
+                                  "unwritable-csv-out"])
 def test_sweep_refuses_before_any_row_runs(monkeypatch, tmp_path, capsys, case):
     runs = []
     real_run = pipeline.run
@@ -440,29 +441,78 @@ def test_sweep_refuses_before_any_row_runs(monkeypatch, tmp_path, capsys, case):
         args = ["sweep", RUN_SCENARIO, "--out", str(out)]
     else:
         args = ["sweep", SWEEP_SCENARIO, "--out", str(tmp_path / "missing" / "r.json")]
+        if case == "unwritable-csv-out":
+            args += ["--format", "csv"]
     assert main(args) == EXIT_SCENARIO
     assert capsys.readouterr().out == ""
     assert runs == []
     assert out.read_bytes() == b"an earlier report\n"
 
 
-def test_json_sweep_memory_stays_flat_in_the_row_count(tmp_path):
+def read_sweep(text, fmt):
+    """The rows of a sweep report, as JSON values or as CSV cells."""
+    if fmt == "json":
+        return json.loads(text)["rows"]
+    return list(csv.DictReader(io.StringIO(text, newline="")))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_memory_stays_flat_in_the_row_count(tmp_path, fmt):
     # rows go to the file as they are computed: a sweep that held every
     # row and the whole text took ~4.9 KB per row here
     steps = 4000
     raw = read_scenario(SWEEP_SCENARIO)
     raw["sweep"]["steps"] = steps
-    out = tmp_path / "rows.json"
-    args = ["sweep", write_scenario(tmp_path, raw), "--oracle", "off", "--out", str(out)]
+    out = tmp_path / f"rows.{fmt}"
+    args = ["sweep", write_scenario(tmp_path, raw), "--oracle", "off",
+            "--format", fmt, "--out", str(out)]
     tracemalloc.start()
     try:
         assert main(args) == EXIT_OK
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = json.loads(out.read_text())["rows"]
+    rows = read_sweep(out.read_text(encoding="utf-8"), fmt)
     assert len(rows) == steps and all(row["status"] == "ok" for row in rows)
     assert peak < 1024 * steps
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_into_a_closed_pipe_exits_two(tmp_path, fmt):
+    # the reader takes 100 bytes of a 10**4-row sweep and closes the pipe
+    raw = read_scenario(SWEEP_SCENARIO)
+    raw["sweep"]["steps"] = 10**4
+    args = ["sweep", write_scenario(tmp_path, raw), "--oracle", "off", "--format", fmt]
+    with subprocess.Popen([sys.executable, "-m", "brisq.cli", *args], env=_src_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert proc.returncode == EXIT_SCENARIO
+    assert stderr == b"scenario error: cannot write '<stdout>': Broken pipe\n"
+
+
+@pytest.mark.parametrize("args", [
+    [SWEEP_SCENARIO, "--db", "--oracle", "on"],
+    [str(SCENARIOS / "threshold_sweep.json")],
+], ids=["flux", "threshold"])
+def test_csv_sweep_drops_nothing_of_the_json_sweep(tmp_path, args):
+    # the CSV header is the fixed column list; a row's empty cells are
+    # the keys it lacks, and its other cells are its JSON values as text
+    reports = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"rows.{fmt}"
+        assert main(["sweep", *args, "--format", fmt, "--out", str(out)]) == EXIT_OK
+        reports[fmt] = read_sweep(out.read_text(encoding="utf-8"), fmt)
+    assert len(reports["json"]) == len(reports["csv"]) == 9
+    for json_row, csv_row in zip(reports["json"], reports["csv"]):
+        assert [(key, str(value)) for key, value in json_row.items()] == \
+            [(key, cell) for key, cell in csv_row.items() if cell != ""]
+    statuses = {row["status"] for row in reports["json"]}
+    assert statuses == ({"ok", "error"} if "threshold" in args[0] else {"ok"})
 
 
 # keys and strings with the characters a template or CSV could mishandle
@@ -475,26 +525,29 @@ SCALARS = st.one_of(
 
 @st.composite
 def row_lists(draw):
-    """Rows in two key tuples, an ok one and a shorter error one."""
+    """(columns, rows): rows in two key tuples, an ok one and a shorter
+    error one, and columns holding both key tuples and maybe more."""
     ok_keys = draw(st.lists(TEXT, min_size=1, max_size=6, unique=True))
     error_keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
     shapes = draw(st.lists(st.sampled_from([ok_keys, error_keys]),
                            min_size=1, max_size=6))
-    return [{key: draw(SCALARS) for key in keys} for keys in shapes]
+    columns = draw(st.permutations(list(dict.fromkeys(
+        error_keys + ok_keys + draw(st.lists(TEXT, max_size=2))))))
+    return columns, [{key: draw(SCALARS) for key in keys} for keys in shapes]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(rows=row_lists(), parameter=TEXT, scenario=st.dictionaries(TEXT, SCALARS))
-def test_sweep_writers_match_the_library_writers(rows, parameter, scenario):
+@given(table=row_lists(), parameter=TEXT, scenario=st.dictionaries(TEXT, SCALARS))
+def test_sweep_writers_match_the_library_writers(table, parameter, scenario):
+    columns, rows = table
     header = {"parameter": parameter, "scenario": scenario}
     assert "".join(_json_sweep(header, rows)) == json.dumps(
         {**header, "rows": rows}, indent=2, allow_nan=False)
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(dict.fromkeys(
-        key for row in rows for key in row)), restval="")
+    writer = csv.DictWriter(buffer, fieldnames=columns, restval="")
     writer.writeheader()
     writer.writerows(rows)
-    assert _csv_text(rows) == buffer.getvalue()
+    assert "".join(_csv(columns, rows)) == buffer.getvalue()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

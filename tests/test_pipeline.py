@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brisq import cli
+from brisq import cli, pipeline
 from brisq.errors import CutoffTooSmall, PhysicsError, ScenarioError, Unstable
 from brisq.focksim import _sector_spectrum
 from brisq.pipeline import (
@@ -349,13 +349,21 @@ def test_run_round_trips_through_scenario_dict():
     assert second.oracle["deviation"] == first.oracle["deviation"]
 
 
-def test_sweep_flux_scaling():
+def test_sweep_flux_scaling(monkeypatch):
     scenario = dataclasses.replace(
         reference_scenario(),
         sweep=SweepConfig(parameter="drive.flux_in",
                           values=(1e10, 4e10, 1.6e11)))
-    rows = sweep(scenario)
-    assert type(rows) is tuple and len(rows) == 3
+    runs = []
+    monkeypatch.setattr(pipeline, "run",
+                        lambda scenario: runs.append(scenario) or run(scenario))
+    lazy = sweep(scenario)
+    # each row runs when it is asked for, not when the sweep is made
+    assert runs == []
+    first = next(lazy)
+    assert len(runs) == 1
+    rows = (first, *lazy)
+    assert len(rows) == 3 and len(runs) == 3
     for row in rows:
         assert row["parameter"] == "drive.flux_in"
         assert row["status"] == "ok"
@@ -371,7 +379,7 @@ def test_sweep_records_unstable_rows():
     scenario = dataclasses.replace(
         reference_scenario(),
         sweep=SweepConfig(parameter="drive.flux_in", values=(1e12, 1e15)))
-    rows = sweep(scenario)
+    rows = tuple(sweep(scenario))
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"] == "error"
     assert rows[1]["error_type"] == "Unstable"
@@ -379,16 +387,16 @@ def test_sweep_records_unstable_rows():
 
 
 def test_sweep_rows_record_scenario_and_overflow_errors():
-    rejected = sweep(dataclasses.replace(
+    rejected = tuple(sweep(dataclasses.replace(
         reference_scenario(),
-        sweep=SweepConfig(parameter="drive.flux_in", values=(1e12, -1.0))))
+        sweep=SweepConfig(parameter="drive.flux_in", values=(1e12, -1.0)))))
     assert rejected[0]["status"] == "ok"
     assert rejected[1]["status"] == "error"
     assert rejected[1]["error_type"] == "ScenarioError"
     assert "flux_in must be nonnegative" in rejected[1]["error"]
-    overflow = sweep(dataclasses.replace(
+    overflow = tuple(sweep(dataclasses.replace(
         reference_scenario(),
-        sweep=SweepConfig(parameter="k_pump", values=(1e301,))))
+        sweep=SweepConfig(parameter="k_pump", values=(1e301,)))))
     assert overflow[0]["error_type"] == "PhysicsError"
 
 
@@ -435,7 +443,7 @@ def test_sweep_single_point_matches_run():
     scenario = dataclasses.replace(
         reference_scenario(),
         sweep=SweepConfig(parameter="drive.flux_in", values=(1e12,)))
-    row = sweep(scenario)[0]
+    row = tuple(sweep(scenario))[0]
     report = run(reference_scenario())
     assert row["f"] == report.squeeze.f
     assert row["r"] == report.squeeze.r
@@ -445,13 +453,13 @@ def test_sweep_single_point_matches_run():
 
 def test_sweep_other_parameters():
     base = reference_scenario()
-    coupling = sweep(dataclasses.replace(
-        base, sweep=SweepConfig(parameter="waveguide.g", values=(5e5, 1e6))))
+    coupling = tuple(sweep(dataclasses.replace(
+        base, sweep=SweepConfig(parameter="waveguide.g", values=(5e5, 1e6)))))
     assert coupling[1]["f"] == pytest.approx(
         2.0 * coupling[0]["f"], rel=1e-14)
-    wavenumbers = sweep(dataclasses.replace(
+    wavenumbers = tuple(sweep(dataclasses.replace(
         base, sweep=SweepConfig(parameter="k_pump",
-                                values=(0.5 * K_PUMP_REF, K_PUMP_REF))))
+                                values=(0.5 * K_PUMP_REF, K_PUMP_REF)))))
     assert all(row["status"] == "ok" for row in wavenumbers)
     # detuned pump couples more weakly than the matched reference
     assert wavenumbers[0]["r"] < wavenumbers[1]["r"]

@@ -2,11 +2,13 @@
 
 Random and mutated scenario dicts go through `cli.main` in-process. Every
 call must return 0, 2, 3 or 4 without raising, and whatever it prints on
-stdout must be strict JSON (no NaN or Infinity).
+stdout must be strict JSON (no NaN or Infinity), or CSV whose every
+record has as many cells as its header.
 """
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -120,8 +122,13 @@ def reject_constant(name):
 # occupation divided by expm1(0)
 @example(case=({**BASES[0], "thermal": {**BASES[0]["thermal"], "Omega": 1e-300}}, "run"),
          flags=[])
+# a CSV sweep whose second row is Unstable: an error row under the full header
+@example(case=({**BASES[1], "sweep": {"parameter": "drive.flux_in",
+                                      "values": [1e12, 1e15]}}, "sweep"),
+         flags=["--format=csv", "--db"])
 @given(case=cases(),
-       flags=st.lists(st.sampled_from(["--db", "--oracle=on", "--oracle=off"]),
+       flags=st.lists(st.sampled_from(["--db", "--oracle=on", "--oracle=off",
+                                       "--format=csv"]),
                       max_size=2, unique=True))
 def test_any_scenario_ends_in_documented_exit(case, flags):
     raw, verb = case
@@ -132,7 +139,10 @@ def test_any_scenario_ends_in_documented_exit(case, flags):
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main([verb, str(path), *flags])
     assert code in (0, 2, 3, 4)
-    if code in (0, 4):
+    if code in (0, 4) and "--format=csv" in flags:
+        header, *records = csv.reader(io.StringIO(stdout.getvalue(), newline=""))
+        assert records and all(len(record) == len(header) for record in records)
+    elif code in (0, 4):
         json.loads(stdout.getvalue(), parse_constant=reject_constant)
     else:
         assert stdout.getvalue() == ""
