@@ -32,6 +32,7 @@ from .squeezing import (
     pair_tail,
     table_deviation,
     thermal_occupation,
+    worst,
 )
 from .waveguide import BACKWARD, FORWARD, BrillouinTriple, WaveguideParams, phase_match
 
@@ -338,8 +339,8 @@ def run(scenario: Scenario) -> RunReport:
         # |n, n> weights, read once from the diagonal; 0 beyond the basis
         weights = (abs(state.grid().diagonal()[:PAIR_PROBABILITY_ORDERS]) ** 2).tolist()
         weights += [0.0] * (PAIR_PROBABILITY_ORDERS - len(weights))
-        deviation = max(table_deviation(analytic, numeric),
-                        *(abs(p - q) for p, q in zip(pair_probs, weights)))
+        deviation = worst([table_deviation(analytic, numeric),
+                           *(abs(p - q) for p, q in zip(pair_probs, weights))])
         oracle_block = {
             "cutoff": cutoff,
             "tail_mass": pair_tail(squeeze.r, cutoff),

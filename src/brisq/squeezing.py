@@ -11,6 +11,7 @@ squeezing of the pair state.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import require_finite, require_number
@@ -132,15 +133,26 @@ def full_moment_table(r: float) -> MomentTable:
     )
 
 
+def worst(deviations: Iterable[float]) -> float:
+    """The largest of deviations, or NaN if any is NaN.
+
+    The builtin max keeps a NaN only in first place, since every
+    comparison with NaN is False, so a NaN anywhere else would vanish.
+    """
+    values = list(deviations)
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def table_deviation(left: MomentTable, right: MomentTable) -> float:
-    """Largest absolute difference over every entry, matched by name; an
-    entry only one table holds raises KeyError instead of being skipped."""
+    """Largest absolute difference over every entry, matched by name, or
+    NaN if any difference is NaN; an entry only one table holds raises
+    KeyError instead of being skipped."""
     sections = [(getattr(left, name), getattr(right, name))
                 for name in ("first", "second", "products", "squeezing", "cross")]
     for a, b in sections:
         if a.keys() != b.keys():
             raise KeyError(f"entries on one side only: {sorted(a.keys() ^ b.keys())}")
-    return max(abs(a[key] - b[key]) for a, b in sections for key in a)
+    return worst(abs(a[key] - b[key]) for a, b in sections for key in a)
 
 
 def thermal_occupation(env: ThermalEnv) -> float:

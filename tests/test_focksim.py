@@ -7,6 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from brisq import focksim
@@ -27,8 +29,21 @@ from brisq.focksim import (
     squeezed_vacuum,
     vacuum_state,
 )
-from brisq.squeezing import full_moment_table, pair_probability, pair_tail, table_deviation
-from brisq.focksim import _ladder_images, _sector_block, _sector_index, _sector_spectrum
+from brisq.squeezing import (
+    QUAD_KEYS,
+    full_moment_table,
+    pair_probability,
+    pair_tail,
+    table_deviation,
+)
+from brisq.focksim import (
+    _PLAN_MEMO_BYTES,
+    _band_plan,
+    _band_plans,
+    _sector_block,
+    _sector_index,
+    _sector_spectrum,
+)
 
 R_REF = 0.05016767361301254
 # top of the range the cutoff cap serves: pair_tail(EDGE_R, 128) = 1e-12,
@@ -135,12 +150,25 @@ def test_ladder_commutators():
 
 
 def test_grid_actions_match_dense_products():
+    # each image of a band plan is the dense ladder product on the
+    # plan's points, and the product is zero off them: on a dense state
+    # (every sector) and on one occupying sectors 1..2 alone
     ops = ladder_operators(6)
     rng = np.random.default_rng(5)
-    amp = rng.normal(size=36) + 1j * rng.normal(size=36)
-    images = _ladder_images(amp.reshape(6, 6)).reshape(5, -1)
-    for image, op in zip(images, (np.eye(36), ops.a, ops.b, ops.adag, ops.bdag)):
-        assert np.array_equal(image, op @ amp)
+    dense = rng.normal(size=36) + 1j * rng.normal(size=36)
+    n_a, n_b = np.divmod(np.arange(36), 6)
+    banded = np.where((n_a - n_b >= 1) & (n_a - n_b <= 2), dense, 0.0)
+    for amp, lo, hi in ((dense, -5, 5), (banded, 1, 2)):
+        sources, weights = _band_plan(6, lo, hi)
+        points = sources[0]  # psi reads itself
+        sector = n_a - n_b
+        assert np.array_equal(np.sort(points),
+                              np.flatnonzero((sector >= lo - 1) & (sector <= hi + 1)))
+        images = weights * amp[sources]
+        for image, op in zip(images, (np.eye(36), ops.a, ops.b, ops.adag, ops.bdag)):
+            product = op @ amp
+            assert np.array_equal(image, product[points])
+            assert not np.delete(product, points).any()
 
 
 def test_squeeze_operator_identity_at_zero():
@@ -536,6 +564,71 @@ def test_measure_moments_match_dense_expectations():
         assert abs(table.max_imag_discarded - worst_imag) <= 1e-12
 
 
+@st.composite
+def supported_states(draw):
+    """A normalized state at cutoff 2-16 on a drawn support: one band of
+    up to three sectors, two sectors at least two apart, a basis-corner
+    Fock state |n-1, 0> or |0, n-1>, or every sector; real or complex,
+    with random amplitudes on a random part of that support."""
+    cutoff = draw(st.integers(2, 16))
+    n_a, n_b = np.divmod(np.arange(cutoff * cutoff), cutoff)
+    sector = n_a - n_b
+    kind = draw(st.sampled_from(("band", "two bands", "corner", "dense")))
+    if kind == "band":
+        lo = draw(st.integers(1 - cutoff, cutoff - 1))
+        support = (sector >= lo) & (sector <= lo + draw(st.integers(0, 2)))
+    elif kind == "two bands":
+        first = draw(st.integers(1 - cutoff, cutoff - 3))
+        second = draw(st.integers(first + 2, cutoff - 1))
+        support = (sector == first) | (sector == second)
+    elif kind == "corner":
+        corner = draw(st.sampled_from(((cutoff - 1, 0), (0, cutoff - 1))))
+        support = (n_a == corner[0]) & (n_b == corner[1])
+    else:
+        support = np.ones(cutoff * cutoff, dtype=bool)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    thinned = support & (rng.random(support.size) < draw(st.floats(0.3, 1.0)))
+    if thinned.any():
+        support = thinned
+    amp = rng.normal(size=support.size)
+    if draw(st.booleans()):
+        amp = amp + 1j * rng.normal(size=support.size)
+    amp = np.where(support, amp, 0.0)
+    return TwoModeState(amplitudes=amp / np.linalg.norm(amp), cutoff=cutoff)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(supported_states())
+def test_band_moments_match_dense_expectations_on_any_support(state):
+    table = measure_moments(state)
+    first, second, cross = dense_moments(state)
+    for measured, dense in ((table.first, first), (table.second, second),
+                            (table.cross, cross)):
+        assert list(measured) == list(dense)
+        for key, value in dense.items():
+            assert abs(measured[key] - value.real) <= 1e-12, key
+    for mode in "abcd":
+        var_x = (second[f"X_{mode}"] - first[f"X_{mode}"] ** 2).real
+        var_y = (second[f"Y_{mode}"] - first[f"Y_{mode}"] ** 2).real
+        assert abs(table.squeezing[f"X_{mode}"] - (var_x - 0.5)) <= 1e-12
+        assert abs(table.squeezing[f"Y_{mode}"] - (var_y - 0.5)) <= 1e-12
+        assert abs(table.products[mode] - math.sqrt(var_x * var_y)) <= 1e-12
+    worst_imag = max(abs(value.imag) for values in (first, second, cross)
+                     for value in values.values())
+    assert abs(table.max_imag_discarded - worst_imag) <= 1e-12
+
+
+def test_a_negative_variance_product_raises(monkeypatch):
+    # a variance below 0 is rounding or a broken combination; math.sqrt
+    # refuses the product where np.sqrt would return NaN. Rows 8-15 of
+    # the table coefficients are the second moments in QUAD_KEYS order
+    coefficients = focksim._TABLE_COEFFICIENTS.copy()
+    coefficients[8 + QUAD_KEYS.index("X_a")] *= -1.0
+    monkeypatch.setattr(focksim, "_TABLE_COEFFICIENTS", coefficients)
+    with pytest.raises(ValueError, match="math domain error"):
+        measure_moments(vacuum_state(4))
+
+
 def test_measure_moments_requires_a_normalized_state():
     # at cutoff 5 (<psi|psi> = 18.4) the table used to come back silently
     # wrong, at 14 (182.3) as a math domain error from the products
@@ -575,6 +668,84 @@ def test_measure_moments_of_a_real_state_takes_real_grids():
     finally:
         tracemalloc.stop()
     assert peak < 7 * cutoff * cutoff * 8
+
+
+def test_squeezed_vacuum_is_measured_on_its_band_alone():
+    # the images cover sectors -1..1 only: below 2 real grids at cutoff
+    # 128 (~0.2 measured: the occupancy mask is 1/8 of a grid), plan
+    # built inside the window or not
+    cutoff = 128
+    state = squeezed_vacuum(cutoff, 1.0)
+    for cold in (True, False):
+        if cold:
+            _band_plans.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            measure_moments(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * cutoff * cutoff * 8, cold
+
+
+def test_dense_complex_state_memory_is_bounded():
+    # every sector is in the band: five complex images and their
+    # conjugate (10 complex grids), the occupied indices and their
+    # sectors (~1.5), and a cold plan (5), ~17 measured
+    cutoff = 128
+    rng = np.random.default_rng(3)
+    amp = rng.normal(size=cutoff * cutoff) + 1j * rng.normal(size=cutoff * cutoff)
+    state = TwoModeState(amplitudes=amp / np.linalg.norm(amp), cutoff=cutoff)
+    _band_plans.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        measure_moments(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * cutoff * cutoff * 16
+
+
+def test_plan_memo_memory_is_bounded():
+    # 80 bytes per band point: the squeezed vacuum's plans of cutoffs
+    # 2-128 take ~2.0 MB and a dense plan at 128 ~1.3 MB, so all of them
+    # stay; more dense plans evict the least recently used, and the memo
+    # never holds more than _PLAN_MEMO_BYTES (4 MB)
+    def retained():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    states = [squeezed_vacuum(cutoff, 0.0) for cutoff in range(2, CUTOFF_CAP + 1)]
+    rng = np.random.default_rng(4)
+    amp = rng.normal(size=CUTOFF_CAP ** 2)
+    dense = TwoModeState(amplitudes=amp / np.linalg.norm(amp), cutoff=CUTOFF_CAP)
+    cold = [measure_moments(state) for state in (*states[::9], dense)]
+    _band_plans.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for state in states:
+            measure_moments(state)
+        measure_moments(dense)
+        walked = retained()
+        held = len(_band_plans.plans), _band_plans.size
+        for cutoff in range(110, CUTOFF_CAP + 1):
+            _band_plans(cutoff, 1 - cutoff, cutoff - 1)
+        crowded = retained()
+    finally:
+        tracemalloc.stop()
+    assert held[0] == len(states) + 1
+    assert held[1] <= 3_400_000
+    assert walked <= _PLAN_MEMO_BYTES
+    assert _band_plans.size <= _PLAN_MEMO_BYTES
+    assert crowded <= _PLAN_MEMO_BYTES + 100_000
+    # a plan rebuilt after eviction gives the same table, bit for bit
+    assert [measure_moments(state) for state in (*states[::9], dense)] == cold
+    for part in _band_plan(16, -2, 3):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0, 0] = 1
 
 
 def test_states_keep_the_dtype_they_are_given():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brisq import cli, pipeline
+from brisq import cli, focksim, pipeline
 from brisq.errors import CutoffTooSmall, PhysicsError, ScenarioError, Unstable
 from brisq.focksim import _sector_spectrum
 from brisq.pipeline import (
@@ -328,6 +328,34 @@ def test_oracle_holds_wherever_it_finds_a_cutoff(ratio):
         return
     json.dumps(report.to_dict(), allow_nan=False)
     assert report.oracle["ok"] is True, report.oracle["deviation"]
+
+
+@pytest.mark.parametrize("where", ["table", "pair weights"])
+def test_oracle_deviation_propagates_nan(monkeypatch, where):
+    # run's deviation is the worst of the table deviation and the pair
+    # weight differences; a NaN in either, wherever it sits, fails the
+    # oracle instead of being dropped by max
+    built = {}
+
+    def vacuum(cutoff, r):
+        state = built["state"] = focksim.squeezed_vacuum(cutoff, r)
+        if where == "table":
+            return state
+        amplitudes = state.amplitudes.copy()
+        amplitudes[cutoff + 1] = math.nan  # |1, 1>, the P_1 weight
+        return focksim.TwoModeState(amplitudes=amplitudes, cutoff=cutoff)
+
+    def moments(state):
+        table = focksim.measure_moments(built["state"])
+        if where == "table":
+            table = dataclasses.replace(table, cross={**table.cross, "n_a": math.nan})
+        return table
+
+    monkeypatch.setattr(pipeline, "squeezed_vacuum", vacuum)
+    monkeypatch.setattr(pipeline, "measure_moments", moments)
+    oracle = run(reference_scenario()).oracle
+    assert math.isnan(oracle["deviation"])
+    assert oracle["ok"] is False
 
 
 def test_oracle_report_does_not_depend_on_the_spectrum_memo():

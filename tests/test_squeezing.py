@@ -20,6 +20,7 @@ from brisq.squeezing import (
     pair_tail,
     table_deviation,
     thermal_occupation,
+    worst,
 )
 
 R_REF = 0.05016767361301254  # reference device squeeze parameter
@@ -202,6 +203,25 @@ def test_table_deviation():
             table_deviation(left, short)
         with pytest.raises(KeyError):
             table_deviation(short, left)
+
+
+def test_table_deviation_propagates_nan():
+    # a NaN in any entry, on either side, makes the deviation NaN; the
+    # builtin max kept it only where it was compared first, first["X_a"]
+    left = full_moment_table(0.3)
+    for section in ("first", "second", "products", "squeezing", "cross"):
+        for key in getattr(left, section):
+            poisoned = dataclasses.replace(
+                left, **{section: {**getattr(left, section), key: math.nan}})
+            assert math.isnan(table_deviation(left, poisoned)), (section, key)
+            assert math.isnan(table_deviation(poisoned, left)), (section, key)
+
+
+def test_worst_is_the_largest_or_nan():
+    assert worst([0.0, 3.0, 2.0]) == 3.0
+    for values in ([math.nan, 1.0], [1.0, math.nan], [2.0, 0.0, math.nan]):
+        assert math.isnan(worst(values)), values
+    assert math.isnan(worst(iter([1.0, math.nan])))
 
 
 def test_thermal_occupation_reference_bath():
