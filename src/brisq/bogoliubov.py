@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .errors import Unstable, require_finite
 
 
-@dataclass(frozen=True)
+@dataclass
 class SqueezeSpec:
     """Result of diagonalizing the pair Hamiltonian.
 

@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -40,6 +41,9 @@ EXIT_MISMATCH = 4
 _DB_KEYS = tuple(f"db_{quad}" for quad in QUAD_KEYS)
 
 
+# one parser per process, built at the first main() call: parse_args
+# leaves it as it was and returns a fresh namespace each time
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brisq",

@@ -518,7 +518,8 @@ _band_plans = _PlanMemo(_PLAN_MEMO_BYTES)
 
 def _moment_forms() -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
     """Every first, second and cross moment as a bra/ket pair over the
-    rows of _ladder_images, flattened to coefficients of the Gram matrix.
+    five images of _band_plan (psi, a psi, b psi, a^dag psi, b^dag psi),
+    flattened to coefficients of the Gram matrix.
 
     <bra|ket> = sum_ij conj(bra_i) ket_j G[i, j] for G[i, j] =
     <image_i|image_j>. Moments of two lowerings, <psi|x y psi>, become

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from .bogoliubov import SqueezeSpec, diagonalize
-from .errors import PhysicsError, ScenarioError, Unstable
+from .errors import PhysicsError, ScenarioError, Unstable, require_finite
 from .focksim import choose_cutoff, measure_moments, require_cutoff, squeezed_vacuum
 from .pump import PumpDrive, PumpSteadyState, pump_steady_state
 from .squeezing import (
@@ -262,7 +262,7 @@ def load_scenario(path: str) -> Scenario:
     return Scenario.from_dict(raw)
 
 
-@dataclass(frozen=True)
+@dataclass
 class RunReport:
     """Everything one scenario run produced; to_dict() is the JSON report."""
 
@@ -341,6 +341,8 @@ def run(scenario: Scenario) -> RunReport:
         weights += [0.0] * (PAIR_PROBABILITY_ORDERS - len(weights))
         deviation = worst([table_deviation(analytic, numeric),
                            *(abs(p - q) for p, q in zip(pair_probs, weights))])
+        # a NaN or infinity in the numeric table or the weights shows here
+        require_finite("oracle deviations", deviation)
         oracle_block = {
             "cutoff": cutoff,
             "tail_mass": pair_tail(squeeze.r, cutoff),

@@ -34,7 +34,7 @@ class PumpDrive:
             raise ValueError("flux_in must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass
 class PumpSteadyState:
     """Resolved steady state of the driven pump mode.
 

@@ -25,7 +25,7 @@ MODE_KEYS = ("a", "b", "c", "d")
 CROSS_KEYS = ("n_a", "n_b", "n_c", "n_d", "ab", "adag_b", "a2", "b2", "c2", "d2")
 
 
-@dataclass(frozen=True)
+@dataclass
 class MomentTable:
     """Moments of a two-mode state, keyed by quadrature and mode labels.
 

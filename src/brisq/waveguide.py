@@ -61,7 +61,7 @@ class WaveguideParams:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass
 class BrillouinTriple:
     """One phase-matched pump/signal/phonon triple.
 

@@ -1,5 +1,6 @@
 """Command line behavior: verbs, formats, exit codes, determinism."""
 
+import argparse
 import copy
 import csv
 import dataclasses
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from brisq.cli import (
     EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _csv, _decibels,
     _flatten, _json_sweep, main)
-from brisq import pipeline
+from brisq import cli, pipeline
 from brisq.pipeline import OracleConfig, Scenario
 from brisq.squeezing import full_moment_table
 
@@ -136,6 +137,26 @@ def test_run_oracle_mismatch_still_writes_report(tmp_path, capsys):
     assert payload["oracle"]["ok"] is False
     assert payload["oracle"]["deviation"] > 1e-16
     assert "exceeds tolerance" in captured.err
+
+
+def poison_oracle_table(monkeypatch):
+    """Make the oracle's measured table hold a NaN, as an overflowing
+    kernel would."""
+    measure = pipeline.measure_moments
+
+    def measured_nan(state):
+        table = measure(state)
+        return dataclasses.replace(table, cross={**table.cross, "n_a": math.nan})
+
+    monkeypatch.setattr(pipeline, "measure_moments", measured_nan)
+
+
+def test_run_nan_oracle_deviation_exits_three(monkeypatch, capsys):
+    poison_oracle_table(monkeypatch)
+    assert main(["run", RUN_SCENARIO]) == EXIT_PHYSICS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "PhysicsError: oracle deviations overflow the float range\n"
 
 
 def test_run_missing_file(capsys):
@@ -368,6 +389,37 @@ def test_sweep_oracle_miss_exits_four_after_full_report(tmp_path, capsys):
     assert len(rows) == 9
     assert all(row["oracle_ok"] is False for row in rows)
     assert "beyond tolerance in 9 of 9 rows" in captured.err
+
+
+def test_sweep_nan_oracle_deviation_ends_in_error_rows(monkeypatch, capsys):
+    poison_oracle_table(monkeypatch)
+    assert main(["sweep", SWEEP_SCENARIO, "--oracle", "on"]) == EXIT_OK
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["rows"]
+    assert len(rows) == 9
+    assert all(row["status"] == "error" and row["error_type"] == "PhysicsError"
+               for row in rows), rows
+    assert captured.err == ""
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    out = tmp_path / "run.json"
+    assert main(["run", RUN_SCENARIO, "--db", "--format", "csv"]) == EXIT_OK
+    assert main(["sweep", SWEEP_SCENARIO, "--oracle", "off"]) == EXIT_OK
+    assert main(["run", RUN_SCENARIO, "--out", str(out)]) == EXIT_OK
+    assert built == ["brisq", "brisq run", "brisq sweep", "brisq check"]
+    # each call parses into a namespace of its own: no flag carries over
+    payload = json.loads(out.read_text())
+    assert "decibels" not in payload and "oracle" in payload
 
 
 def test_check_csv_out_writes_csv(tmp_path, capsys):

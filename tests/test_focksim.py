@@ -641,10 +641,11 @@ def test_measure_moments_requires_a_normalized_state():
 
 
 def test_measure_moments_memory_is_bounded():
-    # the bound is a complex state's: five complex grids for its four
-    # ladder images and itself, five for their conjugate in the Gram
-    # matmul. The squeezed vacuum is real and takes about 6.5 real grids
-    # (see the next test)
+    # a loose ceiling of 11 complex grids: the band kernel measures this
+    # squeezed vacuum in ~0.2 real grids, ~0.6 when its plan is built
+    # inside the window. The tight bound is
+    # test_squeezed_vacuum_is_measured_on_its_band_alone's, and the
+    # dense complex bound test_dense_complex_state_memory_is_bounded's
     cutoff = 128
     state = squeezed_vacuum(cutoff, 1.0)
     tracemalloc.start()
@@ -657,8 +658,10 @@ def test_measure_moments_memory_is_bounded():
 
 
 def test_measure_moments_of_a_real_state_takes_real_grids():
-    # a real state's five images are real grids, and .conj() of a real
-    # array is the array itself, so the Gram matmul copies nothing
+    # a real state's five images and its Gram matrix are real, and
+    # .conj() of a real array is the array itself. The images cover the
+    # band alone, ~3 * cutoff points here, so this squeezed vacuum takes
+    # ~0.2 real grids and the ceiling of 7 is loose
     cutoff = 128
     state = squeezed_vacuum(cutoff, 1.0)
     tracemalloc.start()

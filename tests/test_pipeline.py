@@ -333,8 +333,9 @@ def test_oracle_holds_wherever_it_finds_a_cutoff(ratio):
 @pytest.mark.parametrize("where", ["table", "pair weights"])
 def test_oracle_deviation_propagates_nan(monkeypatch, where):
     # run's deviation is the worst of the table deviation and the pair
-    # weight differences; a NaN in either, wherever it sits, fails the
-    # oracle instead of being dropped by max
+    # weight differences; a NaN in either, wherever it sits, reaches the
+    # deviation instead of being dropped by max, and run refuses it as a
+    # physics failure rather than report a NaN
     built = {}
 
     def vacuum(cutoff, r):
@@ -353,9 +354,8 @@ def test_oracle_deviation_propagates_nan(monkeypatch, where):
 
     monkeypatch.setattr(pipeline, "squeezed_vacuum", vacuum)
     monkeypatch.setattr(pipeline, "measure_moments", moments)
-    oracle = run(reference_scenario()).oracle
-    assert math.isnan(oracle["deviation"])
-    assert oracle["ok"] is False
+    with pytest.raises(PhysicsError, match="oracle deviations overflow the float range"):
+        run(reference_scenario())
 
 
 def test_oracle_report_does_not_depend_on_the_spectrum_memo():
@@ -530,6 +530,22 @@ def test_block_kinds_follow_the_dataclass_field_order():
     # keys; one order serves both
     for block, (cls, kinds) in _BLOCKS.items():
         assert list(kinds) == [f.name for f in dataclasses.fields(cls)], block
+
+
+def test_scenario_and_its_blocks_are_frozen():
+    # a sweep shares one scenario across its rows, and OracleConfig() is
+    # a dataclass default; the stage results are plain records
+    scenario = dataclasses.replace(
+        reference_scenario(), sweep=SweepConfig("drive.flux_in", (1e12,)))
+    inputs = [scenario, scenario.sweep,
+              *(getattr(scenario, block) for block in _BLOCKS)]
+    assert sorted(type(value).__name__ for value in inputs) == [
+        "OracleConfig", "PumpDrive", "Scenario", "SweepConfig", "ThermalEnv",
+        "WaveguideParams"]
+    for value in inputs:
+        name = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
 
 
 def test_scenario_to_dict_leaves_out_absent_blocks_but_not_k_pump():
