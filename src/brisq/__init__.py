@@ -9,25 +9,22 @@ the vacuum variance is 1/2.
 The package exports what the CLI and the end-to-end guarantees use;
 everything else is imported from its submodule.
 
-If brisq is imported before numpy, numpy's OpenBLAS is loaded with one
-thread. brisq's matrices have at most a few hundred rows, so a second
-thread does not help. It does cost: at load it spins ~70 ms of CPU on
-another core, and when that core is busy, a fresh `brisq` process runs
-~25% slower. To keep your own setting, set OPENBLAS_NUM_THREADS or
-import numpy before brisq.
+Only the Fock oracle (brisq.focksim) needs numpy, and it is imported at
+first use: at the first run with the oracle on, or when one of its
+exports is first asked of this package (`from brisq import
+squeezed_vacuum`). Importing brisq, a sweep or a run with the oracle off
+never load numpy.
+
+If the oracle is loaded before numpy, numpy's OpenBLAS is loaded with
+one thread. brisq's matrices have at most a few hundred rows, so a
+second thread does not help. It does cost: at load it spins ~70 ms of
+CPU on another core, and when that core is busy, a fresh `brisq`
+process runs ~25% slower. To keep your own setting, set
+OPENBLAS_NUM_THREADS or import numpy before the first oracle run.
 """
 
 from .bogoliubov import diagonalize
 from .errors import PhysicsError, ScenarioError, Unstable
-from .focksim import (
-    apply_squeeze_factorized,
-    bogoliubov_check,
-    herald,
-    measure_moments,
-    squeeze_operator,
-    squeezed_vacuum,
-    vacuum_state,
-)
 from .pipeline import (
     RunReport,
     Scenario,
@@ -48,6 +45,27 @@ from .squeezing import (
 from .waveguide import BACKWARD, FORWARD, WaveguideParams, phase_match
 
 __version__ = "0.1.0"
+
+# served by __getattr__, so that importing brisq does not import numpy
+_FOCKSIM_EXPORTS = frozenset({
+    "apply_squeeze_factorized",
+    "bogoliubov_check",
+    "herald",
+    "measure_moments",
+    "squeeze_operator",
+    "squeezed_vacuum",
+    "vacuum_state",
+})
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: called only for a name this module does not hold yet
+    if name in _FOCKSIM_EXPORTS:
+        from . import focksim
+
+        value = globals()[name] = getattr(focksim, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BACKWARD",

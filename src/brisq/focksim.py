@@ -39,8 +39,11 @@ from typing import Callable, NamedTuple
 
 if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     # numpy loads OpenBLAS with one thread (see the package docstring).
-    # OpenBLAS reads the variable once, when numpy loads it; child
-    # processes do not inherit it.
+    # This module is the only one that imports numpy, and the package
+    # imports it at the first oracle run (or the first focksim name
+    # asked of brisq or brisq.pipeline), so the guard holds whichever
+    # comes first. OpenBLAS reads the variable once, when numpy loads
+    # it; child processes do not inherit it.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy  # noqa: F401
@@ -49,10 +52,15 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
 
 import numpy as np
 
-from .errors import CutoffTooSmall, ZeroProbability, require_number
+from .errors import (
+    CUTOFF_CAP,
+    CutoffTooSmall,
+    ZeroProbability,
+    require_cutoff,
+    require_number,
+)
 from .squeezing import CROSS_KEYS, MODE_KEYS, QUAD_KEYS, MomentTable, pair_tail
 
-CUTOFF_CAP = 128
 DENSE_CAP = 48
 TAIL_TOL = 1e-12
 EDGE_TOL = 1e-10
@@ -64,20 +72,6 @@ _SPECTRUM_MEMO = 256
 # bytes of band plans kept by measure_moments: the squeezed vacuum's
 # plans of every cutoff up to the cap and a dense plan at the cap fit
 _PLAN_MEMO_BYTES = 4_000_000
-
-
-def require_cutoff(cutoff: int) -> None:
-    """The one cutoff gate: ValueError unless cutoff is an int in
-    [2, CUTOFF_CAP].
-
-    A basis of cutoff levels per mode has cutoff**2 states. A dense
-    operator on it costs 8 * cutoff**4 bytes, 2.1 GB at CUTOFF_CAP, so
-    the one dense builder, squeeze_operator, stops at DENSE_CAP, ~42 MB
-    per matrix; everything else works sector by sector or on state
-    vectors.
-    """
-    if type(cutoff) is not int or not 2 <= cutoff <= CUTOFF_CAP:
-        raise ValueError(f"cutoff: expected an integer in [2, {CUTOFF_CAP}]")
 
 
 def _require_occupation(cutoff: int, *levels: int) -> None:

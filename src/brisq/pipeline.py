@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from .bogoliubov import SqueezeSpec, diagonalize
-from .errors import PhysicsError, ScenarioError, Unstable, require_finite
-from .focksim import choose_cutoff, measure_moments, require_cutoff, squeezed_vacuum
+from .errors import PhysicsError, ScenarioError, Unstable, require_cutoff, require_finite
 from .pump import PumpDrive, PumpSteadyState, pump_steady_state
 from .squeezing import (
     QUAD_KEYS,
@@ -54,6 +53,32 @@ MAX_SWEEP_STEPS = 10**6
 
 FREQUENCY = "frequency"
 NUMBER = "number"
+
+# The Fock oracle's functions. run() calls them through this module's
+# globals, which are bound at the first oracle run, or when a caller asks
+# this module for one of them first, so that only the oracle imports
+# focksim and numpy.
+_ORACLE_NAMES = ("choose_cutoff", "squeezed_vacuum", "measure_moments")
+_oracle_bound = False
+
+
+def _bind_oracle() -> None:
+    """Import focksim and bind _ORACLE_NAMES here; a name that is already
+    set, such as a timing wrapper or a test's stand-in, is kept."""
+    global _oracle_bound
+    from . import focksim
+
+    for name in _ORACLE_NAMES:
+        globals().setdefault(name, getattr(focksim, name))
+    _oracle_bound = True
+
+
+def __getattr__(name: str) -> Any:
+    # PEP 562: called only for a name this module does not hold yet
+    if name in _ORACLE_NAMES:
+        _bind_oracle()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_value(value: Any, kind: str, where: str = "value") -> float:
@@ -330,6 +355,8 @@ def run(scenario: Scenario) -> RunReport:
 
     oracle_block = None
     if scenario.oracle.enabled:
+        if not _oracle_bound:
+            _bind_oracle()
         cutoff = scenario.oracle.cutoff
         if cutoff is None:
             cutoff = choose_cutoff(squeeze.r,

@@ -1,9 +1,12 @@
 """Command line behavior: verbs, formats, exit codes, determinism."""
 
 import argparse
+import ast
 import copy
 import csv
 import dataclasses
+import gc
+import importlib
 import io
 import json
 import math
@@ -24,7 +27,8 @@ from brisq import cli, pipeline
 from brisq.pipeline import OracleConfig, Scenario
 from brisq.squeezing import full_moment_table
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 RUN_SCENARIO = str(SCENARIOS / "backward_10ghz.json")
 SWEEP_SCENARIO = str(SCENARIOS / "flux_sweep.json")
 R_REF = 0.05016767361301254
@@ -635,18 +639,107 @@ def test_no_verb_imports_scipy():
 
 
 def test_import_loads_blas_single_threaded_and_leaves_env_alone():
-    # brisq imported before numpy loads OpenBLAS with one thread (one task
-    # in the process) and removes the variable again; a caller's own value
-    # is kept as it was. Importing the oracle first takes the same path.
-    for module in ("brisq", "brisq.focksim"):
+    # the oracle loaded before numpy loads OpenBLAS with one thread (one
+    # task in the process) and removes the variable again; a caller's own
+    # value is kept as it was. Importing brisq loads no numpy at all; an
+    # oracle export asked of brisq, or a first oracle run, takes the
+    # same path as importing the oracle.
+    for first in ("import brisq", "import brisq.focksim",
+                  "from brisq import squeezed_vacuum",
+                  "from brisq import pipeline; pipeline.run(pipeline.reference_scenario())"):
         code = (
             "import os, sys\n"
-            f"import {module}\n"
+            f"{first}\n"
             "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
             "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n"
         )
-        assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "None 1", module
-        assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").split()[0] == "2", module
+        assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "None 1", first
+        assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").split()[0] == "2", first
+
+
+@pytest.mark.parametrize("command, loads_numpy", [
+    (["-c", "import brisq"], False),
+    (["-m", "brisq.cli", "sweep", SWEEP_SCENARIO], False),
+    (["-m", "brisq.cli", "run", RUN_SCENARIO, "--oracle", "off"], False),
+    (["-m", "brisq.cli", "run", RUN_SCENARIO], True),
+    (["-m", "brisq.cli", "check"], True),
+], ids=["import", "sweep", "run-oracle-off", "run", "check"])
+def test_numpy_loads_only_where_the_oracle_runs(command, loads_numpy):
+    done = subprocess.run([sys.executable, "-X", "importtime", *command],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    # an -X importtime line ends in "| <module>"
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "brisq.pipeline" in imported
+    assert ("numpy" in imported) is loads_numpy
+
+
+# `python -m brisq.cli` with the arguments after -c's code; the prelude
+# runs first, in the same interpreter
+_CLI_BY_RUNPY = "import runpy\nrunpy.run_module('brisq.cli', run_name='__main__', alter_sys=True)\n"
+_NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+
+
+def _cli_process(args: list[str], prelude: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", prelude + _CLI_BY_RUNPY, *args],
+                          env=_src_env(), capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", SWEEP_SCENARIO, "--oracle", "off"],
+    ["run", RUN_SCENARIO, "--oracle", "off"],
+], ids=["sweep", "run"])
+def test_verbs_without_the_oracle_run_where_numpy_cannot_be_imported(args):
+    plain = subprocess.run([sys.executable, "-m", "brisq.cli", *args], env=_src_env(),
+                           capture_output=True, timeout=120)
+    blocked = _cli_process(args, _NO_NUMPY)
+    assert blocked.returncode == plain.returncode == EXIT_OK, blocked.stderr
+    assert (blocked.stdout, blocked.stderr) == (plain.stdout, plain.stderr)
+    assert blocked.stdout
+
+
+def test_the_cutoff_gate_runs_where_numpy_cannot_be_imported(tmp_path):
+    raw = read_scenario(RUN_SCENARIO)
+    raw["oracle"] = {"enabled": True, "cutoff": 500}
+    done = _cli_process(["run", write_scenario(tmp_path, raw)], _NO_NUMPY)
+    assert done.returncode == EXIT_SCENARIO
+    assert done.stderr == b"scenario error: oracle: cutoff: expected an integer in [2, 128]\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["run", RUN_SCENARIO],
+    ["sweep", SWEEP_SCENARIO],
+    ["check"],
+], ids=["run", "sweep", "check"])
+def test_main_leaves_the_collector_as_it_was(capsys, args):
+    frozen = gc.get_freeze_count()
+    assert main(args) == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+def test_a_cli_process_reaches_exit_with_its_heap_frozen():
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count(), "
+             "file=sys.stderr))\n")
+    done = _cli_process(["check"], probe)
+    assert done.returncode == EXIT_OK
+    name, count = done.stderr.split()
+    assert name == b"frozen" and int(count) > 0
+
+
+def test_the_console_script_and_the_module_share_one_entry():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as stream:
+        target = tomllib.load(stream)["project"]["scripts"]["brisq"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.entry
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main_block = [ast.unparse(statement) for node in tree.body
+                  if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"
+                  for statement in node.body]
+    assert main_block == ["entry()"]
 
 
 def _fresh_python(code: str, **env_updates) -> str:

@@ -1,4 +1,5 @@
-"""Import structure: numpy stays in the Fock oracle, out of the analytic chain."""
+"""Import structure: numpy stays in the Fock oracle, out of the analytic chain,
+and the package loads the oracle only where it runs."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,31 @@ def test_only_the_oracle_and_the_blas_guard_import_numpy():
             seen.add(module)
             assert not _numpy_imports(trees[module]), (name, module)
             todo.extend(_sibling_imports(trees[module]))
+
+
+def _focksim_imports(tree: ast.AST) -> list[ast.stmt]:
+    """Every import that names brisq's focksim module under tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        else:
+            continue
+        if any("focksim" in name.split(".") for name in names):
+            found.append(node)
+    return found
+
+
+def test_the_package_imports_the_oracle_only_inside_a_function():
+    # an import of focksim at module level would load numpy with brisq
+    for name in ("__init__", "pipeline", "cli"):
+        path = SRC / f"{name}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        in_functions = {id(imp) for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for imp in _focksim_imports(node)}
+        assert {id(imp) for imp in _focksim_imports(tree)} == in_functions, name
+        if name != "cli":
+            assert in_functions, name
