@@ -9,22 +9,33 @@ the vacuum variance is 1/2.
 The package exports what the CLI and the end-to-end guarantees use;
 everything else is imported from its submodule.
 
-Only the Fock oracle (brisq.focksim) needs numpy, and it is imported at
-first use: at the first run with the oracle on, or when one of its
-exports is first asked of this package (`from brisq import
-squeezed_vacuum`). Importing brisq, a sweep or a run with the oracle off
-never load numpy.
+Only the Fock oracle (brisq.focksim) needs numpy, and it imports numpy
+at its first call that needs an array, not with the package. A run's
+oracle takes a pure-Python Taylor series of the squeezed vacuum where
+|r| (2 cutoff - 3) <= 1, as on the reference device, so importing
+brisq, `brisq check`, a sweep or run with the oracle off, and a run or
+sweep whose oracle takes that series never load numpy; an oracle that
+needs the sector SVD does.
 
-If the oracle is loaded before numpy, numpy's OpenBLAS is loaded with
-one thread. brisq's matrices have at most a few hundred rows, so a
-second thread does not help. It does cost: at load it spins ~70 ms of
-CPU on another core, and when that core is busy, a fresh `brisq`
-process runs ~25% slower. To keep your own setting, set
-OPENBLAS_NUM_THREADS or import numpy before the first oracle run.
+If the oracle loads numpy before anything else has, numpy's OpenBLAS
+is loaded with one thread. brisq's matrices have at most a few hundred
+rows, so a second thread does not help. It does cost: at load it spins
+~70 ms of CPU on another core, and when that core is busy, a fresh
+`brisq` process runs ~25% slower. To keep your own setting, set
+OPENBLAS_NUM_THREADS or import numpy before the oracle's first array.
 """
 
 from .bogoliubov import diagonalize
 from .errors import PhysicsError, ScenarioError, Unstable
+from .focksim import (
+    apply_squeeze_factorized,
+    bogoliubov_check,
+    herald,
+    measure_moments,
+    squeeze_operator,
+    squeezed_vacuum,
+    vacuum_state,
+)
 from .pipeline import (
     RunReport,
     Scenario,
@@ -45,27 +56,6 @@ from .squeezing import (
 from .waveguide import BACKWARD, FORWARD, WaveguideParams, phase_match
 
 __version__ = "0.1.0"
-
-# served by __getattr__, so that importing brisq does not import numpy
-_FOCKSIM_EXPORTS = frozenset({
-    "apply_squeeze_factorized",
-    "bogoliubov_check",
-    "herald",
-    "measure_moments",
-    "squeeze_operator",
-    "squeezed_vacuum",
-    "vacuum_state",
-})
-
-
-def __getattr__(name: str) -> object:
-    # PEP 562: called only for a name this module does not hold yet
-    if name in _FOCKSIM_EXPORTS:
-        from . import focksim
-
-        value = globals()[name] = getattr(focksim, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BACKWARD",

@@ -16,8 +16,10 @@ Identical inputs produce bit-identical outputs on one platform: the
 pipeline is deterministic and serialization uses repr-exact floats. A
 sweep writes each row as it is computed; its CSV header is fixed first.
 
-A process loads only what its verb uses: numpy is imported with the
-Fock oracle, so a sweep or a run with the oracle off never loads it.
+A process loads only what its verb uses: numpy is imported at the Fock
+oracle's first array, so `check`, a sweep or a run with the oracle off,
+and a run whose oracle takes the pure-Python vacuum series (the
+reference device's does) never load it.
 The `brisq` console script and `python -m brisq.cli` enter through
 entry(), which exits without a last garbage collection of the import
 heap; main(argv) serves in-process callers and leaves the collector as

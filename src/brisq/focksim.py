@@ -26,31 +26,26 @@ moves a sector by exactly one: the squeezed vacuum, on the n_a = n_b
 diagonal, is measured on about 3 * cutoff points instead of cutoff**2.
 The gather plan of each (cutoff, band) is memoized, at most
 _PLAN_MEMO_BYTES (4 MB) of plans in all.
+
+numpy is imported at the first call that needs an array (_load_numpy),
+not with this module. choose_cutoff, series_admits, vacuum_series and
+diagonal_moments run in pure Python: where ||r K0||_inf = |r| (2 cutoff
+- 3) <= 1, vacuum_series sums the Taylor series of the squeezed
+vacuum's n_a = n_b column, exact to rounding, and diagonal_moments
+measures it through the same moment forms as measure_moments.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import os
 import sys
+import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-
-if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
-    # numpy loads OpenBLAS with one thread (see the package docstring).
-    # This module is the only one that imports numpy, and the package
-    # imports it at the first oracle run (or the first focksim name
-    # asked of brisq or brisq.pipeline), so the guard holds whichever
-    # comes first. OpenBLAS reads the variable once, when numpy loads
-    # it; child processes do not inherit it.
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-
-import numpy as np
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import (
     CUTOFF_CAP,
@@ -72,6 +67,45 @@ _SPECTRUM_MEMO = 256
 # bytes of band plans kept by measure_moments: the squeezed vacuum's
 # plans of every cutoff up to the cap and a dense plan at the cap fit
 _PLAN_MEMO_BYTES = 4_000_000
+# Taylor terms of vacuum_series, enough for the widest norm it admits,
+# ||r K0||_inf = 1: the tail sum_{j > 18} 1/j! < (1/19!) (20/19) < 1e-17
+SERIES_TERMS = 18
+
+
+_NUMPY_LOCK = threading.Lock()
+
+
+def _load_numpy() -> Any:
+    """numpy, imported at the first call that needs an array and bound to
+    this module's np, so later calls find it there directly."""
+    global np
+    # the lock keeps two threads' first calls from both setting and
+    # deleting the variable below
+    with _NUMPY_LOCK:
+        if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+            # numpy loads OpenBLAS with one thread (see the package
+            # docstring). This function is the only place brisq imports
+            # numpy, so the guard holds whichever oracle call comes first.
+            # OpenBLAS reads the variable once, when numpy loads it; child
+            # processes do not inherit it.
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+            try:
+                import numpy
+            finally:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+        import numpy
+    np = numpy
+    return numpy
+
+
+class _NumpyOnFirstUse:
+    """Stands in for numpy in this module until one of its names is read."""
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(_load_numpy(), name)
+
+
+np = _NumpyOnFirstUse()
 
 
 def _require_occupation(cutoff: int, *levels: int) -> None:
@@ -510,10 +544,15 @@ def _plan_bytes(plan: tuple[np.ndarray, np.ndarray]) -> int:
 _band_plans = _PlanMemo(_PLAN_MEMO_BYTES)
 
 
-def _moment_forms() -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
+@functools.cache
+def _table_forms() -> tuple[tuple[complex, ...], ...]:
     """Every first, second and cross moment as a bra/ket pair over the
     five images of _band_plan (psi, a psi, b psi, a^dag psi, b^dag psi),
-    flattened to coefficients of the Gram matrix.
+    flattened to coefficients of the Gram matrix, one row per table
+    entry: first and second moments by QUAD_KEYS, then cross moments by
+    CROSS_KEYS. The rows are plain Python numbers, read by both measure
+    paths: measure_moments as one array, diagonal_moments collapsed onto
+    the Gram entries a diagonal state has.
 
     <bra|ket> = sum_ij conj(bra_i) ket_j G[i, j] for G[i, j] =
     <image_i|image_j>. Moments of two lowerings, <psi|x y psi>, become
@@ -521,16 +560,21 @@ def _moment_forms() -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
     the lowering one, and a and b commute exactly in the Kronecker basis.
     c = (a - b)/sqrt(2) and d = (a + b)/sqrt(2).
     """
-    psi, low_a, low_b, up_a, up_b = np.eye(5)
-    low_c, up_c = (low_a - low_b) / SQRT2, (up_a - up_b) / SQRT2
-    low_d, up_d = (low_a + low_b) / SQRT2, (up_a + up_b) / SQRT2
-    forms = []
+    psi, low_a, low_b, up_a, up_b = ([float(i == j) for j in range(5)] for i in range(5))
+
+    def mix(x: list, y: list, sign: float = 1.0, phase: complex = 1.0) -> list:
+        # phase * (x + sign * y) / sqrt(2), entry by entry
+        return [phase * (p + sign * q) / SQRT2 for p, q in zip(x, y)]
+
+    low_c, up_c = mix(low_a, low_b, -1.0), mix(up_a, up_b, -1.0)
+    low_d, up_d = mix(low_a, low_b), mix(up_a, up_b)
+    first, second = {}, {}
     for mode, down, up in (("a", low_a, up_a), ("b", low_b, up_b),
                            ("c", low_c, up_c), ("d", low_d, up_d)):
-        for quad, acted in ((f"X_{mode}", (down + up) / SQRT2),
-                            (f"Y_{mode}", -1j * (down - up) / SQRT2)):
-            forms += [(("first", quad), psi, acted), (("second", quad), acted, acted)]
-    pairs = {
+        for quad, acted in ((f"X_{mode}", mix(down, up)),
+                            (f"Y_{mode}", mix(down, up, -1.0, -1j))):
+            first[quad], second[quad] = (psi, acted), (acted, acted)
+    cross = {
         "n_a": (low_a, low_a),
         "n_b": (low_b, low_b),
         "n_c": (low_c, low_c),
@@ -542,20 +586,71 @@ def _moment_forms() -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
         "c2": (up_c, low_c),
         "d2": (up_d, low_d),
     }
-    assert tuple(pairs) == CROSS_KEYS
-    forms += [(("cross", key), bra, ket) for key, (bra, ket) in pairs.items()]
-    coefficients = np.array([np.outer(np.conj(bra), ket).reshape(-1)
-                             for _, bra, ket in forms])
-    return tuple(key for key, _, _ in forms), coefficients
+    assert tuple(first) == tuple(second) == QUAD_KEYS and tuple(cross) == CROSS_KEYS
+    forms = [*first.values(), *second.values(), *cross.values()]
+    return tuple(tuple(b.conjugate() * k for b in bra for k in ket) for bra, ket in forms)
 
 
-_MOMENT_KEYS, _MOMENT_COEFFICIENTS = _moment_forms()
-# the coefficient rows in table order: first and second entries by
-# QUAD_KEYS, then cross entries by CROSS_KEYS
-_TABLE_COEFFICIENTS = _MOMENT_COEFFICIENTS[
-    [_MOMENT_KEYS.index(("first", quad)) for quad in QUAD_KEYS]
-    + [_MOMENT_KEYS.index(("second", quad)) for quad in QUAD_KEYS]
-    + [_MOMENT_KEYS.index(("cross", key)) for key in CROSS_KEYS]]
+@functools.cache
+def _table_coefficients() -> np.ndarray:
+    """_table_forms as one read-only complex array, (26, 25)."""
+    coefficients = np.array(_table_forms(), dtype=complex)
+    coefficients.flags.writeable = False
+    return coefficients
+
+
+# The Gram entries a state on the n_a = n_b diagonal can have nonzero,
+# grouped by value (the images are numbered as in _band_plan): psi lies
+# in sector 0, a psi and b^dag psi in sector -1, b psi and a^dag psi in
+# sector +1, so images in different sectors are orthogonal, and for
+# psi = sum_k c_k |k, k> with real c_k
+#   <psi|psi>                                   = sum_k c_k^2
+#   <a psi|a psi> = <b psi|b psi>               = sum_k k c_k^2
+#   <a^dag psi|a^dag psi> = <b^dag psi|b^dag psi> = sum_k<N-1 (k+1) c_k^2
+#   <a psi|b^dag psi> = <b psi|a^dag psi>, and
+#   their transposes                            = sum_k<N-1 (k+1) c_k c_k+1
+_DIAGONAL_GRAM = (((0, 0),), ((1, 1), (2, 2)), ((3, 3), (4, 4)),
+                  ((1, 4), (4, 1), (2, 3), (3, 2)))
+
+
+@functools.cache
+def _diagonal_forms() -> tuple[tuple[float, ...], ...]:
+    """_table_forms collapsed onto the four Gram sums of _DIAGONAL_GRAM:
+    row i times the sums is table entry i of a real diagonal state.
+
+    The collapsed coefficients are real, so such a state's moments have
+    no imaginary part to discard; a -0.0 is made 0.0, so that a moment
+    whose coefficients all vanish comes out as 0.0.
+    """
+    rows = []
+    for row in _table_forms():
+        collapsed = [complex(sum(row[5 * i + j] for i, j in entries))
+                     for entries in _DIAGONAL_GRAM]
+        assert all(value.imag == 0.0 for value in collapsed)
+        rows.append(tuple(value.real + 0.0 for value in collapsed))
+    return tuple(rows)
+
+
+def _moment_table(norm2: float, entries: list[float], max_imag: float) -> MomentTable:
+    """The MomentTable of a state from <psi|psi> and its 26 real moment
+    entries in _table_forms order, max_imag the largest imaginary part
+    dropped from them. Raises ValueError unless <psi|psi> is within
+    NORM_TOL of 1."""
+    if not abs(norm2 - 1.0) <= NORM_TOL:
+        raise ValueError(f"state is not normalized: <psi|psi> = {norm2!r}")
+    first, second, cross = entries[:8], entries[8:16], entries[16:]
+    variances = [s - f * f for f, s in zip(first, second)]
+    return MomentTable(
+        r=None,
+        first=dict(zip(QUAD_KEYS, first)),
+        second=dict(zip(QUAD_KEYS, second)),
+        # QUAD_KEYS pairs X and Y of each mode; math.sqrt refuses a negative
+        products={mode: math.sqrt(x * y) for mode, x, y
+                  in zip(MODE_KEYS, variances[0::2], variances[1::2])},
+        squeezing={quad: var - 0.5 for quad, var in zip(QUAD_KEYS, variances)},
+        cross=dict(zip(CROSS_KEYS, cross)),
+        max_imag_discarded=max_imag,
+    )
 
 
 def measure_moments(state: TwoModeState) -> MomentTable:
@@ -600,24 +695,91 @@ def measure_moments(state: TwoModeState) -> MomentTable:
     images = state.amplitudes[sources]
     images *= weights
     gram = images.conj() @ images.T
-    norm2 = gram[0, 0].real
-    if not abs(norm2 - 1.0) <= NORM_TOL:
-        raise ValueError(f"state is not normalized: <psi|psi> = {norm2!r}")
-    values = _TABLE_COEFFICIENTS @ gram.reshape(-1)
-    entries = values.real.tolist()
-    first, second, cross = entries[:8], entries[8:16], entries[16:]
-    variances = [s - f * f for f, s in zip(first, second)]
-    return MomentTable(
-        r=None,
-        first=dict(zip(QUAD_KEYS, first)),
-        second=dict(zip(QUAD_KEYS, second)),
-        # QUAD_KEYS pairs X and Y of each mode; math.sqrt refuses a negative
-        products={mode: math.sqrt(x * y) for mode, x, y
-                  in zip(MODE_KEYS, variances[0::2], variances[1::2])},
-        squeezing={quad: var - 0.5 for quad, var in zip(QUAD_KEYS, variances)},
-        cross=dict(zip(CROSS_KEYS, cross)),
-        max_imag_discarded=float(abs(values.imag).max()),
-    )
+    values = _table_coefficients() @ gram.reshape(-1)
+    return _moment_table(float(gram[0, 0].real), values.real.tolist(),
+                         float(abs(values.imag).max()))
+
+
+def series_admits(cutoff: int, r: float) -> bool:
+    """Whether vacuum_series is exact to rounding at this cutoff and r:
+    ||r K0||_inf = |r| (2 cutoff - 3) <= 1, K0 the pair generator on the
+    n_a = n_b sector (its row n = cutoff - 2 sums n + (n + 1))."""
+    return abs(r) * (2 * cutoff - 3) <= 1.0
+
+
+@functools.lru_cache(maxsize=CUTOFF_CAP)
+def _series_coefficients(cutoff: int) -> tuple[tuple[float, ...], ...]:
+    """Row k: the Taylor coefficients (K0^j e_0)_k / j! of level k of
+    exp(r K0)|0, 0>, for j = k, k + 2, ... up to SERIES_TERMS.
+
+    K0|k, k> = (k + 1)|k + 1, k + 1> - k|k - 1, k - 1>, with the raising
+    term dropped at the top level cutoff - 1, so K0^j e_0 has integer
+    entries, on the levels of j's parity up to j: they are formed
+    exactly and divided by j! with one rounding. Levels above
+    SERIES_TERMS get no term. Memoized per cutoff, at most 100 floats
+    each.
+    """
+    levels = min(cutoff, SERIES_TERMS + 1)
+    rows: list[list[float]] = [[] for _ in range(levels)]
+    # K0^j e_0 on the levels, then a 0 that power[-1] and power[levels] read
+    power = [1] + [0] * levels
+    factorial = 1
+    for j in range(SERIES_TERMS + 1):
+        if j:
+            factorial *= j
+            power = [k * power[k - 1] - (k + 1) * power[k + 1]
+                     for k in range(levels)] + [0]
+        for k in range(j % 2, min(j, levels - 1) + 1, 2):
+            rows[k].append(power[k] / factorial)
+    return tuple(map(tuple, rows))
+
+
+def vacuum_series(cutoff: int, r: float) -> list[float]:
+    """The n_a = n_b column of squeezed_vacuum(cutoff, r), amplitude k on
+    |k, k>, in pure Python from the Taylor series of exp(r K0)|0, 0>.
+
+    Requires series_admits(cutoff, r) and raises ValueError otherwise;
+    raises CutoffTooSmall and ValueError for r as squeezed_vacuum does.
+    Level k sums the terms p_k,j r^j of SERIES_TERMS + 1 in all, r's
+    powers formed by repeated products. With theta = |r| (2 cutoff - 3)
+    <= 1 the dropped terms add at most (1/19!) (20/19) < 1e-17 to any
+    level (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), and rounding at
+    most gamma_28 e^theta ~ 28 u e^theta, u = 2^-53: a term carries up
+    to SERIES_TERMS + 1 roundings and the sum SERIES_TERMS / 2 more, and
+    the |terms| of a level add up to at most a level of exp(|r| |K0|)
+    e_0, whose inf-norm is e^theta.
+    """
+    require_cutoff(cutoff)
+    _require_tail(cutoff, r)
+    if not series_admits(cutoff, r):
+        raise ValueError(f"|r| (2 cutoff - 3) = {abs(r) * (2 * cutoff - 3):g} > 1: "
+                         "the vacuum series needs ||r K0|| <= 1")
+    powers = list(itertools.accumulate(itertools.repeat(r, SERIES_TERMS), operator.mul,
+                                       initial=1.0))
+    column = [sum(map(operator.mul, row, powers[k::2]))
+              for k, row in enumerate(_series_coefficients(cutoff))]
+    return column + [0.0] * (cutoff - len(column))
+
+
+def diagonal_moments(column: Sequence[float]) -> MomentTable:
+    """measure_moments of the state sum_k column[k] |k, k>, real
+    amplitudes on the n_a = n_b diagonal, in pure Python.
+
+    The images of such a state overlap only within a sector, so four
+    sums over the column give every nonzero entry of its Gram matrix
+    (see _DIAGONAL_GRAM), and each moment is the same form as in
+    measure_moments, read on those entries. Raises ValueError when the
+    state is not normalized, as measure_moments does.
+    """
+    squares = list(map(operator.mul, column, column))
+    levels = range(1, len(column))
+    norm2 = sum(squares)
+    lowered = sum(map(operator.mul, levels, squares[1:]))
+    raised = sum(map(operator.mul, levels, squares))
+    paired = sum(map(operator.mul, levels, map(operator.mul, column, column[1:])))
+    entries = [a * norm2 + b * lowered + c * raised + d * paired
+               for a, b, c, d in _diagonal_forms()]
+    return _moment_table(norm2, entries, 0.0)
 
 
 def herald(state: TwoModeState, n_detected: int) -> HeraldResult:

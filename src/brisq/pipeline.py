@@ -21,6 +21,14 @@ from typing import Any, Iterable, Iterator
 
 from .bogoliubov import SqueezeSpec, diagonalize
 from .errors import PhysicsError, ScenarioError, Unstable, require_cutoff, require_finite
+from .focksim import (
+    choose_cutoff,
+    diagonal_moments,
+    measure_moments,
+    series_admits,
+    squeezed_vacuum,
+    vacuum_series,
+)
 from .pump import PumpDrive, PumpSteadyState, pump_steady_state
 from .squeezing import (
     QUAD_KEYS,
@@ -53,33 +61,6 @@ MAX_SWEEP_STEPS = 10**6
 
 FREQUENCY = "frequency"
 NUMBER = "number"
-
-# The Fock oracle's functions. run() calls them through this module's
-# globals, which are bound at the first oracle run, or when a caller asks
-# this module for one of them first, so that only the oracle imports
-# focksim and numpy.
-_ORACLE_NAMES = ("choose_cutoff", "squeezed_vacuum", "measure_moments")
-_oracle_bound = False
-
-
-def _bind_oracle() -> None:
-    """Import focksim and bind _ORACLE_NAMES here; a name that is already
-    set, such as a timing wrapper or a test's stand-in, is kept."""
-    global _oracle_bound
-    from . import focksim
-
-    for name in _ORACLE_NAMES:
-        globals().setdefault(name, getattr(focksim, name))
-    _oracle_bound = True
-
-
-def __getattr__(name: str) -> Any:
-    # PEP 562: called only for a name this module does not hold yet
-    if name in _ORACLE_NAMES:
-        _bind_oracle()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def parse_value(value: Any, kind: str, where: str = "value") -> float:
     """Finite float from a scenario value of the given kind.
@@ -355,16 +336,21 @@ def run(scenario: Scenario) -> RunReport:
 
     oracle_block = None
     if scenario.oracle.enabled:
-        if not _oracle_bound:
-            _bind_oracle()
         cutoff = scenario.oracle.cutoff
         if cutoff is None:
             cutoff = choose_cutoff(squeeze.r,
                                    flux_tol=scenario.oracle.tolerance)
-        state = squeezed_vacuum(cutoff, squeeze.r)
-        numeric = measure_moments(state)
-        # |n, n> weights, read once from the diagonal; 0 beyond the basis
-        weights = (abs(state.grid().diagonal()[:PAIR_PROBABILITY_ORDERS]) ** 2).tolist()
+        # the squeezed vacuum's n_a = n_b column, from the Taylor series
+        # where that is exact to rounding and from the sector SVD otherwise
+        if series_admits(cutoff, squeeze.r):
+            column = vacuum_series(cutoff, squeeze.r)
+            numeric = diagonal_moments(column)
+        else:
+            state = squeezed_vacuum(cutoff, squeeze.r)
+            numeric = measure_moments(state)
+            column = state.grid().diagonal()[:PAIR_PROBABILITY_ORDERS].tolist()
+        # |n, n> weights of the real column; 0 beyond the basis
+        weights = [c * c for c in column[:PAIR_PROBABILITY_ORDERS]]
         weights += [0.0] * (PAIR_PROBABILITY_ORDERS - len(weights))
         deviation = worst([table_deviation(analytic, numeric),
                            *(abs(p - q) for p, q in zip(pair_probs, weights))])

@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
 RUN_SCENARIO = str(SCENARIOS / "backward_10ghz.json")
 SWEEP_SCENARIO = str(SCENARIOS / "flux_sweep.json")
+THRESHOLD_SCENARIO = str(SCENARIOS / "threshold_sweep.json")
 R_REF = 0.05016767361301254
 
 
@@ -145,14 +146,15 @@ def test_run_oracle_mismatch_still_writes_report(tmp_path, capsys):
 
 def poison_oracle_table(monkeypatch):
     """Make the oracle's measured table hold a NaN, as an overflowing
-    kernel would."""
-    measure = pipeline.measure_moments
+    kernel would, on the series path and on the SVD path."""
+    for name in ("diagonal_moments", "measure_moments"):
+        measure = getattr(pipeline, name)
 
-    def measured_nan(state):
-        table = measure(state)
-        return dataclasses.replace(table, cross={**table.cross, "n_a": math.nan})
+        def measured_nan(state, measure=measure):
+            table = measure(state)
+            return dataclasses.replace(table, cross={**table.cross, "n_a": math.nan})
 
-    monkeypatch.setattr(pipeline, "measure_moments", measured_nan)
+        monkeypatch.setattr(pipeline, name, measured_nan)
 
 
 def test_run_nan_oracle_deviation_exits_three(monkeypatch, capsys):
@@ -639,32 +641,74 @@ def test_no_verb_imports_scipy():
 
 
 def test_import_loads_blas_single_threaded_and_leaves_env_alone():
-    # the oracle loaded before numpy loads OpenBLAS with one thread (one
-    # task in the process) and removes the variable again; a caller's own
-    # value is kept as it was. Importing brisq loads no numpy at all; an
-    # oracle export asked of brisq, or a first oracle run, takes the
-    # same path as importing the oracle.
-    for first in ("import brisq", "import brisq.focksim",
-                  "from brisq import squeezed_vacuum",
-                  "from brisq import pipeline; pipeline.run(pipeline.reference_scenario())"):
+    # the oracle's first array loads numpy, and loaded before numpy it
+    # loads OpenBLAS with one thread (one task in the process) and
+    # removes the variable again; a caller's own value is kept as it was.
+    # Importing brisq or focksim, an oracle export asked of brisq, and an
+    # oracle run on the reference device, which takes the vacuum series,
+    # load no numpy at all
+    for first, loads_numpy in (
+            ("from brisq import squeezed_vacuum; squeezed_vacuum(64, 1.0)", True),
+            ("import brisq", False),
+            ("import brisq.focksim", False),
+            ("from brisq import squeezed_vacuum", False),
+            ("from brisq import pipeline; pipeline.run(pipeline.reference_scenario())",
+             False)):
         code = (
             "import os, sys\n"
             f"{first}\n"
             "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
-            "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks, 'numpy' in sys.modules)\n"
         )
-        assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "None 1", first
+        expected = f"None 1 {loads_numpy}"
+        assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == expected, first
         assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").split()[0] == "2", first
+
+
+def test_threads_that_load_numpy_together_leave_the_env_alone():
+    # the oracle's first array sets and deletes OPENBLAS_NUM_THREADS at
+    # call time, so several threads reaching it at once must neither fail
+    # on the variable nor leave it set
+    code = (
+        "import os, sys, threading\n"
+        "from brisq import focksim\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier, errors = threading.Barrier(8), []\n"
+        "def first_array():\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        focksim.squeezed_vacuum(12, 0.3)\n"
+        "    except BaseException as err:\n"
+        "        errors.append(err)\n"
+        "threads = [threading.Thread(target=first_array) for _ in range(8)]\n"
+        "for thread in threads: thread.start()\n"
+        "for thread in threads: thread.join(60)\n"
+        "print(errors, any(t.is_alive() for t in threads), "
+        "os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "[] False None"
+
+
+def test_the_package_lists_every_export_without_loading_numpy():
+    code = ("import sys, brisq\n"
+            "print([name for name in brisq.__all__ if name not in dir(brisq)], "
+            "'numpy' in sys.modules)\n")
+    assert _fresh_python(code) == "[] False"
 
 
 @pytest.mark.parametrize("command, loads_numpy", [
     (["-c", "import brisq"], False),
     (["-m", "brisq.cli", "sweep", SWEEP_SCENARIO], False),
     (["-m", "brisq.cli", "run", RUN_SCENARIO, "--oracle", "off"], False),
-    (["-m", "brisq.cli", "run", RUN_SCENARIO], True),
-    (["-m", "brisq.cli", "check"], True),
-], ids=["import", "sweep", "run-oracle-off", "run", "check"])
+    (["-m", "brisq.cli", "run", RUN_SCENARIO], False),
+    (["-m", "brisq.cli", "run", RUN_SCENARIO, "--format", "csv", "--db"], False),
+    (["-m", "brisq.cli", "check"], False),
+    (["-m", "brisq.cli", "sweep", THRESHOLD_SCENARIO, "--oracle", "on"], True),
+], ids=["import", "sweep", "run-oracle-off", "run", "run-csv-db", "check",
+        "sweep-oracle-on"])
 def test_numpy_loads_only_where_the_oracle_runs(command, loads_numpy):
+    # the reference device's oracle takes the vacuum series; the
+    # threshold sweep's cutoffs of 11-121 take the sector SVD
     done = subprocess.run([sys.executable, "-X", "importtime", *command],
                           env=_src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == EXIT_OK, done.stderr
@@ -689,8 +733,11 @@ def _cli_process(args: list[str], prelude: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("args", [
     ["sweep", SWEEP_SCENARIO, "--oracle", "off"],
     ["run", RUN_SCENARIO, "--oracle", "off"],
-], ids=["sweep", "run"])
+    ["run", RUN_SCENARIO],
+    ["check"],
+], ids=["sweep", "run", "run-oracle-on", "check"])
 def test_verbs_without_the_oracle_run_where_numpy_cannot_be_imported(args):
+    # with the oracle on, the reference device takes the vacuum series
     plain = subprocess.run([sys.executable, "-m", "brisq.cli", *args], env=_src_env(),
                            capture_output=True, timeout=120)
     blocked = _cli_process(args, _NO_NUMPY)

@@ -3,11 +3,12 @@
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -22,11 +23,14 @@ from brisq.focksim import (
     apply_squeeze_factorized,
     bogoliubov_check,
     choose_cutoff,
+    diagonal_moments,
     fock_state,
     herald,
     measure_moments,
+    series_admits,
     squeeze_operator,
     squeezed_vacuum,
+    vacuum_series,
     vacuum_state,
 )
 from brisq.squeezing import (
@@ -620,13 +624,19 @@ def test_band_moments_match_dense_expectations_on_any_support(state):
 
 def test_a_negative_variance_product_raises(monkeypatch):
     # a variance below 0 is rounding or a broken combination; math.sqrt
-    # refuses the product where np.sqrt would return NaN. Rows 8-15 of
-    # the table coefficients are the second moments in QUAD_KEYS order
-    coefficients = focksim._TABLE_COEFFICIENTS.copy()
-    coefficients[8 + QUAD_KEYS.index("X_a")] *= -1.0
-    monkeypatch.setattr(focksim, "_TABLE_COEFFICIENTS", coefficients)
+    # refuses the product where np.sqrt would return NaN, on both measure
+    # paths. Rows 8-15 of the forms are the second moments in QUAD_KEYS order
+    row = 8 + QUAD_KEYS.index("X_a")
+    coefficients = focksim._table_coefficients().copy()
+    coefficients[row] *= -1.0
+    monkeypatch.setattr(focksim, "_table_coefficients", lambda: coefficients)
     with pytest.raises(ValueError, match="math domain error"):
         measure_moments(vacuum_state(4))
+    forms = list(focksim._diagonal_forms())
+    forms[row] = tuple(-value for value in forms[row])
+    monkeypatch.setattr(focksim, "_diagonal_forms", lambda: forms)
+    with pytest.raises(ValueError, match="math domain error"):
+        diagonal_moments([1.0, 0.0, 0.0, 0.0])
 
 
 def test_measure_moments_requires_a_normalized_state():
@@ -805,6 +815,181 @@ def test_measure_moments_against_closed_forms():
     squeezing = measure_moments(state).squeezing
     assert squeezing["X_c"] == pytest.approx(-0.0475, abs=5e-4)
     assert squeezing["Y_c"] == pytest.approx(0.0525, abs=5e-4)
+
+
+# unit roundoff of float64
+UNIT = 2.0 ** -53
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), the relative error of n roundings."""
+    return n * UNIT / (1.0 - n * UNIT)
+
+
+def series_error(cutoff, r):
+    """Bound on |vacuum_series(cutoff, r) - exp(r K0) e_0| in every level,
+    from the term count J and theta = ||r K0||_inf <= 1.
+
+    Truncation: the dropped terms (r K0)^j e_0 / j!, j > J, sum to at
+    most theta^(J+1)/(J+1)! (J+2)/(J+2-theta). Rounding: each of a
+    level's at most J/2 + 1 terms p_j r^j carries one rounding of its
+    exact coefficient, up to J - 1 in r^j and one in the product, and
+    their sum J/2 more, so the level is off by at most gamma_(3J/2+1)
+    sum_j |p_j| |r|^j, and that sum is a level of exp(|r| |K0|) e_0,
+    whose inf-norm is e^theta (|K0| has K0's row sums).
+    """
+    terms = focksim.SERIES_TERMS
+    theta = abs(r) * (2 * cutoff - 3)
+    assert theta <= 1.0
+    tail = (theta ** (terms + 1) / math.factorial(terms + 1)
+            * (terms + 2) / (terms + 2 - theta))
+    return tail + gamma(terms + terms // 2 + 1) * math.exp(theta)
+
+
+def svd_error(cutoff, r):
+    """Bound on |squeezed_vacuum's n_a = n_b column - exp(r K0) e_0| in
+    every level, in the standard model with LAPACK's p(N) = N: the SVD
+    of the sector's bidiagonal block B0 is exact for B0 + E with
+    ||E|| <= N u ||B0||, and its U and W are orthogonal to N u.
+
+    E moves the column by at most ||r E|| <= N u theta (exp of a skew
+    generator is orthogonal); U and W's departure from orthogonality,
+    under |1 - cos| <= 2 and |sin| <= 1, by 2 N u; and forming the two
+    products, sums of at most N terms whose magnitudes add up to at most
+    2 over unit rows (Cauchy-Schwarz), with the sines' few roundings, by
+    2 gamma_(N+3).
+    """
+    theta = abs(r) * (2 * cutoff - 3)
+    return cutoff * UNIT * (theta + 2.0) + 2.0 * gamma(cutoff + 3)
+
+
+def moment_error(cutoff, column_error, spread):
+    """Bound on how far a moment of two columns within column_error of
+    each other (in every level) can part, for a form whose 25 Gram
+    coefficients have absolute sum spread.
+
+    A column difference delta has ||delta||_2 <= sqrt(N) column_error
+    =: d; every image is a truncated ladder of norm at most sqrt(N - 1)
+    applied to a unit column, so a Gram entry moves by at most (N - 1)
+    (2 + d) d, and each side forms it with at most N + 30 roundings: N
+    for the sum over levels, a few for its weights and 25 for the form.
+    """
+    d = math.sqrt(cutoff) * column_error
+    return spread * max(cutoff - 1, 1) * ((2.0 + d) * d + 2.0 * gamma(cutoff + 30))
+
+
+def widest_series_r(cutoff):
+    """The largest r that both series_admits and the tail gate admit."""
+    r = min(1.0 / (2 * cutoff - 3), gate_edge(cutoff))
+    while not series_admits(cutoff, r):
+        r = math.nextafter(r, 0.0)
+    return r
+
+
+def exact_vacuum_column(cutoff, r, terms=60):
+    """exp(r K0) e_0 in rational arithmetic, to within 1/61! < 1e-83,
+    from the truncated K0 written out as a dense matrix."""
+    generator = [[Fraction(0)] * cutoff for _ in range(cutoff)]
+    for k in range(cutoff - 1):
+        generator[k + 1][k] = Fraction(k + 1)  # a^dag b^dag |k, k>
+        generator[k][k + 1] = Fraction(-(k + 1))  # -a b |k + 1, k + 1>
+    term = [Fraction(1)] + [Fraction(0)] * (cutoff - 1)
+    total = list(term)
+    x = Fraction(r)
+    for j in range(1, terms + 1):
+        term = [x / j * sum(g * t for g, t in zip(row, term) if g) for row in generator]
+        total = [a + b for a, b in zip(total, term)]
+    return total
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 5, 12, 40, 128])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_vacuum_series_is_within_its_bound_of_exact_arithmetic(cutoff, sign):
+    # at the widest r the rule admits, where the bound is loosest
+    r = sign * widest_series_r(cutoff)
+    column = vacuum_series(cutoff, r)
+    exact = exact_vacuum_column(cutoff, r)
+    assert len(column) == cutoff
+    assert all(type(value) is float for value in column)
+    assert max(abs(Fraction(c) - e) for c, e in zip(column, exact)) <= series_error(cutoff, r)
+
+
+@st.composite
+def series_points(draw):
+    """(cutoff, r) that series_admits and the tail gate both admit."""
+    cutoff = draw(st.integers(2, CUTOFF_CAP))
+    limit = widest_series_r(cutoff)
+    r = draw(st.floats(-limit, limit))
+    assume(series_admits(cutoff, r))
+    return cutoff, r
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(series_points())
+def test_vacuum_series_agrees_with_the_sector_svd(point):
+    cutoff, r = point
+    column = vacuum_series(cutoff, r)
+    state = squeezed_vacuum(cutoff, r)
+    apart = series_error(cutoff, r) + svd_error(cutoff, r)
+    assert np.abs(np.array(column) - state.grid().diagonal()).max() <= apart
+
+    series, svd = diagonal_moments(column), measure_moments(state)
+    assert series.max_imag_discarded == svd.max_imag_discarded == 0.0
+    # one bound per form, its spread read off the forms both paths share
+    spreads = [sum(map(abs, row)) for row in focksim._table_forms()]
+    bounds = [moment_error(cutoff, apart, spread) for spread in spreads]
+    names = ([("first", q) for q in QUAD_KEYS] + [("second", q) for q in QUAD_KEYS]
+             + [("cross", key) for key in series.cross])
+    for (section, key), bound in zip(names, bounds):
+        got, want = getattr(series, section)[key], getattr(svd, section)[key]
+        assert abs(got - want) <= bound, (section, key)
+    # both first moments vanish exactly, so a squeezing entry moves with
+    # its second moment, up to one rounding of the - 1/2 on each side
+    for i, quad in enumerate(QUAD_KEYS):
+        assert series.first[quad] == svd.first[quad] == 0.0
+        moved = bounds[8 + i] + 2.0 * UNIT * (svd.second[quad] + 0.5)
+        assert abs(series.squeezing[quad] - svd.squeezing[quad]) <= moved, quad
+    # a product sqrt(x y) moves by (sqrt(y/x) dx + sqrt(x/y) dy) / 2,
+    # and two roundings on each side
+    for m, mode in enumerate("abcd"):
+        x, y = (svd.squeezing[quad] + 0.5 for quad in QUAD_KEYS[2 * m:2 * m + 2])
+        dx, dy = (bounds[8 + 2 * m] + 2.0 * UNIT, bounds[9 + 2 * m] + 2.0 * UNIT)
+        moved = (math.sqrt(y / x) * dx + math.sqrt(x / y) * dy) / 2.0
+        moved += 4.0 * UNIT * svd.products[mode]
+        assert abs(series.products[mode] - svd.products[mode]) <= moved, mode
+
+
+def test_series_admits_exactly_the_unit_generator_norm():
+    # ||r K0||_inf = |r| (2 cutoff - 3), the row n = cutoff - 2 summing
+    # n + (n + 1); it is 1 at cutoff 2 for every |r| <= 1
+    for cutoff in (2, 3, 5, 12, 128):
+        generator = np.zeros((cutoff, cutoff))
+        for k in range(cutoff - 1):
+            generator[k + 1, k], generator[k, k + 1] = k + 1, -(k + 1)
+        assert np.abs(generator).sum(axis=1).max() == 2 * cutoff - 3
+        assert series_admits(cutoff, 1.0 / (2 * cutoff - 3))
+        assert series_admits(cutoff, -1.0 / (2 * cutoff - 3))
+        assert not series_admits(cutoff, (1.0 + 1e-12) / (2 * cutoff - 3))
+    assert series_admits(5, 0.0) and not series_admits(5, math.nan)
+
+
+def test_vacuum_series_refuses_what_its_rule_or_the_gates_refuse():
+    with pytest.raises(ValueError, match="needs"):
+        vacuum_series(12, 0.05)  # 0.05 * 21 > 1
+    with pytest.raises(CutoffTooSmall):
+        vacuum_series(3, 0.1)  # tail 1e-6
+    with pytest.raises(ValueError, match="cutoff"):
+        vacuum_series(1, 0.0)
+    with pytest.raises(ValueError, match="not a number"):
+        vacuum_series(5, math.nan)
+    assert vacuum_series(4, 0.0) == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_diagonal_moments_requires_a_normalized_column():
+    with pytest.raises(ValueError, match="not normalized"):
+        diagonal_moments([1.0, 0.5])
+    vacuum = diagonal_moments([1.0, 0.0, 0.0])
+    assert vacuum == measure_moments(vacuum_state(3))
 
 
 def test_herald_on_squeezed_vacuum_is_diagonal():

@@ -1,5 +1,5 @@
 """Import structure: numpy stays in the Fock oracle, out of the analytic chain,
-and the package loads the oracle only where it runs."""
+and the oracle imports it only in the loader that guards the BLAS threads."""
 
 import ast
 from pathlib import Path
@@ -43,13 +43,20 @@ def test_only_the_oracle_and_the_blas_guard_import_numpy():
     importers = {name for name, tree in trees.items() if _numpy_imports(tree)}
     assert importers == {"focksim"}
 
-    # focksim's first numpy import sits inside the guard that sets the
-    # BLAS thread count, so no unguarded import loads numpy before it
+    # every numpy import in focksim sits in its loader, and the loader's
+    # first one inside the guard that sets the BLAS thread count, so no
+    # import loads numpy before the guard has run
     focksim = trees["focksim"]
-    guards = [node for node in focksim.body if isinstance(node, ast.If)
+    loaders = [node for node in focksim.body if isinstance(node, ast.FunctionDef)
+               and "OPENBLAS_NUM_THREADS" in ast.unparse(node)]
+    assert len(loaders) == 1
+    loader, = loaders
+    assert {id(imp) for imp in _numpy_imports(focksim)} == {
+        id(imp) for imp in _numpy_imports(loader)}
+    guards = [node for node in ast.walk(loader) if isinstance(node, ast.If)
               and "OPENBLAS_NUM_THREADS" in ast.unparse(node.test)]
     guarded = [imp for guard in guards for imp in _numpy_imports(guard)]
-    first = min(_numpy_imports(focksim), key=lambda node: node.lineno)
+    first = min(_numpy_imports(loader), key=lambda node: node.lineno)
     assert guarded and first is guarded[0]
 
     # nor does the analytic chain reach numpy through a sibling module
@@ -63,31 +70,3 @@ def test_only_the_oracle_and_the_blas_guard_import_numpy():
             seen.add(module)
             assert not _numpy_imports(trees[module]), (name, module)
             todo.extend(_sibling_imports(trees[module]))
-
-
-def _focksim_imports(tree: ast.AST) -> list[ast.stmt]:
-    """Every import that names brisq's focksim module under tree."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or "", *(alias.name for alias in node.names)]
-        else:
-            continue
-        if any("focksim" in name.split(".") for name in names):
-            found.append(node)
-    return found
-
-
-def test_the_package_imports_the_oracle_only_inside_a_function():
-    # an import of focksim at module level would load numpy with brisq
-    for name in ("__init__", "pipeline", "cli"):
-        path = SRC / f"{name}.py"
-        tree = ast.parse(path.read_text(), str(path))
-        in_functions = {id(imp) for node in ast.walk(tree)
-                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        for imp in _focksim_imports(node)}
-        assert {id(imp) for imp in _focksim_imports(tree)} == in_functions, name
-        if name != "cli":
-            assert in_functions, name

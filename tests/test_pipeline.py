@@ -330,32 +330,74 @@ def test_oracle_holds_wherever_it_finds_a_cutoff(ratio):
     assert report.oracle["ok"] is True, report.oracle["deviation"]
 
 
+# the reference device's oracle (cutoff 5, |r| (2 cutoff - 3) = 0.35)
+# takes the vacuum series, threshold_scenario(0.9)'s (cutoff 30) the SVD
+ORACLE_PATHS = {
+    "series": (reference_scenario, "vacuum_series", "diagonal_moments"),
+    "svd": (lambda: threshold_scenario(0.9), "squeezed_vacuum", "measure_moments"),
+}
+
+
 @pytest.mark.parametrize("where", ["table", "pair weights"])
-def test_oracle_deviation_propagates_nan(monkeypatch, where):
+@pytest.mark.parametrize("path", list(ORACLE_PATHS))
+def test_oracle_deviation_propagates_nan(monkeypatch, path, where):
     # run's deviation is the worst of the table deviation and the pair
     # weight differences; a NaN in either, wherever it sits, reaches the
     # deviation instead of being dropped by max, and run refuses it as a
-    # physics failure rather than report a NaN
+    # physics failure rather than report a NaN. Each path's own functions
+    # are patched
+    scenario, build_name, measure_name = ORACLE_PATHS[path]
+    build, measure = getattr(focksim, build_name), getattr(focksim, measure_name)
     built = {}
 
     def vacuum(cutoff, r):
-        state = built["state"] = focksim.squeezed_vacuum(cutoff, r)
+        vector = built["vector"] = build(cutoff, r)
         if where == "table":
-            return state
-        amplitudes = state.amplitudes.copy()
+            return vector
+        if path == "series":
+            return [*vector[:1], math.nan, *vector[2:]]  # |1, 1>, the P_1 weight
+        amplitudes = vector.amplitudes.copy()
         amplitudes[cutoff + 1] = math.nan  # |1, 1>, the P_1 weight
         return focksim.TwoModeState(amplitudes=amplitudes, cutoff=cutoff)
 
-    def moments(state):
-        table = focksim.measure_moments(built["state"])
+    def moments(vector):
+        table = measure(built["vector"])
         if where == "table":
             table = dataclasses.replace(table, cross={**table.cross, "n_a": math.nan})
         return table
 
-    monkeypatch.setattr(pipeline, "squeezed_vacuum", vacuum)
-    monkeypatch.setattr(pipeline, "measure_moments", moments)
+    monkeypatch.setattr(pipeline, build_name, vacuum)
+    monkeypatch.setattr(pipeline, measure_name, moments)
     with pytest.raises(PhysicsError, match="oracle deviations overflow the float range"):
-        run(reference_scenario())
+        run(scenario())
+    assert built
+
+
+def test_run_takes_the_vacuum_series_exactly_where_the_rule_admits_it(monkeypatch):
+    # the reference device's r = 0.0502 puts |r| (2 cutoff - 3) at 1.003
+    # for cutoff 12 and 0.953 for 11
+    calls = []
+    for name in ("vacuum_series", "squeezed_vacuum"):
+        function = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda cutoff, r, function=function,
+                            name=name: calls.append(name) or function(cutoff, r))
+    reports = {}
+    for cutoff in (11, 12):
+        scenario = dataclasses.replace(
+            reference_scenario(), oracle=OracleConfig(enabled=True, cutoff=cutoff))
+        report = reports[cutoff] = run(scenario)
+        assert report.oracle["ok"] is True
+    assert calls == ["vacuum_series", "squeezed_vacuum"]
+    r = reports[11].squeeze.r
+    assert abs(r) * (2 * 11 - 3) <= 1.0 < abs(r) * (2 * 12 - 3)
+    # both report tables in the same layout, within rounding of each other
+    tables = [reports[cutoff].to_dict()["oracle"]["table"] for cutoff in (11, 12)]
+    assert tables[0].keys() == tables[1].keys()
+    for section in ("first", "second", "products", "squeezing", "cross"):
+        assert tables[0][section].keys() == tables[1][section].keys()
+        for key, value in tables[0][section].items():
+            assert abs(value - tables[1][section][key]) <= 1e-15, (section, key)
+    assert tables[0]["max_imag_discarded"] == tables[1]["max_imag_discarded"] == 0.0
 
 
 def test_oracle_report_does_not_depend_on_the_spectrum_memo():
