@@ -27,12 +27,20 @@ diagonal, is measured on about 3 * cutoff points instead of cutoff**2.
 The gather plan of each (cutoff, band) is memoized, at most
 _PLAN_MEMO_BYTES (4 MB) of plans in all.
 
+A run's oracle has one measure path, on the n_a = n_b column alone:
+vacuum_column makes the squeezed vacuum's column as a list and
+diagonal_moments measures it through the same moment forms as
+measure_moments, in O(cutoff) time and memory, with no cutoff**2 state.
+squeezed_vacuum and measure_moments remain the general builder and
+measurer, and the reference for that path.
+
 numpy is imported at the first call that needs an array (_load_numpy),
 not with this module. choose_cutoff, series_admits, vacuum_series and
 diagonal_moments run in pure Python: where ||r K0||_inf = |r| (2 cutoff
-- 3) <= 1, vacuum_series sums the Taylor series of the squeezed
-vacuum's n_a = n_b column, exact to rounding, and diagonal_moments
-measures it through the same moment forms as measure_moments.
+- 3) <= 1, vacuum_column takes the column from vacuum_series, the
+Taylor series of the column, exact to rounding, and loads no numpy;
+elsewhere it takes the column that squeezed_vacuum forms from the
+sector SVD.
 """
 
 from __future__ import annotations
@@ -336,6 +344,22 @@ def squeeze_operator(cutoff: int, r: float) -> np.ndarray:
     return out
 
 
+def _svd_column(cutoff: int, r: float) -> np.ndarray:
+    """The n_a = n_b column of the squeezed vacuum, amplitude k on |k, k>,
+    from the sector SVD: column 0 of the n_a = n_b sector's block, formed
+    without the block. Both gates run before anything is allocated."""
+    require_cutoff(cutoff)
+    _require_tail(cutoff, r)
+    u, wt, sin, versine = _sector_rotation(r, cutoff, 0)
+    # column 0 of _sector_block: e_0 - U (1 - cos rS) U[0] on the even
+    # levels, U[0] sin(rS) W^T on the odd ones
+    column = np.zeros(cutoff)
+    column[0] = 1.0
+    column[0::2] -= u @ (versine * u[0])
+    column[1::2] = (u[0, :wt.shape[0]] * sin) @ wt
+    return column
+
+
 def squeezed_vacuum(cutoff: int, r: float) -> TwoModeState:
     """Squeeze operator applied to the two-mode vacuum.
 
@@ -345,19 +369,10 @@ def squeezed_vacuum(cutoff: int, r: float) -> TwoModeState:
     CutoffTooSmall and ValueError as squeeze_operator does, but has no
     dense cap.
     """
-    require_cutoff(cutoff)
-    n = cutoff
-    _require_tail(n, r)
-    u, wt, sin, versine = _sector_rotation(r, n, 0)
-    # column 0 of _sector_block: e_0 - U (1 - cos rS) U[0] on the even
-    # levels, U[0] sin(rS) W^T on the odd ones
-    column = np.zeros(n)
-    column[0] = 1.0
-    column[0::2] -= u @ (versine * u[0])
-    column[1::2] = (u[0, :wt.shape[0]] * sin) @ wt
-    amp = np.zeros(n * n)
-    amp[_sector_index(n, 0)] = column
-    return TwoModeState(amplitudes=amp, cutoff=n)
+    column = _svd_column(cutoff, r)
+    amp = np.zeros(cutoff * cutoff)
+    amp[_sector_index(cutoff, 0)] = column
+    return TwoModeState(amplitudes=amp, cutoff=cutoff)
 
 
 def apply_squeeze_factorized(state: TwoModeState, r: float) -> TwoModeState:
@@ -670,12 +685,14 @@ def measure_moments(state: TwoModeState) -> MomentTable:
     exactly one: for a squeezed vacuum, on the n_a = n_b diagonal alone,
     the images and their Gram matrix cost O(cutoff), for a dense state
     O(cutoff**2); finding the band is one scan of a bool mask of the
-    amplitudes. The images are gathered from the amplitudes through a plan memoized per (cutoff,
-    band), at most _PLAN_MEMO_BYTES (4 MB) of plans in all: 80 bytes per
-    band point, ~30 KB for a squeezed vacuum at cutoff 128 and ~1.3 MB
-    for a dense state there. The images and the Gram matrix take the
-    state's dtype, so a real state is measured in real arithmetic and
-    .conj() copies nothing. Imaginary parts, which vanish for the real
+    amplitudes, read row by row. The images are gathered from the
+    amplitudes through a plan memoized per (cutoff, band), at most
+    _PLAN_MEMO_BYTES (4 MB) of plans in all: 80 bytes per band point,
+    ~30 KB for a squeezed vacuum at cutoff 128 and ~1.3 MB for a dense
+    state there. The images and the Gram matrix take the state's dtype,
+    so a real state is measured in real arithmetic, one matrix product;
+    a complex state's Gram entries are np.vdot products, which conjugate
+    without copying the images. Imaginary parts, which vanish for the real
     squeezed states produced here, are dropped and their largest
     magnitude recorded in max_imag_discarded. The squeezing and
     Heisenberg entries use variances, so they remain meaningful for
@@ -684,17 +701,25 @@ def measure_moments(state: TwoModeState) -> MomentTable:
     Raises ValueError when the state is not normalized: <psi|psi>,
     the Gram matrix's first entry, must be within NORM_TOL of 1.
     """
-    # n_a - n_b of every occupied basis point; nonzero() scans a bool
-    # mask ~8x faster than the amplitudes themselves
-    occupied, = state.amplitudes.astype(bool).nonzero()
-    n_a, n_b = np.divmod(occupied, state.cutoff)
-    sectors = n_a - n_b
+    n = state.cutoff
+    # each occupied row n_a reaches sectors n_a - last .. n_a - first of
+    # its first and last occupied columns; a bool mask scans ~8x faster
+    # than the amplitudes themselves
+    mask = state.grid().astype(bool)
+    rows, = mask.any(axis=1).nonzero()
+    first = mask.argmax(axis=1)[rows]
+    last = n - 1 - mask[:, ::-1].argmax(axis=1)[rows]
     # an all-zero state gets an empty band and fails the norm check
-    sources, weights = _band_plans(state.cutoff, int(sectors.min(initial=state.cutoff)),
-                                   int(sectors.max(initial=-state.cutoff)))
+    sources, weights = _band_plans(n, int((rows - last).min(initial=n)),
+                                   int((rows - first).max(initial=-n)))
     images = state.amplitudes[sources]
     images *= weights
-    gram = images.conj() @ images.T
+    if images.dtype.kind == "c":
+        # vdot conjugates its first argument in place of the copy that
+        # images.conj() would make of all five images
+        gram = np.array([[np.vdot(bra, ket) for ket in images] for bra in images])
+    else:
+        gram = images @ images.T
     values = _table_coefficients() @ gram.reshape(-1)
     return _moment_table(float(gram[0, 0].real), values.real.tolist(),
                          float(abs(values.imag).max()))
@@ -759,6 +784,19 @@ def vacuum_series(cutoff: int, r: float) -> list[float]:
     column = [sum(map(operator.mul, row, powers[k::2]))
               for k, row in enumerate(_series_coefficients(cutoff))]
     return column + [0.0] * (cutoff - len(column))
+
+
+def vacuum_column(cutoff: int, r: float) -> list[float]:
+    """The n_a = n_b column of squeezed_vacuum(cutoff, r), amplitude k on
+    |k, k>, as a list: from vacuum_series where series_admits holds and
+    from the sector SVD otherwise, the column squeezed_vacuum scatters
+    into its state. Raises CutoffTooSmall and ValueError as
+    squeezed_vacuum does.
+    """
+    require_cutoff(cutoff)
+    if series_admits(cutoff, r):
+        return vacuum_series(cutoff, r)
+    return _svd_column(cutoff, r).tolist()
 
 
 def diagonal_moments(column: Sequence[float]) -> MomentTable:

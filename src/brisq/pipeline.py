@@ -24,10 +24,10 @@ from .errors import PhysicsError, ScenarioError, Unstable, require_cutoff, requi
 from .focksim import (
     choose_cutoff,
     diagonal_moments,
+    # not called here: perfbench's tracer and its contract test look these two up
     measure_moments,
-    series_admits,
     squeezed_vacuum,
-    vacuum_series,
+    vacuum_column,
 )
 from .pump import PumpDrive, PumpSteadyState, pump_steady_state
 from .squeezing import (
@@ -340,15 +340,12 @@ def run(scenario: Scenario) -> RunReport:
         if cutoff is None:
             cutoff = choose_cutoff(squeeze.r,
                                    flux_tol=scenario.oracle.tolerance)
-        # the squeezed vacuum's n_a = n_b column, from the Taylor series
-        # where that is exact to rounding and from the sector SVD otherwise
-        if series_admits(cutoff, squeeze.r):
-            column = vacuum_series(cutoff, squeeze.r)
-            numeric = diagonal_moments(column)
-        else:
-            state = squeezed_vacuum(cutoff, squeeze.r)
-            numeric = measure_moments(state)
-            column = state.grid().diagonal()[:PAIR_PROBABILITY_ORDERS].tolist()
+        # the squeezed vacuum lives on the n_a = n_b diagonal: its column
+        # there (the Taylor series where that is exact to rounding, the
+        # sector SVD otherwise) is measured on that diagonal, and no
+        # cutoff**2 state is built
+        column = vacuum_column(cutoff, squeeze.r)
+        numeric = diagonal_moments(column)
         # |n, n> weights of the real column; 0 beyond the basis
         weights = [c * c for c in column[:PAIR_PROBABILITY_ORDERS]]
         weights += [0.0] * (PAIR_PROBABILITY_ORDERS - len(weights))

@@ -146,15 +146,14 @@ def test_run_oracle_mismatch_still_writes_report(tmp_path, capsys):
 
 def poison_oracle_table(monkeypatch):
     """Make the oracle's measured table hold a NaN, as an overflowing
-    kernel would, on the series path and on the SVD path."""
-    for name in ("diagonal_moments", "measure_moments"):
-        measure = getattr(pipeline, name)
+    kernel would; diagonal_moments measures the column of either path."""
+    measure = pipeline.diagonal_moments
 
-        def measured_nan(state, measure=measure):
-            table = measure(state)
-            return dataclasses.replace(table, cross={**table.cross, "n_a": math.nan})
+    def measured_nan(column):
+        table = measure(column)
+        return dataclasses.replace(table, cross={**table.cross, "n_a": math.nan})
 
-        monkeypatch.setattr(pipeline, name, measured_nan)
+    monkeypatch.setattr(pipeline, "diagonal_moments", measured_nan)
 
 
 def test_run_nan_oracle_deviation_exits_three(monkeypatch, capsys):

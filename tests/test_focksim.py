@@ -30,6 +30,7 @@ from brisq.focksim import (
     series_admits,
     squeeze_operator,
     squeezed_vacuum,
+    vacuum_column,
     vacuum_series,
     vacuum_state,
 )
@@ -652,7 +653,7 @@ def test_measure_moments_requires_a_normalized_state():
 
 def test_measure_moments_memory_is_bounded():
     # a loose ceiling of 11 complex grids: the band kernel measures this
-    # squeezed vacuum in ~0.2 real grids, ~0.6 when its plan is built
+    # squeezed vacuum in ~0.3 real grids, ~0.7 when its plan is built
     # inside the window. The tight bound is
     # test_squeezed_vacuum_is_measured_on_its_band_alone's, and the
     # dense complex bound test_dense_complex_state_memory_is_bounded's
@@ -671,7 +672,7 @@ def test_measure_moments_of_a_real_state_takes_real_grids():
     # a real state's five images and its Gram matrix are real, and
     # .conj() of a real array is the array itself. The images cover the
     # band alone, ~3 * cutoff points here, so this squeezed vacuum takes
-    # ~0.2 real grids and the ceiling of 7 is loose
+    # ~0.3 real grids and the ceiling of 7 is loose
     cutoff = 128
     state = squeezed_vacuum(cutoff, 1.0)
     tracemalloc.start()
@@ -685,8 +686,9 @@ def test_measure_moments_of_a_real_state_takes_real_grids():
 
 def test_squeezed_vacuum_is_measured_on_its_band_alone():
     # the images cover sectors -1..1 only: below 2 real grids at cutoff
-    # 128 (~0.2 measured: the occupancy mask is 1/8 of a grid), plan
-    # built inside the window or not
+    # 128 (~0.3 measured: the occupancy mask and the mirrored copy that
+    # finds each row's last occupied column are 1/8 of a grid each),
+    # plan built inside the window or not
     cutoff = 128
     state = squeezed_vacuum(cutoff, 1.0)
     for cold in (True, False):
@@ -703,22 +705,27 @@ def test_squeezed_vacuum_is_measured_on_its_band_alone():
 
 
 def test_dense_complex_state_memory_is_bounded():
-    # every sector is in the band: five complex images and their
-    # conjugate (10 complex grids), the occupied indices and their
-    # sectors (~1.5), and a cold plan (5), ~17 measured
+    # every sector is in the band: the five gathered complex images (5
+    # complex grids), with the plan built inside the window its indices
+    # and weights too (5) and the transients of building them; the Gram
+    # entries come from np.vdot, with no conjugate copy of the images,
+    # and the band from a bool mask, with no index arrays. ~11.5 grids
+    # measured cold and ~5.6 warm (17.0 and 12.0 with the copy and the
+    # index arrays)
     cutoff = 128
     rng = np.random.default_rng(3)
     amp = rng.normal(size=cutoff * cutoff) + 1j * rng.normal(size=cutoff * cutoff)
     state = TwoModeState(amplitudes=amp / np.linalg.norm(amp), cutoff=cutoff)
     _band_plans.clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        measure_moments(state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * cutoff * cutoff * 16
+    for cold, grids in ((True, 12), (False, 7)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            measure_moments(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grids * cutoff * cutoff * 16, (cold, peak)
 
 
 def test_plan_memo_memory_is_bounded():
@@ -934,29 +941,98 @@ def test_vacuum_series_agrees_with_the_sector_svd(point):
     assert np.abs(np.array(column) - state.grid().diagonal()).max() <= apart
 
     series, svd = diagonal_moments(column), measure_moments(state)
-    assert series.max_imag_discarded == svd.max_imag_discarded == 0.0
     # one bound per form, its spread read off the forms both paths share
     spreads = [sum(map(abs, row)) for row in focksim._table_forms()]
-    bounds = [moment_error(cutoff, apart, spread) for spread in spreads]
+    assert_tables_within(series, svd, [moment_error(cutoff, apart, spread)
+                                       for spread in spreads])
+
+
+def assert_tables_within(got, want, bounds):
+    """Every entry of the real tables got and want within its bound:
+    bounds[i] for form i of _table_forms (first moments, second moments,
+    then cross moments), and the squeezing and product entries within
+    what those second moments' bounds propagate to, plus their own
+    roundings."""
+    assert got.max_imag_discarded == want.max_imag_discarded == 0.0
     names = ([("first", q) for q in QUAD_KEYS] + [("second", q) for q in QUAD_KEYS]
-             + [("cross", key) for key in series.cross])
-    for (section, key), bound in zip(names, bounds):
-        got, want = getattr(series, section)[key], getattr(svd, section)[key]
-        assert abs(got - want) <= bound, (section, key)
+             + [("cross", key) for key in want.cross])
+    for (section, key), bound in zip(names, bounds, strict=True):
+        assert abs(getattr(got, section)[key] - getattr(want, section)[key]) <= bound, \
+            (section, key)
     # both first moments vanish exactly, so a squeezing entry moves with
     # its second moment, up to one rounding of the - 1/2 on each side
     for i, quad in enumerate(QUAD_KEYS):
-        assert series.first[quad] == svd.first[quad] == 0.0
-        moved = bounds[8 + i] + 2.0 * UNIT * (svd.second[quad] + 0.5)
-        assert abs(series.squeezing[quad] - svd.squeezing[quad]) <= moved, quad
+        assert got.first[quad] == want.first[quad] == 0.0
+        moved = bounds[8 + i] + 2.0 * UNIT * (want.second[quad] + 0.5)
+        assert abs(got.squeezing[quad] - want.squeezing[quad]) <= moved, quad
     # a product sqrt(x y) moves by (sqrt(y/x) dx + sqrt(x/y) dy) / 2,
     # and two roundings on each side
     for m, mode in enumerate("abcd"):
-        x, y = (svd.squeezing[quad] + 0.5 for quad in QUAD_KEYS[2 * m:2 * m + 2])
+        x, y = (want.squeezing[quad] + 0.5 for quad in QUAD_KEYS[2 * m:2 * m + 2])
         dx, dy = (bounds[8 + 2 * m] + 2.0 * UNIT, bounds[9 + 2 * m] + 2.0 * UNIT)
         moved = (math.sqrt(y / x) * dx + math.sqrt(x / y) * dy) / 2.0
-        moved += 4.0 * UNIT * svd.products[mode]
-        assert abs(series.products[mode] - svd.products[mode]) <= moved, mode
+        moved += 4.0 * UNIT * want.products[mode]
+        assert abs(got.products[mode] - want.products[mode]) <= moved, mode
+
+
+def diagonal_measure_error(column):
+    """Bound on how far diagonal_moments(column) and measure_moments of
+    the state sum_k column[k] |k, k> can part, form by form, from the
+    summation lengths alone: both read the same four Gram sums of
+    _DIAGONAL_GRAM, every other Gram entry is an exact 0 on both sides.
+
+    diagonal_moments forms a sum's N terms with at most two roundings
+    each and adds them up: within gamma_(N+1) of its absolute sum A.
+    measure_moments gathers both images with rounded sqrt weights (two
+    roundings an image entry), multiplies them (one) and sums the 3N - 2
+    points of the band: within gamma_(3N+2) A. Each form then adds its
+    coefficients times the sums, up to 25 terms on one side and 4
+    collapsed coefficients of up to 4 terms on the other: gamma_26 and
+    gamma_8 of sum |coefficient| A, the rounded sums' own growth taken
+    into the next index of each gamma.
+    """
+    n = len(column)
+    levels = range(1, n)
+    absolute = (sum(c * c for c in column),
+                sum(k * c * c for k, c in zip(levels, column[1:])),
+                sum(k * c * c for k, c in zip(levels, column)),
+                sum(k * abs(c * d) for k, c, d in zip(levels, column, column[1:])))
+    rate = gamma(n + 2) + gamma(3 * n + 3) + gamma(27) + gamma(9)
+    return [rate * sum(abs(row[5 * i + j]) * total
+                       for entries, total in zip(focksim._DIAGONAL_GRAM, absolute)
+                       for i, j in entries)
+            for row in focksim._table_forms()]
+
+
+@st.composite
+def svd_points(draw):
+    """(cutoff, r) that the tail gate admits and series_admits refuses,
+    where vacuum_column takes the sector SVD; cutoffs 7-128 have them."""
+    cutoff = draw(st.integers(2, CUTOFF_CAP))
+    low, high = math.nextafter(1.0 / (2 * cutoff - 3), 2.0), gate_edge(cutoff)
+    assume(low <= high)
+    r = draw(st.floats(low, high)) * draw(st.sampled_from((1.0, -1.0)))
+    assume(not series_admits(cutoff, r))
+    return cutoff, r
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(svd_points())
+def test_the_diagonal_measure_agrees_with_the_state_measure(point):
+    # a run's oracle measures vacuum_column with diagonal_moments; the
+    # library's general builder and measurer are its reference
+    cutoff, r = point
+    column = vacuum_column(cutoff, r)
+    state = squeezed_vacuum(cutoff, r)
+    assert all(type(value) is float for value in column)
+    assert column == state.grid().diagonal().tolist()
+    # run's pair weights c * c, one rounding from the exact square, and
+    # the state's abs(c) ** 2, which libm's pow takes to within one ulp
+    for k, c in enumerate(column[:6]):
+        weight = state.probability(k, k)
+        assert abs(c * c - weight) <= 3.0 * UNIT * weight, k
+    assert_tables_within(diagonal_moments(column), measure_moments(state),
+                         diagonal_measure_error(column))
 
 
 def test_series_admits_exactly_the_unit_generator_norm():
@@ -983,6 +1059,19 @@ def test_vacuum_series_refuses_what_its_rule_or_the_gates_refuse():
     with pytest.raises(ValueError, match="not a number"):
         vacuum_series(5, math.nan)
     assert vacuum_series(4, 0.0) == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_vacuum_column_refuses_what_squeezed_vacuum_refuses():
+    # with the same error on either path: the series rule admits (3, 0.1),
+    # whose tail is 1e-6, and sends (7, 0.5) and both NaNs to the SVD
+    for cutoff, r in ((1, 0.0), (129, 0.0), (True, 0.0), (3, 0.1), (7, 0.5),
+                      (5, math.nan), (40, math.nan)):
+        with pytest.raises((ValueError, CutoffTooSmall)) as refused:
+            squeezed_vacuum(cutoff, r)
+        with pytest.raises(refused.type) as same:
+            vacuum_column(cutoff, r)
+        assert str(same.value) == str(refused.value)
+    assert vacuum_column(4, 0.0) == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_diagonal_moments_requires_a_normalized_column():

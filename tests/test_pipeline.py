@@ -1,9 +1,11 @@
 """Scenario parsing, end-to-end runs, sweeps, and reference checks."""
 
 import dataclasses
+import gc
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -331,10 +333,11 @@ def test_oracle_holds_wherever_it_finds_a_cutoff(ratio):
 
 
 # the reference device's oracle (cutoff 5, |r| (2 cutoff - 3) = 0.35)
-# takes the vacuum series, threshold_scenario(0.9)'s (cutoff 30) the SVD
+# takes its column from the vacuum series, threshold_scenario(0.9)'s
+# (cutoff 30) from the sector SVD; diagonal_moments measures both
 ORACLE_PATHS = {
-    "series": (reference_scenario, "vacuum_series", "diagonal_moments"),
-    "svd": (lambda: threshold_scenario(0.9), "squeezed_vacuum", "measure_moments"),
+    "series": (reference_scenario, "vacuum_series"),
+    "svd": (lambda: threshold_scenario(0.9), "_svd_column"),
 }
 
 
@@ -344,30 +347,27 @@ def test_oracle_deviation_propagates_nan(monkeypatch, path, where):
     # run's deviation is the worst of the table deviation and the pair
     # weight differences; a NaN in either, wherever it sits, reaches the
     # deviation instead of being dropped by max, and run refuses it as a
-    # physics failure rather than report a NaN. Each path's own functions
-    # are patched
-    scenario, build_name, measure_name = ORACLE_PATHS[path]
-    build, measure = getattr(focksim, build_name), getattr(focksim, measure_name)
+    # physics failure rather than report a NaN. Each path's own column
+    # producer is patched, and the table measures the clean column
+    scenario, producer = ORACLE_PATHS[path]
+    produce, measure = getattr(focksim, producer), pipeline.diagonal_moments
     built = {}
 
-    def vacuum(cutoff, r):
-        vector = built["vector"] = build(cutoff, r)
-        if where == "table":
-            return vector
-        if path == "series":
-            return [*vector[:1], math.nan, *vector[2:]]  # |1, 1>, the P_1 weight
-        amplitudes = vector.amplitudes.copy()
-        amplitudes[cutoff + 1] = math.nan  # |1, 1>, the P_1 weight
-        return focksim.TwoModeState(amplitudes=amplitudes, cutoff=cutoff)
+    def column(cutoff, r):
+        vector = produce(cutoff, r)
+        built["column"] = [float(c) for c in vector]
+        if where == "pair weights":
+            vector[1] = math.nan  # |1, 1>, the P_1 weight
+        return vector
 
-    def moments(vector):
-        table = measure(built["vector"])
+    def moments(column):
+        table = measure(built["column"])
         if where == "table":
             table = dataclasses.replace(table, cross={**table.cross, "n_a": math.nan})
         return table
 
-    monkeypatch.setattr(pipeline, build_name, vacuum)
-    monkeypatch.setattr(pipeline, measure_name, moments)
+    monkeypatch.setattr(focksim, producer, column)
+    monkeypatch.setattr(pipeline, "diagonal_moments", moments)
     with pytest.raises(PhysicsError, match="oracle deviations overflow the float range"):
         run(scenario())
     assert built
@@ -377,9 +377,9 @@ def test_run_takes_the_vacuum_series_exactly_where_the_rule_admits_it(monkeypatc
     # the reference device's r = 0.0502 puts |r| (2 cutoff - 3) at 1.003
     # for cutoff 12 and 0.953 for 11
     calls = []
-    for name in ("vacuum_series", "squeezed_vacuum"):
-        function = getattr(pipeline, name)
-        monkeypatch.setattr(pipeline, name, lambda cutoff, r, function=function,
+    for name in ("vacuum_series", "_svd_column"):
+        function = getattr(focksim, name)
+        monkeypatch.setattr(focksim, name, lambda cutoff, r, function=function,
                             name=name: calls.append(name) or function(cutoff, r))
     reports = {}
     for cutoff in (11, 12):
@@ -387,7 +387,7 @@ def test_run_takes_the_vacuum_series_exactly_where_the_rule_admits_it(monkeypatc
             reference_scenario(), oracle=OracleConfig(enabled=True, cutoff=cutoff))
         report = reports[cutoff] = run(scenario)
         assert report.oracle["ok"] is True
-    assert calls == ["vacuum_series", "squeezed_vacuum"]
+    assert calls == ["vacuum_series", "_svd_column"]
     r = reports[11].squeeze.r
     assert abs(r) * (2 * 11 - 3) <= 1.0 < abs(r) * (2 * 12 - 3)
     # both report tables in the same layout, within rounding of each other
@@ -398,6 +398,23 @@ def test_run_takes_the_vacuum_series_exactly_where_the_rule_admits_it(monkeypatc
         for key, value in tables[0][section].items():
             assert abs(value - tables[1][section][key]) <= 1e-15, (section, key)
     assert tables[0]["max_imag_discarded"] == tables[1]["max_imag_discarded"] == 0.0
+
+
+def test_a_warm_oracle_run_builds_no_cutoff_squared_state():
+    # the oracle measures the squeezed vacuum's n_a = n_b column alone, so
+    # a run near threshold (cutoff 121) peaks far below a quarter of one
+    # cutoff**2 float64 grid; a TwoModeState alone would be a whole grid
+    scenario = threshold_scenario(0.9935)
+    cutoff = run(scenario).oracle["cutoff"]
+    assert cutoff >= 100
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cutoff * cutoff * 8 / 4
 
 
 def test_oracle_report_does_not_depend_on_the_spectrum_memo():
