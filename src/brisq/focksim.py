@@ -20,12 +20,12 @@ amplitudes are real, and everything downstream follows the state's
 dtype: a real state is squeezed and measured in real arithmetic, a
 complex one in complex arithmetic, on one code path.
 
-measure_moments works on the band of sectors n_a - n_b a state
-occupies, widened by one on each side, since every ladder operator
-moves a sector by exactly one: the squeezed vacuum, on the n_a = n_b
-diagonal, is measured on about 3 * cutoff points instead of cutoff**2.
-The gather plan of each (cutoff, band) is memoized, at most
-_PLAN_MEMO_BYTES (4 MB) of plans in all.
+measure_moments walks the band of sectors n_a - n_b a state occupies,
+widened by one on each side, since every ladder operator moves a
+sector by exactly one, and sums its Gram matrix one sector at a time:
+the squeezed vacuum, on the n_a = n_b diagonal, is measured on three
+sectors, about 3 * cutoff points instead of cutoff**2, and no sector
+takes more than O(cutoff) memory.
 
 A run's oracle has one measure path, on the n_a = n_b column alone:
 vacuum_column makes the squeezed vacuum's column as a list and
@@ -72,9 +72,6 @@ SQRT2 = math.sqrt(2.0)
 # sector spectra kept by _sector_spectrum: every sector of the largest
 # cutoff, 2 * CUTOFF_CAP - 1 = 255 of them, fits at once
 _SPECTRUM_MEMO = 256
-# bytes of band plans kept by measure_moments: the squeezed vacuum's
-# plans of every cutoff up to the cap and a dense plan at the cap fit
-_PLAN_MEMO_BYTES = 4_000_000
 # Taylor terms of vacuum_series, enough for the widest norm it admits,
 # ||r K0||_inf = 1: the tail sum_{j > 18} 1/j! < (1/19!) (20/19) < 1e-17
 SERIES_TERMS = 18
@@ -498,71 +495,33 @@ def bogoliubov_check(cutoff: int, r: float) -> BogoliubovResiduals:
     return BogoliubovResiduals(*worst.tolist(), block=limit)
 
 
-def _band_plan(cutoff: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the five images psi, a psi, b psi, a^dag psi and b^dag psi
-    of a state on the sectors n_a - n_b = lo..hi read it, and with what
-    weight, on every basis point of sectors lo-1..hi+1 (a ladder moves a
-    sector by exactly one, so no image reaches further).
+def _sector_images(amplitudes: np.ndarray, cutoff: int, m: int) -> np.ndarray:
+    """The five images psi, a psi, b psi, a^dag psi and b^dag psi of a
+    state on the sector n_a - n_b = m, as the rows of a (5, cutoff - |m|)
+    array in the state's dtype, points in the order of _sector_index.
 
-    Returns (sources, weights), both (5, m): image k at the i-th point
-    of the band is weights[k, i] * amplitudes[sources[k, i]]. Image k
-    reads the level its occupation names, sqrt(level) its weight: psi
-    reads itself with weight 1, a reads n_a + 1 with sqrt(n_a + 1), a^dag
-    n_a - 1 with sqrt(n_a); a read outside the truncated basis (an
-    occupation of 0 or cutoff) has weight 0 and source 0, so each image
-    is elementwise the truncated Kronecker ladder matrix times the state.
+    Image k reads the level its occupation names, sqrt(level) its weight:
+    psi reads itself with weight 1, a reads n_a + 1 with sqrt(n_a + 1),
+    a^dag n_a - 1 with sqrt(n_a); a read outside the truncated basis (an
+    occupation of 0 or cutoff) has weight 0 and reads index 0, so each
+    image is elementwise the truncated Kronecker ladder matrix times the
+    state, on the sector.
     """
     n = cutoff
-    n_a = np.arange(n)[:, None]
-    n_b = n_a - np.arange(lo - 1, hi + 2)
-    kept = (n_b >= 0) & (n_b < n)
-    n_a, n_b = np.broadcast_to(n_a, n_b.shape)[kept], n_b[kept]
+    points = _sector_index(n, m)
+    n_a, n_b = np.divmod(points, n)
     occupation = np.stack([np.ones_like(n_a), n_a + 1, n_b + 1, n_a, n_b])
     inside = (occupation > 0) & (occupation < n)
     shift = np.array([[0], [n], [1], [-n], [-1]])
-    sources = np.where(inside, n_a * n + n_b + shift, 0)
-    weights = np.where(inside, np.sqrt(occupation), 0.0)
-    for part in (sources, weights):
-        part.flags.writeable = False
-    return sources, weights
-
-
-class _PlanMemo:
-    """Band plans by (cutoff, lo, hi), least recently used first out,
-    together at most budget bytes."""
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.size = 0
-        self.plans: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    def __call__(self, cutoff: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (cutoff, lo, hi)
-        plan = self.plans.pop(key, None)
-        if plan is None:
-            plan = _band_plan(cutoff, lo, hi)
-            self.size += _plan_bytes(plan)
-            while self.plans and self.size > self.budget:
-                self.size -= _plan_bytes(self.plans.pop(next(iter(self.plans))))
-        self.plans[key] = plan
-        return plan
-
-    def clear(self) -> None:
-        self.plans.clear()
-        self.size = 0
-
-
-def _plan_bytes(plan: tuple[np.ndarray, np.ndarray]) -> int:
-    return sum(part.nbytes for part in plan)
-
-
-_band_plans = _PlanMemo(_PLAN_MEMO_BYTES)
+    images = amplitudes[np.where(inside, points + shift, 0)]
+    images *= np.where(inside, np.sqrt(occupation), 0.0)
+    return images
 
 
 @functools.cache
 def _table_forms() -> tuple[tuple[complex, ...], ...]:
     """Every first, second and cross moment as a bra/ket pair over the
-    five images of _band_plan (psi, a psi, b psi, a^dag psi, b^dag psi),
+    five images of _sector_images (psi, a psi, b psi, a^dag psi, b^dag psi),
     flattened to coefficients of the Gram matrix, one row per table
     entry: first and second moments by QUAD_KEYS, then cross moments by
     CROSS_KEYS. The rows are plain Python numbers, read by both measure
@@ -615,7 +574,7 @@ def _table_coefficients() -> np.ndarray:
 
 
 # The Gram entries a state on the n_a = n_b diagonal can have nonzero,
-# grouped by value (the images are numbered as in _band_plan): psi lies
+# grouped by value (the images are numbered as in _sector_images): psi lies
 # in sector 0, a psi and b^dag psi in sector -1, b psi and a^dag psi in
 # sector +1, so images in different sectors are orthogonal, and for
 # psi = sum_k c_k |k, k> with real c_k
@@ -680,19 +639,17 @@ def measure_moments(state: TwoModeState) -> MomentTable:
     the lowering one and on a and b commuting in the Kronecker basis,
     both exact for the truncated matrices.
 
-    The images live on the band of sectors n_a - n_b the state occupies,
-    widened by one on each side, since every ladder moves a sector by
-    exactly one: for a squeezed vacuum, on the n_a = n_b diagonal alone,
-    the images and their Gram matrix cost O(cutoff), for a dense state
-    O(cutoff**2); finding the band is one scan of a bool mask of the
-    amplitudes, read row by row. The images are gathered from the
-    amplitudes through a plan memoized per (cutoff, band), at most
-    _PLAN_MEMO_BYTES (4 MB) of plans in all: 80 bytes per band point,
-    ~30 KB for a squeezed vacuum at cutoff 128 and ~1.3 MB for a dense
-    state there. The images and the Gram matrix take the state's dtype,
-    so a real state is measured in real arithmetic, one matrix product;
-    a complex state's Gram entries are np.vdot products, which conjugate
-    without copying the images. Imaginary parts, which vanish for the real
+    Every ladder moves a sector n_a - n_b by exactly one, so the images
+    vanish outside the band of sectors the state occupies, widened by
+    one on each side, and images on different sectors are orthogonal.
+    The Gram matrix is summed over that band one sector at a time, from
+    the five images on the sector's points (_sector_images): for a
+    squeezed vacuum, on the n_a = n_b diagonal alone, that is three
+    sectors and O(cutoff) work, for a dense state all 2 cutoff - 1, and
+    the working memory beyond the band's search is O(cutoff) either way.
+    The images and the Gram matrix take the state's dtype, so a real
+    state is measured in real arithmetic and a complex one in complex
+    arithmetic, on one path. Imaginary parts, which vanish for the real
     squeezed states produced here, are dropped and their largest
     magnitude recorded in max_imag_discarded. The squeezing and
     Heisenberg entries use variances, so they remain meaningful for
@@ -701,25 +658,15 @@ def measure_moments(state: TwoModeState) -> MomentTable:
     Raises ValueError when the state is not normalized: <psi|psi>,
     the Gram matrix's first entry, must be within NORM_TOL of 1.
     """
-    n = state.cutoff
-    # each occupied row n_a reaches sectors n_a - last .. n_a - first of
-    # its first and last occupied columns; a bool mask scans ~8x faster
-    # than the amplitudes themselves
-    mask = state.grid().astype(bool)
-    rows, = mask.any(axis=1).nonzero()
-    first = mask.argmax(axis=1)[rows]
-    last = n - 1 - mask[:, ::-1].argmax(axis=1)[rows]
-    # an all-zero state gets an empty band and fails the norm check
-    sources, weights = _band_plans(n, int((rows - last).min(initial=n)),
-                                   int((rows - first).max(initial=-n)))
-    images = state.amplitudes[sources]
-    images *= weights
-    if images.dtype.kind == "c":
-        # vdot conjugates its first argument in place of the copy that
-        # images.conj() would make of all five images
-        gram = np.array([[np.vdot(bra, ket) for ket in images] for bra in images])
-    else:
-        gram = images @ images.T
+    n, amplitudes = state.cutoff, state.amplitudes
+    occupied = np.flatnonzero(amplitudes)
+    sectors = occupied // n - occupied % n
+    # an all-zero state walks no sector and fails the norm check
+    band = range(sectors.min() - 1, sectors.max() + 2) if occupied.size else ()
+    gram = np.zeros((5, 5), dtype=amplitudes.dtype)
+    for m in band:
+        images = _sector_images(amplitudes, n, m)
+        gram += images.conj() @ images.T
     values = _table_coefficients() @ gram.reshape(-1)
     return _moment_table(float(gram[0, 0].real), values.real.tolist(),
                          float(abs(values.imag).max()))

@@ -42,10 +42,8 @@ from brisq.squeezing import (
     table_deviation,
 )
 from brisq.focksim import (
-    _PLAN_MEMO_BYTES,
-    _band_plan,
-    _band_plans,
     _sector_block,
+    _sector_images,
     _sector_index,
     _sector_spectrum,
 )
@@ -155,25 +153,29 @@ def test_ladder_commutators():
 
 
 def test_grid_actions_match_dense_products():
-    # each image of a band plan is the dense ladder product on the
-    # plan's points, and the product is zero off them: on a dense state
-    # (every sector) and on one occupying sectors 1..2 alone
+    # each sector's five images are the dense ladder products on the
+    # sector's points, and over the band the state occupies, widened by
+    # one on each side, the products are zero off those points: on a
+    # dense state (every sector) and on one occupying sectors 1..2 alone
     ops = ladder_operators(6)
     rng = np.random.default_rng(5)
     dense = rng.normal(size=36) + 1j * rng.normal(size=36)
     n_a, n_b = np.divmod(np.arange(36), 6)
     banded = np.where((n_a - n_b >= 1) & (n_a - n_b <= 2), dense, 0.0)
     for amp, lo, hi in ((dense, -5, 5), (banded, 1, 2)):
-        sources, weights = _band_plan(6, lo, hi)
-        points = sources[0]  # psi reads itself
+        walked = []
+        for m in range(max(lo - 1, -5), min(hi + 1, 5) + 1):
+            points = _sector_index(6, m)
+            walked.extend(points)
+            images = _sector_images(amp, 6, m)
+            assert images.dtype == amp.dtype
+            for image, op in zip(images, (np.eye(36), ops.a, ops.b, ops.adag, ops.bdag)):
+                assert np.array_equal(image, (op @ amp)[points])
         sector = n_a - n_b
-        assert np.array_equal(np.sort(points),
+        assert np.array_equal(np.sort(walked),
                               np.flatnonzero((sector >= lo - 1) & (sector <= hi + 1)))
-        images = weights * amp[sources]
-        for image, op in zip(images, (np.eye(36), ops.a, ops.b, ops.adag, ops.bdag)):
-            product = op @ amp
-            assert np.array_equal(image, product[points])
-            assert not np.delete(product, points).any()
+        for op in (np.eye(36), ops.a, ops.b, ops.adag, ops.bdag):
+            assert not np.delete(op @ amp, walked).any()
 
 
 def test_squeeze_operator_identity_at_zero():
@@ -649,12 +651,19 @@ def test_measure_moments_requires_a_normalized_state():
             measure_moments(TwoModeState(amplitudes=amp, cutoff=cutoff))
         normalized = TwoModeState(amplitudes=amp / np.linalg.norm(amp), cutoff=cutoff)
         assert measure_moments(normalized).max_imag_discarded < 1e-15
+    # an all-zero state occupies no sector: the walk is empty, and the
+    # norm check, not a reduction over no sectors, refuses it
+    for cutoff in (2, CUTOFF_CAP):
+        for dtype in (float, complex):
+            zero = TwoModeState(amplitudes=np.zeros(cutoff * cutoff, dtype=dtype),
+                                cutoff=cutoff)
+            with pytest.raises(ValueError, match="not normalized"):
+                measure_moments(zero)
 
 
 def test_measure_moments_memory_is_bounded():
-    # a loose ceiling of 11 complex grids: the band kernel measures this
-    # squeezed vacuum in ~0.3 real grids, ~0.7 when its plan is built
-    # inside the window. The tight bound is
+    # a loose ceiling of 11 complex grids: the sector walk measures this
+    # squeezed vacuum in ~0.27 real grids. The tight bound is
     # test_squeezed_vacuum_is_measured_on_its_band_alone's, and the
     # dense complex bound test_dense_complex_state_memory_is_bounded's
     cutoff = 128
@@ -670,9 +679,9 @@ def test_measure_moments_memory_is_bounded():
 
 def test_measure_moments_of_a_real_state_takes_real_grids():
     # a real state's five images and its Gram matrix are real, and
-    # .conj() of a real array is the array itself. The images cover the
-    # band alone, ~3 * cutoff points here, so this squeezed vacuum takes
-    # ~0.3 real grids and the ceiling of 7 is loose
+    # .conj() of a real array is the array itself. The images cover one
+    # sector at a time, at most cutoff points, so this squeezed vacuum
+    # takes ~0.27 real grids and the ceiling of 7 is loose
     cutoff = 128
     state = squeezed_vacuum(cutoff, 1.0)
     tracemalloc.start()
@@ -685,87 +694,38 @@ def test_measure_moments_of_a_real_state_takes_real_grids():
 
 
 def test_squeezed_vacuum_is_measured_on_its_band_alone():
-    # the images cover sectors -1..1 only: below 2 real grids at cutoff
-    # 128 (~0.3 measured: the occupancy mask and the mirrored copy that
-    # finds each row's last occupied column are 1/8 of a grid each),
-    # plan built inside the window or not
+    # the walk covers sectors -1..1 only: below 2 real grids at cutoff
+    # 128 (~0.27 measured: the occupied indices are cutoff entries, and
+    # each sector's images and their read indices a few times cutoff)
     cutoff = 128
     state = squeezed_vacuum(cutoff, 1.0)
-    for cold in (True, False):
-        if cold:
-            _band_plans.clear()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            measure_moments(state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * cutoff * cutoff * 8, cold
+    gc.collect()
+    tracemalloc.start()
+    try:
+        measure_moments(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cutoff * cutoff * 8
 
 
 def test_dense_complex_state_memory_is_bounded():
-    # every sector is in the band: the five gathered complex images (5
-    # complex grids), with the plan built inside the window its indices
-    # and weights too (5) and the transients of building them; the Gram
-    # entries come from np.vdot, with no conjugate copy of the images,
-    # and the band from a bool mask, with no index arrays. ~11.5 grids
-    # measured cold and ~5.6 warm (17.0 and 12.0 with the copy and the
-    # index arrays)
+    # every sector is walked, one at a time, and no sector's images
+    # outlive it, so the peak is finding the band: the occupied indices,
+    # their rows and columns and their sectors, four int64 arrays of a
+    # real grid each: 2.0 complex grids measured
     cutoff = 128
     rng = np.random.default_rng(3)
     amp = rng.normal(size=cutoff * cutoff) + 1j * rng.normal(size=cutoff * cutoff)
     state = TwoModeState(amplitudes=amp / np.linalg.norm(amp), cutoff=cutoff)
-    _band_plans.clear()
-    for cold, grids in ((True, 12), (False, 7)):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            measure_moments(state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= grids * cutoff * cutoff * 16, (cold, peak)
-
-
-def test_plan_memo_memory_is_bounded():
-    # 80 bytes per band point: the squeezed vacuum's plans of cutoffs
-    # 2-128 take ~2.0 MB and a dense plan at 128 ~1.3 MB, so all of them
-    # stay; more dense plans evict the least recently used, and the memo
-    # never holds more than _PLAN_MEMO_BYTES (4 MB)
-    def retained():
-        gc.collect()
-        return tracemalloc.get_traced_memory()[0]
-
-    states = [squeezed_vacuum(cutoff, 0.0) for cutoff in range(2, CUTOFF_CAP + 1)]
-    rng = np.random.default_rng(4)
-    amp = rng.normal(size=CUTOFF_CAP ** 2)
-    dense = TwoModeState(amplitudes=amp / np.linalg.norm(amp), cutoff=CUTOFF_CAP)
-    cold = [measure_moments(state) for state in (*states[::9], dense)]
-    _band_plans.clear()
     gc.collect()
     tracemalloc.start()
     try:
-        for state in states:
-            measure_moments(state)
-        measure_moments(dense)
-        walked = retained()
-        held = len(_band_plans.plans), _band_plans.size
-        for cutoff in range(110, CUTOFF_CAP + 1):
-            _band_plans(cutoff, 1 - cutoff, cutoff - 1)
-        crowded = retained()
+        measure_moments(state)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held[0] == len(states) + 1
-    assert held[1] <= 3_400_000
-    assert walked <= _PLAN_MEMO_BYTES
-    assert _band_plans.size <= _PLAN_MEMO_BYTES
-    assert crowded <= _PLAN_MEMO_BYTES + 100_000
-    # a plan rebuilt after eviction gives the same table, bit for bit
-    assert [measure_moments(state) for state in (*states[::9], dense)] == cold
-    for part in _band_plan(16, -2, 3):
-        with pytest.raises(ValueError, match="read-only"):
-            part[0, 0] = 1
+    assert peak <= 3 * cutoff * cutoff * 16, peak
 
 
 def test_states_keep_the_dtype_they_are_given():
@@ -789,11 +749,7 @@ def test_states_keep_the_dtype_they_are_given():
     assert measure_moments(boxed).second["X_a"] == pytest.approx(0.5, abs=1e-15)
 
 
-# At cutoff 128 and r = 1.46 the real and complex BLAS kernels add the
-# Gram entries' ~128 products in different orders and land up to 6 ulp
-# apart (5.3e-15 on entries ~5). The c and d products amplify that ~9
-# times: sqrt(var_X * var_Y) with var_X = 0.027 and var_Y = 9.27.
-@pytest.mark.parametrize("cutoff, bound", [(5, 1e-15), (24, 1e-15), (128, 1e-13)])
+@pytest.mark.parametrize("cutoff, bound", [(5, 1e-15), (24, 1e-15), (128, 1e-15)])
 def test_real_and_complex_states_measure_alike(cutoff, bound):
     # the widest squeeze each cutoff holds
     real = squeezed_vacuum(cutoff, gate_edge(cutoff))
@@ -984,8 +940,9 @@ def diagonal_measure_error(column):
     diagonal_moments forms a sum's N terms with at most two roundings
     each and adds them up: within gamma_(N+1) of its absolute sum A.
     measure_moments gathers both images with rounded sqrt weights (two
-    roundings an image entry), multiplies them (one) and sums the 3N - 2
-    points of the band: within gamma_(3N+2) A. Each form then adds its
+    roundings an image entry), multiplies them (one) and sums the points
+    of one sector, then the band's sectors, 3N - 2 points at most:
+    within gamma_(3N+2) A. Each form then adds its
     coefficients times the sums, up to 25 terms on one side and 4
     collapsed coefficients of up to 4 terms on the other: gamma_26 and
     gamma_8 of sum |coefficient| A, the rounded sums' own growth taken
@@ -1075,8 +1032,9 @@ def test_vacuum_column_refuses_what_squeezed_vacuum_refuses():
 
 
 def test_diagonal_moments_requires_a_normalized_column():
-    with pytest.raises(ValueError, match="not normalized"):
-        diagonal_moments([1.0, 0.5])
+    for column in ([1.0, 0.5], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="not normalized"):
+            diagonal_moments(column)
     vacuum = diagonal_moments([1.0, 0.0, 0.0])
     assert vacuum == measure_moments(vacuum_state(3))
 
