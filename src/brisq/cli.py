@@ -185,8 +185,8 @@ def main(argv: list[str] | None = None) -> int:
             payload = report.to_dict()
             if args.db:
                 payload["decibels"] = {
-                    quad: _decibels(report.analytic.squeezing[quad])
-                    for quad in QUAD_KEYS}
+                    quad: _decibels(value)
+                    for quad, value in report.analytic.squeezing.items()}
             if args.format == "csv":
                 payload = _flatten(payload)
                 _write(_csv(list(payload), [payload]), args.out)

@@ -62,7 +62,7 @@ from .errors import (
     require_cutoff,
     require_number,
 )
-from .squeezing import CROSS_KEYS, MODE_KEYS, QUAD_KEYS, MomentTable, pair_tail
+from .squeezing import CROSS_KEYS, QUAD_KEYS, MomentTable, pair_tail
 
 DENSE_CAP = 48
 TAIL_TOL = 1e-12
@@ -607,24 +607,20 @@ def _diagonal_forms() -> tuple[tuple[float, ...], ...]:
 
 def _moment_table(norm2: float, entries: list[float], max_imag: float) -> MomentTable:
     """The MomentTable of a state from <psi|psi> and its 26 real moment
-    entries in _table_forms order, max_imag the largest imaginary part
-    dropped from them. Raises ValueError unless <psi|psi> is within
-    NORM_TOL of 1."""
+    entries in _table_forms order (first, second, cross), max_imag the
+    largest imaginary part dropped from them: the products and the
+    squeezing are derived from the variances and put in TABLE_LAYOUT
+    order. Raises ValueError unless <psi|psi> is within NORM_TOL of 1."""
     if not abs(norm2 - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized: <psi|psi> = {norm2!r}")
-    first, second, cross = entries[:8], entries[8:16], entries[16:]
+    first, second = entries[:8], entries[8:16]
     variances = [s - f * f for f, s in zip(first, second)]
-    return MomentTable(
-        r=None,
-        first=dict(zip(QUAD_KEYS, first)),
-        second=dict(zip(QUAD_KEYS, second)),
+    return MomentTable(None, (
+        *first, *second,
         # QUAD_KEYS pairs X and Y of each mode; math.sqrt refuses a negative
-        products={mode: math.sqrt(x * y) for mode, x, y
-                  in zip(MODE_KEYS, variances[0::2], variances[1::2])},
-        squeezing={quad: var - 0.5 for quad, var in zip(QUAD_KEYS, variances)},
-        cross=dict(zip(CROSS_KEYS, cross)),
-        max_imag_discarded=max_imag,
-    )
+        *[math.sqrt(x * y) for x, y in zip(variances[0::2], variances[1::2])],
+        *[var - 0.5 for var in variances],
+        *entries[16:]), max_imag)
 
 
 def measure_moments(state: TwoModeState) -> MomentTable:
@@ -746,6 +742,14 @@ def vacuum_column(cutoff: int, r: float) -> list[float]:
     return _svd_column(cutoff, r).tolist()
 
 
+@functools.lru_cache(maxsize=CUTOFF_CAP)
+def _float_levels(cutoff: int) -> tuple[float, ...]:
+    """The levels 1, ..., cutoff - 1 as floats, memoized per cutoff: a
+    float times a float skips the int conversion a product with an int
+    level makes, and gives the same bits."""
+    return tuple(map(float, range(1, cutoff)))
+
+
 def diagonal_moments(column: Sequence[float]) -> MomentTable:
     """measure_moments of the state sum_k column[k] |k, k>, real
     amplitudes on the n_a = n_b diagonal, in pure Python.
@@ -757,7 +761,7 @@ def diagonal_moments(column: Sequence[float]) -> MomentTable:
     state is not normalized, as measure_moments does.
     """
     squares = list(map(operator.mul, column, column))
-    levels = range(1, len(column))
+    levels = _float_levels(len(column))
     norm2 = sum(squares)
     lowered = sum(map(operator.mul, levels, squares[1:]))
     raised = sum(map(operator.mul, levels, squares))

@@ -32,6 +32,7 @@ from .focksim import (
 from .pump import PumpDrive, PumpSteadyState, pump_steady_state
 from .squeezing import (
     QUAD_KEYS,
+    TABLE_LAYOUT,
     MomentTable,
     ThermalEnv,
     full_moment_table,
@@ -290,8 +291,9 @@ class RunReport:
 def _plain(value: Any) -> Any:
     """JSON-ready form of a report value: a number, string or None as
     is, a complex number as {"re", "im"}, a tuple as a list, a dict as
-    a copy, the scenario as it re-emits itself and any other
-    dataclass as a dict of its fields."""
+    a copy, the scenario as it re-emits itself, a moment table as r,
+    its sections as dicts in TABLE_LAYOUT order and max_imag_discarded,
+    and any other dataclass as a dict of its fields."""
     if isinstance(value, (float, int, str)) or value is None:
         return value
     if isinstance(value, complex):
@@ -302,6 +304,10 @@ def _plain(value: Any) -> Any:
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, Scenario):
         return value.to_dict()
+    if isinstance(value, MomentTable):
+        # each section is a fresh dict of floats
+        return {"r": value.r, **{name: getattr(value, name) for name, _ in TABLE_LAYOUT},
+                "max_imag_discarded": value.max_imag_discarded}
     return {f.name: _plain(getattr(value, f.name))
             for f in dataclasses.fields(value)}
 
@@ -418,7 +424,7 @@ def _sweep_row(scenario: Scenario, value: float) -> dict[str, Any]:
     keys = _OK_KEYS
     cells = (parameter, value, "ok", report.squeeze.f, report.squeeze.r,
              report.pump.photon_number, *report.pair_probabilities[:3],
-             *map(report.analytic.squeezing.__getitem__, QUAD_KEYS))
+             *report.analytic.squeezing.values())
     if report.oracle is not None:
         keys += _ORACLE_KEYS
         cells += (report.oracle["deviation"], report.oracle["ok"])
@@ -465,18 +471,19 @@ def reference_scenario(oracle: bool = True) -> Scenario:
 
 
 def _squeezing(quad: str):
-    return lambda report: report.analytic.squeezing[quad]
+    return lambda _, squeezing: squeezing[quad]
 
 
 REFERENCE_CHECKS = (
-    # name, value read from the report, kind, expected, tolerance
-    ("coupling |f|", lambda report: report.squeeze.f, "rel", 1e9, 1e-3),
-    ("cosh^2 r", lambda report: math.cosh(report.squeeze.r) ** 2,
+    # name, value read from the report and its analytic squeezing
+    # section, kind, expected, tolerance
+    ("coupling |f|", lambda report, _: report.squeeze.f, "rel", 1e9, 1e-3),
+    ("cosh^2 r", lambda report, _: math.cosh(report.squeeze.r) ** 2,
      "abs", 1.0025, 1e-4),
-    ("tanh r", lambda report: math.tanh(report.squeeze.r), "abs", 0.05, 1e-3),
-    ("P_0", lambda report: report.pair_probabilities[0], "abs", 0.9975, 1e-4),
-    ("P_1", lambda report: report.pair_probabilities[1], "abs", 0.0025, 1e-4),
-    ("P_2", lambda report: report.pair_probabilities[2], "rel", 6.25e-6, 2e-2),
+    ("tanh r", lambda report, _: math.tanh(report.squeeze.r), "abs", 0.05, 1e-3),
+    ("P_0", lambda report, _: report.pair_probabilities[0], "abs", 0.9975, 1e-4),
+    ("P_1", lambda report, _: report.pair_probabilities[1], "abs", 0.0025, 1e-4),
+    ("P_2", lambda report, _: report.pair_probabilities[2], "rel", 6.25e-6, 2e-2),
     ("S_X_a", _squeezing("X_a"), "abs", 0.0025, 1e-4),
     ("S_Y_a", _squeezing("Y_a"), "abs", 0.0025, 1e-4),
     ("S_X_b", _squeezing("X_b"), "abs", 0.0025, 1e-4),
@@ -485,8 +492,8 @@ REFERENCE_CHECKS = (
     ("S_Y_d", _squeezing("Y_d"), "abs", -0.0475, 5e-4),
     ("S_Y_c", _squeezing("Y_c"), "abs", 0.0525, 5e-4),
     ("S_X_d", _squeezing("X_d"), "abs", 0.0525, 5e-4),
-    ("quality Q", lambda report: report.thermal["quality"], "exact", 1e4, 0.0),
-    ("thermal n_bar", lambda report: report.thermal["n_bar"], "rel", 0.1, 5e-2),
+    ("quality Q", lambda report, _: report.thermal["quality"], "exact", 1e4, 0.0),
+    ("thermal n_bar", lambda report, _: report.thermal["n_bar"], "rel", 0.1, 5e-2),
 )
 
 
@@ -498,9 +505,10 @@ def reference_checks() -> list[dict]:
     deviation-vs-tolerance verdict as a row of kind 'max'.
     """
     report = run(reference_scenario())
+    squeezing = report.analytic.squeezing
     rows = []
     for name, read, kind, expected, tolerance in REFERENCE_CHECKS:
-        value = read(report)
+        value = read(report, squeezing)
         if kind == "abs":
             ok = abs(value - expected) <= tolerance
         elif kind == "rel":

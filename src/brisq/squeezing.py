@@ -11,6 +11,7 @@ squeezing of the pair state.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -25,26 +26,54 @@ MODE_KEYS = ("a", "b", "c", "d")
 CROSS_KEYS = ("n_a", "n_b", "n_c", "n_d", "ab", "adag_b", "a2", "b2", "c2", "d2")
 
 
+# the layout of MomentTable.values: each section and its keys, in order
+TABLE_LAYOUT = (("first", QUAD_KEYS), ("second", QUAD_KEYS), ("products", MODE_KEYS),
+                ("squeezing", QUAD_KEYS), ("cross", CROSS_KEYS))
+TABLE_SIZE = sum(len(keys) for _, keys in TABLE_LAYOUT)
+
+
+def _section(name: str) -> property:
+    """MomentTable's section name: its slice of values as a fresh dict
+    in key order."""
+    start = 0
+    for section, keys in TABLE_LAYOUT:
+        if section == name:
+            break
+        start += len(keys)
+    stop = start + len(keys)
+    return property(lambda table: dict(zip(keys, table.values[start:stop])))
+
+
 @dataclass
 class MomentTable:
-    """Moments of a two-mode state, keyed by quadrature and mode labels.
+    """Moments of a two-mode state, as one tuple in TABLE_LAYOUT order.
 
-    first and second hold <X> and <X^2> for the eight quadratures in
-    QUAD_KEYS; products holds the Heisenberg products dX*dY per mode in
-    MODE_KEYS; squeezing holds S = var - 1/2 per quadrature; cross holds
-    the number and pair moments in CROSS_KEYS. Every table holds every
-    key; analytic tables carry their r, numerical ones None.
-    max_imag_discarded records the largest imaginary magnitude dropped
-    when a numerical table was built (0 for analytic tables).
+    values holds TABLE_SIZE = 38 floats: <X> and <X^2> for the eight
+    quadratures in QUAD_KEYS, the Heisenberg products dX*dY per mode in
+    MODE_KEYS, S = var - 1/2 per quadrature, and the number and pair
+    moments in CROSS_KEYS. The read-only properties first, second,
+    products, squeezing and cross return each section as a fresh dict
+    keyed by those labels. A values of any other length raises
+    ValueError, so every table holds every entry. Analytic tables carry
+    their r, numerical ones None. max_imag_discarded records the largest
+    imaginary magnitude dropped when a numerical table was built (0 for
+    analytic tables).
     """
 
     r: float | None
-    first: dict[str, float]
-    second: dict[str, float]
-    products: dict[str, float]
-    squeezing: dict[str, float]
-    cross: dict[str, float]
+    values: tuple[float, ...]
     max_imag_discarded: float = 0.0
+
+    def __post_init__(self) -> None:
+        if len(self.values) != TABLE_SIZE:
+            raise ValueError(f"a moment table holds {TABLE_SIZE} values, "
+                             f"not {len(self.values)}")
+
+    first = _section("first")
+    second = _section("second")
+    products = _section("products")
+    squeezing = _section("squeezing")
+    cross = _section("cross")
 
 
 @dataclass(frozen=True)
@@ -76,7 +105,7 @@ class ThermalEnv:
 def pair_probability(r: float, n: int) -> float:
     """Probability of n photon-phonon pairs in the squeezed vacuum,
     P_n = tanh(r)^(2n) / cosh(r)^2. Geometric in n."""
-    if n < 0:
+    if not n >= 0:  # a NaN too
         raise ValueError("n must be nonnegative")
     require_number("squeeze parameter r", r)
     try:
@@ -88,7 +117,7 @@ def pair_probability(r: float, n: int) -> float:
 def pair_tail(r: float, n_min: int) -> float:
     """Probability of n_min or more pairs. The geometric sum collapses
     to exactly tanh(r)^(2*n_min)."""
-    if n_min < 0:
+    if not n_min >= 0:  # a NaN too
         raise ValueError("n_min must be nonnegative")
     require_number("squeeze parameter r", r)
     return math.tanh(r) ** (2 * n_min)
@@ -119,18 +148,12 @@ def full_moment_table(r: float) -> MomentTable:
     s_lo = 0.5 * math.expm1(-2.0 * r)
     s_hi = 0.5 * math.expm1(2.0 * r)
     cs = math.cosh(r) * math.sinh(r)
-    return MomentTable(
-        r=r,
-        first=dict.fromkeys(QUAD_KEYS, 0.0),
-        second={"X_a": var, "Y_a": var, "X_b": var, "Y_b": var,
-                "X_c": lo, "Y_c": hi, "X_d": hi, "Y_d": lo},
-        products={"a": var, "b": var,
-                  "c": math.sqrt(lo * hi), "d": math.sqrt(hi * lo)},
-        squeezing={"X_a": s2, "Y_a": s2, "X_b": s2, "Y_b": s2,
-                   "X_c": s_lo, "Y_c": s_hi, "X_d": s_hi, "Y_d": s_lo},
-        cross={"n_a": s2, "n_b": s2, "n_c": s2, "n_d": s2, "ab": cs,
-               "adag_b": 0.0, "a2": 0.0, "b2": 0.0, "c2": -cs, "d2": cs},
-    )
+    return MomentTable(r, (
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,  # first
+        var, var, var, var, lo, hi, hi, lo,  # second
+        var, var, math.sqrt(lo * hi), math.sqrt(hi * lo),  # products
+        s2, s2, s2, s2, s_lo, s_hi, s_hi, s_lo,  # squeezing
+        s2, s2, s2, s2, cs, 0.0, 0.0, 0.0, -cs, cs))  # cross
 
 
 def worst(deviations: Iterable[float]) -> float:
@@ -144,15 +167,9 @@ def worst(deviations: Iterable[float]) -> float:
 
 
 def table_deviation(left: MomentTable, right: MomentTable) -> float:
-    """Largest absolute difference over every entry, matched by name, or
-    NaN if any difference is NaN; an entry only one table holds raises
-    KeyError instead of being skipped."""
-    sections = [(getattr(left, name), getattr(right, name))
-                for name in ("first", "second", "products", "squeezing", "cross")]
-    for a, b in sections:
-        if a.keys() != b.keys():
-            raise KeyError(f"entries on one side only: {sorted(a.keys() ^ b.keys())}")
-    return worst(abs(a[key] - b[key]) for a, b in sections for key in a)
+    """Largest absolute difference over every entry, position by
+    position in TABLE_LAYOUT, or NaN if any difference is NaN."""
+    return worst(map(abs, map(operator.sub, left.values, right.values)))
 
 
 def thermal_occupation(env: ThermalEnv) -> float:

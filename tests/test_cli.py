@@ -25,7 +25,7 @@ from brisq.cli import (
     _flatten, _json_sweep, main)
 from brisq import cli, pipeline
 from brisq.pipeline import OracleConfig, Scenario
-from brisq.squeezing import full_moment_table
+from brisq.squeezing import CROSS_KEYS, TABLE_SIZE, full_moment_table
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -33,6 +33,8 @@ RUN_SCENARIO = str(SCENARIOS / "backward_10ghz.json")
 SWEEP_SCENARIO = str(SCENARIOS / "flux_sweep.json")
 THRESHOLD_SCENARIO = str(SCENARIOS / "threshold_sweep.json")
 R_REF = 0.05016767361301254
+# cross["n_a"]'s place in a MomentTable's values: cross is the last section
+CROSS_N_A = TABLE_SIZE - len(CROSS_KEYS) + CROSS_KEYS.index("n_a")
 
 
 def read_scenario(path):
@@ -151,7 +153,9 @@ def poison_oracle_table(monkeypatch):
 
     def measured_nan(column):
         table = measure(column)
-        return dataclasses.replace(table, cross={**table.cross, "n_a": math.nan})
+        values = table.values
+        return dataclasses.replace(
+            table, values=(*values[:CROSS_N_A], math.nan, *values[CROSS_N_A + 1:]))
 
     monkeypatch.setattr(pipeline, "diagonal_moments", measured_nan)
 

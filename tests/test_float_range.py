@@ -2,8 +2,9 @@
 
 Every float argument of phase_match, pump_steady_state, diagonalize,
 full_moment_table, pair_probability, pair_tail, thermal_occupation and
-ThermalEnv.quality, the fields of the dataclasses they take included,
-is replaced by edge floats. Each call must return a finite value or
+ThermalEnv.quality, the fields of the dataclasses they take and the
+orders of pair_probability and pair_tail included, is replaced by edge
+floats. Each call must return a finite value or
 raise ValueError or PhysicsError.
 """
 
@@ -52,8 +53,8 @@ STAGES = {
         lambda x: diagonalize(x["omega"], x["Omega"], x["f"]),
         {"omega": 1e10, "Omega": 1e10, "f": 1e9}),
     "full_moment_table": (lambda x: full_moment_table(x["r"]), {"r": 0.05}),
-    "pair_probability": (lambda x: pair_probability(x["r"], 3), {"r": 0.05}),
-    "pair_tail": (lambda x: pair_tail(x["r"], 3), {"r": 0.05}),
+    "pair_probability": (lambda x: pair_probability(x["r"], x["n"]), {"r": 0.05, "n": 3}),
+    "pair_tail": (lambda x: pair_tail(x["r"], x["n_min"]), {"r": 0.05, "n_min": 3}),
     "thermal_occupation": (
         lambda x: thermal_occupation(ThermalEnv(x["Omega"], x["temperature"], x["Gamma"])),
         {"Omega": 1e10, "temperature": 0.2, "Gamma": 1e6}),
@@ -65,12 +66,12 @@ STAGES = {
 
 def _numbers(result):
     """Every number a stage returned: a float, or a dataclass's fields,
-    with the entries of a MomentTable's dicts."""
+    with the values of a MomentTable."""
     if not dataclasses.is_dataclass(result):
         return [result]
     found = []
     for value in vars(result).values():
-        found.extend(value.values() if isinstance(value, dict) else [value])
+        found.extend(value if isinstance(value, tuple) else [value])
     return [value for value in found if value is not None]
 
 

@@ -31,7 +31,7 @@ from brisq.pipeline import (
     sweep,
 )
 from brisq.pump import PumpDrive
-from brisq.squeezing import QUAD_KEYS
+from brisq.squeezing import CROSS_KEYS, QUAD_KEYS, TABLE_SIZE
 
 REFERENCE_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "backward_10ghz.json"
 K_PUMP_REF = 592980.2391963544
@@ -41,6 +41,8 @@ R_REF = 0.05016767361301254
 P0_REF = 0.9974874213492432
 P1_REF = 0.002506265599280449
 NBAR_REF = 0.09981030749537737
+# cross["n_a"]'s place in a MomentTable's values: cross is the last section
+CROSS_N_A = TABLE_SIZE - len(CROSS_KEYS) + CROSS_KEYS.index("n_a")
 
 
 def scenario_dict(**overrides):
@@ -363,7 +365,9 @@ def test_oracle_deviation_propagates_nan(monkeypatch, path, where):
     def moments(column):
         table = measure(built["column"])
         if where == "table":
-            table = dataclasses.replace(table, cross={**table.cross, "n_a": math.nan})
+            values = table.values
+            table = dataclasses.replace(
+                table, values=(*values[:CROSS_N_A], math.nan, *values[CROSS_N_A + 1:]))
         return table
 
     monkeypatch.setattr(focksim, producer, column)

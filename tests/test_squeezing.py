@@ -7,12 +7,15 @@ import pytest
 import scipy.constants
 
 from brisq.errors import PhysicsError
+from brisq.pipeline import _plain
 from brisq.squeezing import (
     BOLTZMANN_K,
     CROSS_KEYS,
     MODE_KEYS,
     PLANCK_H,
     QUAD_KEYS,
+    TABLE_LAYOUT,
+    TABLE_SIZE,
     MomentTable,
     ThermalEnv,
     full_moment_table,
@@ -175,9 +178,9 @@ def test_full_table_merges_consistently():
     assert set(table.products) == {"a", "b", "c", "d"}
     assert len(table.cross) == 10
     assert table.r == 0.3
-    # a table is built whole: no section has a default
+    # a table is built whole: values has no default
     with pytest.raises(TypeError):
-        MomentTable(r=0.3, second=dict(table.second))
+        MomentTable(r=0.3)
     for r in R_GRID:
         table = full_moment_table(r)
         assert list(table.first) == list(QUAD_KEYS)
@@ -187,34 +190,62 @@ def test_full_table_merges_consistently():
         assert list(table.cross) == list(CROSS_KEYS)
 
 
+def test_sections_read_back_in_layout_order():
+    # the sections partition values in TABLE_LAYOUT order, each a fresh
+    # read-only dict, and a report writes them in that order between r
+    # and max_imag_discarded
+    table = full_moment_table(0.3)
+    assert [name for name, _ in TABLE_LAYOUT] == [
+        "first", "second", "products", "squeezing", "cross"]
+    assert [keys for _, keys in TABLE_LAYOUT] == [
+        QUAD_KEYS, QUAD_KEYS, MODE_KEYS, QUAD_KEYS, CROSS_KEYS]
+    assert TABLE_SIZE == len(table.values) == 38
+    sections = [getattr(table, name) for name, _ in TABLE_LAYOUT]
+    assert [list(section) for section in sections] == [
+        list(keys) for _, keys in TABLE_LAYOUT]
+    assert tuple(value for section in sections for value in section.values()) \
+        == table.values
+    assert table.first is not table.first
+    table.squeezing["X_c"] = 1.0
+    assert table.squeezing["X_c"] == 0.5 * math.expm1(-0.6)
+    for name, _ in TABLE_LAYOUT:
+        with pytest.raises(AttributeError):
+            setattr(table, name, {})
+    assert _plain(table) == {"r": 0.3, **dict(zip(
+        [name for name, _ in TABLE_LAYOUT], sections)), "max_imag_discarded": 0.0}
+    assert list(_plain(table)) == ["r", "first", "second", "products", "squeezing",
+                                   "cross", "max_imag_discarded"]
+
+
 def test_table_deviation():
     left = full_moment_table(0.3)
     assert table_deviation(left, full_moment_table(0.3)) == 0.0
-    bumped = dataclasses.replace(
-        left, second={**left.second, "X_a": left.second["X_a"] + 1e-3})
+    second_x_a = len(QUAD_KEYS)
+    bumped = dataclasses.replace(left, values=(
+        *left.values[:second_x_a], left.second["X_a"] + 1e-3,
+        *left.values[second_x_a + 1:]))
+    assert bumped.second["X_a"] == left.second["X_a"] + 1e-3
     assert table_deviation(left, bumped) == pytest.approx(1e-3, rel=1e-9)
-    # every entry is compared by name: a moment one side lacks is an
-    # error, whichever side it is
-    for section in ("first", "second", "products", "squeezing", "cross"):
-        entries = dict(getattr(left, section))
-        entries.popitem()
-        short = dataclasses.replace(left, **{section: entries})
-        with pytest.raises(KeyError):
-            table_deviation(left, short)
-        with pytest.raises(KeyError):
-            table_deviation(short, left)
+    # every entry is compared: a table short of or beyond the layout by
+    # one entry, in any section, cannot be built
+    for size in range(TABLE_SIZE):
+        with pytest.raises(ValueError, match="holds 38 values"):
+            MomentTable(0.3, left.values[:size])
+    for extra in (0.0, math.nan):
+        with pytest.raises(ValueError, match="holds 38 values"):
+            MomentTable(0.3, (*left.values, extra))
 
 
 def test_table_deviation_propagates_nan():
-    # a NaN in any entry, on either side, makes the deviation NaN; the
-    # builtin max kept it only where it was compared first, first["X_a"]
+    # a NaN in any of the 38 entries, on either side, makes the deviation
+    # NaN; the builtin max kept it only where it was compared first,
+    # first["X_a"]
     left = full_moment_table(0.3)
-    for section in ("first", "second", "products", "squeezing", "cross"):
-        for key in getattr(left, section):
-            poisoned = dataclasses.replace(
-                left, **{section: {**getattr(left, section), key: math.nan}})
-            assert math.isnan(table_deviation(left, poisoned)), (section, key)
-            assert math.isnan(table_deviation(poisoned, left)), (section, key)
+    for i in range(TABLE_SIZE):
+        poisoned = dataclasses.replace(
+            left, values=(*left.values[:i], math.nan, *left.values[i + 1:]))
+        assert math.isnan(table_deviation(left, poisoned)), i
+        assert math.isnan(table_deviation(poisoned, left)), i
 
 
 def test_worst_is_the_largest_or_nan():
