@@ -22,13 +22,12 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import Unstable, require_finite
 
 
-@dataclass
-class SqueezeSpec:
+class SqueezeSpec(Record):
     """Result of diagonalizing the pair Hamiltonian.
 
     omega, Omega, f echo the inputs. omega_bar and delta are the half
@@ -39,19 +38,24 @@ class SqueezeSpec:
     is the constant offset picked up by the transformed vacuum.
     """
 
-    omega: float
-    Omega: float
-    f: float
-    omega_bar: float
-    delta: float
-    gap: float
-    r: float
-    omega_alpha: float
-    omega_beta: float
-    omega_zero: float
+    _fields = ("omega", "Omega", "f", "omega_bar", "delta", "gap", "r",
+               "omega_alpha", "omega_beta", "omega_zero")
 
-    def __post_init__(self) -> None:
-        require_finite("squeeze values", *vars(self).values())
+    def __init__(self, omega: float, Omega: float, f: float, omega_bar: float,
+                 delta: float, gap: float, r: float, omega_alpha: float,
+                 omega_beta: float, omega_zero: float) -> None:
+        require_finite("squeeze values", omega, Omega, f, omega_bar, delta, gap, r,
+                       omega_alpha, omega_beta, omega_zero)
+        self.omega = omega
+        self.Omega = Omega
+        self.f = f
+        self.omega_bar = omega_bar
+        self.delta = delta
+        self.gap = gap
+        self.r = r
+        self.omega_alpha = omega_alpha
+        self.omega_beta = omega_beta
+        self.omega_zero = omega_zero
 
 
 def diagonalize(omega: float, Omega: float, f: float) -> SqueezeSpec:

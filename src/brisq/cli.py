@@ -19,7 +19,9 @@ sweep writes each row as it is computed; its CSV header is fixed first.
 A process loads only what its verb uses: numpy is imported at the Fock
 oracle's first array, so `check`, a sweep or a run with the oracle off,
 and a run whose oracle takes the pure-Python vacuum series (the
-reference device's does) never load it.
+reference device's does) never load it. No verb loads `dataclasses` or
+`inspect`: brisq's records are plain classes, whose methods are not
+generated at start-up.
 The `brisq` console script and `python -m brisq.cli` enter through
 entry(), which exits without a last garbage collection of the import
 heap; main(argv) serves in-process callers and leaves the collector as
@@ -31,7 +33,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import gc
 import json
@@ -178,8 +179,8 @@ def main(argv: list[str] | None = None) -> int:
 
         scenario = load_scenario(args.scenario)
         if args.oracle is not None:
-            scenario = dataclasses.replace(scenario, oracle=dataclasses.replace(
-                scenario.oracle, enabled=args.oracle == "on"))
+            scenario = scenario.replace(
+                oracle=scenario.oracle.replace(enabled=args.oracle == "on"))
         if args.verb == "run":
             report = run(scenario)
             payload = report.to_dict()

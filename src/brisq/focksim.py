@@ -52,9 +52,9 @@ import operator
 import os
 import sys
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
+from ._record import FrozenRecord, set_field
 from .errors import (
     CUTOFF_CAP,
     CutoffTooSmall,
@@ -123,8 +123,7 @@ def _require_occupation(cutoff: int, *levels: int) -> None:
                              f"expected an int in [0, {cutoff})")
 
 
-@dataclass(frozen=True)
-class TwoModeState:
+class TwoModeState(FrozenRecord):
     """State vector over the row-major (n_a, n_b) basis.
 
     The cutoff must pass require_cutoff; the amplitudes are taken as
@@ -134,20 +133,20 @@ class TwoModeState:
     complex one stays complex128. Other dtypes convert to complex128.
     """
 
-    amplitudes: np.ndarray
-    cutoff: int
+    _fields = ("amplitudes", "cutoff")
 
-    def __post_init__(self) -> None:
-        require_cutoff(self.cutoff)
-        amp = np.asarray(self.amplitudes)
+    def __init__(self, amplitudes: np.ndarray, cutoff: int) -> None:
+        require_cutoff(cutoff)
+        amp = np.asarray(amplitudes)
         # a numeric dtype is kept, promoted to at least float64; anything
         # else, such as an object array, converts to complex128
         numeric = amp.dtype.kind in "biufc"
         amp = amp.astype(np.result_type(amp.dtype, float) if numeric else complex,
                          copy=False)
-        if amp.shape != (self.cutoff * self.cutoff,):
+        if amp.shape != (cutoff * cutoff,):
             raise ValueError("amplitude vector does not match cutoff**2")
-        object.__setattr__(self, "amplitudes", amp)
+        set_field(self, "amplitudes", amp)
+        set_field(self, "cutoff", cutoff)
 
     def grid(self) -> np.ndarray:
         """Amplitudes reshaped to (n_a, n_b); a view, not a copy."""
@@ -166,8 +165,7 @@ class HeraldResult(NamedTuple):
     probability: float
 
 
-@dataclass(frozen=True)
-class BogoliubovResiduals:
+class BogoliubovResiduals(FrozenRecord):
     """Residuals of the conjugation identities
     S^dag a S = cosh(r) a + sinh(r) b^dag (alpha), its b counterpart
     (beta), and of [alpha, beta^dag] = 0 (commutator), all measured on
@@ -179,10 +177,13 @@ class BogoliubovResiduals:
     so a fixed half-basis block would press against the truncation edge
     and the reflected flux would swamp the comparison."""
 
-    alpha: float
-    beta: float
-    commutator: float
-    block: int
+    _fields = ("alpha", "beta", "commutator", "block")
+
+    def __init__(self, alpha: float, beta: float, commutator: float, block: int) -> None:
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "commutator", commutator)
+        set_field(self, "block", block)
 
 
 def fock_state(cutoff: int, n_a: int, n_b: int) -> TwoModeState:
@@ -605,7 +606,18 @@ def _diagonal_forms() -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
-def _moment_table(norm2: float, entries: list[float], max_imag: float) -> MomentTable:
+@functools.cache
+def _distinct_diagonal_forms() -> tuple[tuple[tuple[float, ...], ...],
+                                        Callable[[Sequence[float]], tuple[float, ...]]]:
+    """The distinct rows of _diagonal_forms, 9 of its 26, and the
+    itemgetter that expands one value per distinct row, in that order,
+    to the 26 entries in _diagonal_forms order."""
+    forms = _diagonal_forms()
+    distinct = tuple(dict.fromkeys(forms))
+    return distinct, operator.itemgetter(*map(distinct.index, forms))
+
+
+def _moment_table(norm2: float, entries: Sequence[float], max_imag: float) -> MomentTable:
     """The MomentTable of a state from <psi|psi> and its 26 real moment
     entries in _table_forms order (first, second, cross), max_imag the
     largest imaginary part dropped from them: the products and the
@@ -757,8 +769,9 @@ def diagonal_moments(column: Sequence[float]) -> MomentTable:
     The images of such a state overlap only within a sector, so four
     sums over the column give every nonzero entry of its Gram matrix
     (see _DIAGONAL_GRAM), and each moment is the same form as in
-    measure_moments, read on those entries. Raises ValueError when the
-    state is not normalized, as measure_moments does.
+    measure_moments, read on those entries; a form that several moments
+    share is evaluated once. Raises ValueError when the state is not
+    normalized, as measure_moments does.
     """
     squares = list(map(operator.mul, column, column))
     levels = _float_levels(len(column))
@@ -766,9 +779,9 @@ def diagonal_moments(column: Sequence[float]) -> MomentTable:
     lowered = sum(map(operator.mul, levels, squares[1:]))
     raised = sum(map(operator.mul, levels, squares))
     paired = sum(map(operator.mul, levels, map(operator.mul, column, column[1:])))
-    entries = [a * norm2 + b * lowered + c * raised + d * paired
-               for a, b, c, d in _diagonal_forms()]
-    return _moment_table(norm2, entries, 0.0)
+    forms, expand = _distinct_diagonal_forms()
+    return _moment_table(norm2, expand([a * norm2 + b * lowered + c * raised + d * paired
+                                        for a, b, c, d in forms]), 0.0)
 
 
 def herald(state: TwoModeState, n_detected: int) -> HeraldResult:

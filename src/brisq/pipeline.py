@@ -12,13 +12,12 @@ per-row failures without aborting the grid.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
+from ._record import FrozenRecord, Record, set_field
 from .bogoliubov import SqueezeSpec, diagonalize
 from .errors import PhysicsError, ScenarioError, Unstable, require_cutoff, require_finite
 from .focksim import (
@@ -104,27 +103,30 @@ def _require_keys(block: Any, allowed: Iterable[str], required: set[str],
     return given
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(FrozenRecord):
     """Truncated-Fock cross-check settings. When enabled, every analytic
     moment is compared against the numerical state; the run is flagged
     when the largest deviation exceeds tolerance."""
 
-    enabled: bool = False
-    cutoff: int | None = None
-    tolerance: float = 1e-8
+    _fields = ("enabled", "cutoff", "tolerance")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.enabled, bool):
+    def __init__(self, enabled: bool = False, cutoff: int | None = None,
+                 tolerance: float = 1e-8) -> None:
+        if not isinstance(enabled, bool):
             raise ValueError("enabled: expected true or false")
-        if self.cutoff is not None:
-            require_cutoff(self.cutoff)
-        if not self.tolerance > 0:
+        if cutoff is not None:
+            require_cutoff(cutoff)
+        if not tolerance > 0:
             raise ValueError("tolerance: must be positive")
+        set_field(self, "enabled", enabled)
+        set_field(self, "cutoff", cutoff)
+        set_field(self, "tolerance", tolerance)
 
 
-# block -> (dataclass, field -> kind), the kinds in the dataclass's field
-# order. A kind of None passes the value to the dataclass, which checks it.
+# block -> (record, field -> kind), the kinds in the record's field
+# order. A kind of None passes the value to the record, which checks it.
+# Every field of a block is required but the oracle's, which all have
+# defaults.
 _BLOCKS = {
     "waveguide": (WaveguideParams, {
         "omega0": FREQUENCY, "g": FREQUENCY, "u": FREQUENCY, "gamma": FREQUENCY,
@@ -150,32 +152,29 @@ def _sweep_kind(parameter: Any) -> str:
     return kind
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(FrozenRecord):
     """One-dimensional grid over a numeric scenario field; values, a list
     or tuple of the field's kind, is stored as a tuple of floats."""
 
-    parameter: str
-    values: tuple[float, ...]
+    _fields = ("parameter", "values")
 
-    def __post_init__(self) -> None:
-        kind = _sweep_kind(self.parameter)
-        if not isinstance(self.values, (list, tuple)):
+    def __init__(self, parameter: str, values: Sequence[Any]) -> None:
+        kind = _sweep_kind(parameter)
+        if not isinstance(values, (list, tuple)):
             raise ScenarioError("sweep.values: expected a list")
-        if len(self.values) > MAX_SWEEP_STEPS:
+        if len(values) > MAX_SWEEP_STEPS:
             raise ScenarioError(
                 f"sweep.values: expected at most {MAX_SWEEP_STEPS} entries")
-        if not self.values:
+        if not values:
             raise ScenarioError("sweep: empty value grid")
-        object.__setattr__(self, "values", tuple(
-            parse_value(value, kind, "sweep.values") for value in self.values))
+        set_field(self, "parameter", parameter)
+        set_field(self, "values", tuple(
+            parse_value(value, kind, "sweep.values") for value in values))
 
 
 def _parse_block(block: str, raw: Any) -> Any:
     cls, kinds = _BLOCKS[block]
-    required = {f.name for f in dataclasses.fields(cls)
-                if f.default is dataclasses.MISSING}
-    given = _require_keys(raw, kinds, required, block)
+    given = _require_keys(raw, kinds, set() if block == "oracle" else set(kinds), block)
     fields = {name: value if kinds[name] is None
               else parse_value(value, kinds[name], f"{block}.{name}")
               for name, value in given.items()}
@@ -217,17 +216,22 @@ def _parse_sweep(raw: Any) -> SweepConfig:
     return SweepConfig(parameter=block["parameter"], values=values)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(FrozenRecord):
     """Fully resolved scenario (all frequencies in Hz)."""
 
-    waveguide: WaveguideParams
-    drive: PumpDrive
-    geometry: str = BACKWARD
-    k_pump: float | None = None
-    oracle: OracleConfig = OracleConfig()
-    thermal: ThermalEnv | None = None
-    sweep: SweepConfig | None = None
+    _fields = ("waveguide", "drive", "geometry", "k_pump", "oracle", "thermal", "sweep")
+
+    def __init__(self, waveguide: WaveguideParams, drive: PumpDrive,
+                 geometry: str = BACKWARD, k_pump: float | None = None,
+                 oracle: OracleConfig = OracleConfig(), thermal: ThermalEnv | None = None,
+                 sweep: SweepConfig | None = None) -> None:
+        set_field(self, "waveguide", waveguide)
+        set_field(self, "drive", drive)
+        set_field(self, "geometry", geometry)
+        set_field(self, "k_pump", k_pump)
+        set_field(self, "oracle", oracle)
+        set_field(self, "thermal", thermal)
+        set_field(self, "sweep", sweep)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
@@ -253,7 +257,7 @@ class Scenario:
 
 
 # the scenario's keys, in report key order
-_SCENARIO_KEYS = tuple(f.name for f in dataclasses.fields(Scenario))
+_SCENARIO_KEYS = Scenario._fields
 
 
 def load_scenario(path: str) -> Scenario:
@@ -269,18 +273,24 @@ def load_scenario(path: str) -> Scenario:
     return Scenario.from_dict(raw)
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """Everything one scenario run produced; to_dict() is the JSON report."""
 
-    scenario: Scenario
-    triple: BrillouinTriple
-    pump: PumpSteadyState
-    squeeze: SqueezeSpec
-    pair_probabilities: tuple[float, ...]
-    analytic: MomentTable
-    oracle: dict | None
-    thermal: dict | None
+    _fields = ("scenario", "triple", "pump", "squeeze", "pair_probabilities",
+               "analytic", "oracle", "thermal")
+
+    def __init__(self, scenario: Scenario, triple: BrillouinTriple,
+                 pump: PumpSteadyState, squeeze: SqueezeSpec,
+                 pair_probabilities: tuple[float, ...], analytic: MomentTable,
+                 oracle: dict | None, thermal: dict | None) -> None:
+        self.scenario = scenario
+        self.triple = triple
+        self.pump = pump
+        self.squeeze = squeeze
+        self.pair_probabilities = pair_probabilities
+        self.analytic = analytic
+        self.oracle = oracle
+        self.thermal = thermal
 
     def to_dict(self) -> dict:
         """Fields in declaration order, leaving out the blocks that are None."""
@@ -293,7 +303,7 @@ def _plain(value: Any) -> Any:
     is, a complex number as {"re", "im"}, a tuple as a list, a dict as
     a copy, the scenario as it re-emits itself, a moment table as r,
     its sections as dicts in TABLE_LAYOUT order and max_imag_discarded,
-    and any other dataclass as a dict of its fields."""
+    and any other record as a dict of its fields."""
     if isinstance(value, (float, int, str)) or value is None:
         return value
     if isinstance(value, complex):
@@ -308,8 +318,7 @@ def _plain(value: Any) -> Any:
         # each section is a fresh dict of floats
         return {"r": value.r, **{name: getattr(value, name) for name, _ in TABLE_LAYOUT},
                 "max_imag_discarded": value.max_imag_discarded}
-    return {f.name: _plain(getattr(value, f.name))
-            for f in dataclasses.fields(value)}
+    return {name: _plain(getattr(value, name)) for name in value._fields}
 
 
 def run(scenario: Scenario) -> RunReport:
@@ -389,7 +398,7 @@ def run(scenario: Scenario) -> RunReport:
 
 def _replace_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
     """The scenario with one field set; the changed block is built anew,
-    so its __post_init__ checks the value."""
+    so its __init__ checks the value."""
     block, _, name = path.rpartition(".")
     try:
         if not block:

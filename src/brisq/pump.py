@@ -10,32 +10,31 @@ the drive is specified by its photon flux in photons/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import FrozenRecord, Record, set_field
 from .errors import DegenerateLinewidth, require_finite, require_number
 from .waveguide import WaveguideParams
 
 
-@dataclass(frozen=True)
-class PumpDrive:
+class PumpDrive(FrozenRecord):
     """Coherent drive at carrier frequency omega_p with photon flux flux_in.
 
     flux_in is the injected photon flux in photons/s, so the input field
     amplitude is sqrt(flux_in).
     """
 
-    omega_p: float
-    flux_in: float
+    _fields = ("omega_p", "flux_in")
 
-    def __post_init__(self) -> None:
-        if not self.omega_p > 0:
+    def __init__(self, omega_p: float, flux_in: float) -> None:
+        if not omega_p > 0:
             raise ValueError("omega_p must be positive")
-        if not self.flux_in >= 0:
+        if not flux_in >= 0:
             raise ValueError("flux_in must be nonnegative")
+        set_field(self, "omega_p", omega_p)
+        set_field(self, "flux_in", flux_in)
 
 
-@dataclass
-class PumpSteadyState:
+class PumpSteadyState(Record):
     """Resolved steady state of the driven pump mode.
 
     detuning is the complex detuning of the pump mode, amplitude the
@@ -44,15 +43,17 @@ class PumpSteadyState:
     in general, real and positive on resonance).
     """
 
-    detuning: complex
-    amplitude: complex
-    photon_number: float
-    coupling: complex
+    _fields = ("detuning", "amplitude", "photon_number", "coupling")
 
-    def __post_init__(self) -> None:
+    def __init__(self, detuning: complex, amplitude: complex, photon_number: float,
+                 coupling: complex) -> None:
         # |coupling| is the f that diagonalize takes, so it must fit too
-        require_finite("pump steady-state values", *vars(self).values(),
-                       math.hypot(self.coupling.real, self.coupling.imag))
+        require_finite("pump steady-state values", detuning, amplitude, photon_number,
+                       coupling, math.hypot(coupling.real, coupling.imag))
+        self.detuning = detuning
+        self.amplitude = amplitude
+        self.photon_number = photon_number
+        self.coupling = coupling
 
 
 def pump_steady_state(params: WaveguideParams, drive: PumpDrive,

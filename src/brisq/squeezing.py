@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
 
+from ._record import FrozenRecord, Record, set_field
 from .errors import require_finite, require_number
 
 # exact by definition since the 2019 SI redefinition
@@ -44,8 +44,7 @@ def _section(name: str) -> property:
     return property(lambda table: dict(zip(keys, table.values[start:stop])))
 
 
-@dataclass
-class MomentTable:
+class MomentTable(Record):
     """Moments of a two-mode state, as one tuple in TABLE_LAYOUT order.
 
     values holds TABLE_SIZE = 38 floats: <X> and <X^2> for the eight
@@ -60,14 +59,16 @@ class MomentTable:
     analytic tables).
     """
 
-    r: float | None
-    values: tuple[float, ...]
-    max_imag_discarded: float = 0.0
+    _fields = ("r", "values", "max_imag_discarded")
 
-    def __post_init__(self) -> None:
-        if len(self.values) != TABLE_SIZE:
+    def __init__(self, r: float | None, values: tuple[float, ...],
+                 max_imag_discarded: float = 0.0) -> None:
+        if len(values) != TABLE_SIZE:
             raise ValueError(f"a moment table holds {TABLE_SIZE} values, "
-                             f"not {len(self.values)}")
+                             f"not {len(values)}")
+        self.r = r
+        self.values = values
+        self.max_imag_discarded = max_imag_discarded
 
     first = _section("first")
     second = _section("second")
@@ -76,22 +77,22 @@ class MomentTable:
     cross = _section("cross")
 
 
-@dataclass(frozen=True)
-class ThermalEnv:
+class ThermalEnv(FrozenRecord):
     """Thermal environment of the phonon mode: frequency Omega (Hz),
     temperature in K, and phonon linewidth Gamma (Hz)."""
 
-    Omega: float
-    temperature: float
-    Gamma: float
+    _fields = ("Omega", "temperature", "Gamma")
 
-    def __post_init__(self) -> None:
-        if not self.Omega > 0:
+    def __init__(self, Omega: float, temperature: float, Gamma: float) -> None:
+        if not Omega > 0:
             raise ValueError("Omega must be positive")
-        if not self.temperature >= 0:
+        if not temperature >= 0:
             raise ValueError("temperature must be nonnegative")
-        if not self.Gamma > 0:
+        if not Gamma > 0:
             raise ValueError("Gamma must be positive")
+        set_field(self, "Omega", Omega)
+        set_field(self, "temperature", temperature)
+        set_field(self, "Gamma", Gamma)
 
     @property
     def quality(self) -> float:
@@ -102,11 +103,18 @@ class ThermalEnv:
         return quality
 
 
+def _require_order(name: str, n: int) -> None:
+    """ValueError naming a pair order that is not a nonnegative whole
+    number: tanh(r) ** (2 * n) is complex for a negative r and a
+    fractional n."""
+    if not (n >= 0 and n % 1 == 0):  # a NaN or an infinity too
+        raise ValueError(f"{name} must be nonnegative and whole, not {n!r}")
+
+
 def pair_probability(r: float, n: int) -> float:
     """Probability of n photon-phonon pairs in the squeezed vacuum,
     P_n = tanh(r)^(2n) / cosh(r)^2. Geometric in n."""
-    if not n >= 0:  # a NaN too
-        raise ValueError("n must be nonnegative")
+    _require_order("n", n)
     require_number("squeeze parameter r", r)
     try:
         return math.tanh(r) ** (2 * n) / math.cosh(r) ** 2
@@ -117,8 +125,7 @@ def pair_probability(r: float, n: int) -> float:
 def pair_tail(r: float, n_min: int) -> float:
     """Probability of n_min or more pairs. The geometric sum collapses
     to exactly tanh(r)^(2*n_min)."""
-    if not n_min >= 0:  # a NaN too
-        raise ValueError("n_min must be nonnegative")
+    _require_order("n_min", n_min)
     require_number("squeeze parameter r", r)
     return math.tanh(r) ** (2 * n_min)
 

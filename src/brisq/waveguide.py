@@ -10,16 +10,14 @@ for staying inside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord, Record, set_field
 from .errors import require_finite, require_number
 
 FORWARD = "forward"
 BACKWARD = "backward"
 
 
-@dataclass(frozen=True, kw_only=True)
-class WaveguideParams:
+class WaveguideParams(FrozenRecord):
     """Waveguide with linearized photon branches and a linear acoustic branch.
 
     Attributes
@@ -41,28 +39,29 @@ class WaveguideParams:
         result depends on it.
     """
 
-    omega0: float
-    g: float
-    u: float
-    gamma: float
-    vg: float
-    va: float
-    length: float
+    _fields = ("omega0", "g", "u", "gamma", "vg", "va", "length")
 
-    def __post_init__(self) -> None:
-        if not self.omega0 > 0:
+    def __init__(self, *, omega0: float, g: float, u: float, gamma: float,
+                 vg: float, va: float, length: float) -> None:
+        if not omega0 > 0:
             raise ValueError("omega0 must be positive")
-        if not 0 < self.va < self.vg:
+        if not 0 < va < vg:
             raise ValueError("velocities must satisfy 0 < va < vg")
-        if not self.length > 0:
+        if not length > 0:
             raise ValueError("length must be positive")
-        for name in ("g", "u", "gamma"):
-            if not getattr(self, name) >= 0:
+        for name, rate in (("g", g), ("u", u), ("gamma", gamma)):
+            if not rate >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+        set_field(self, "omega0", omega0)
+        set_field(self, "g", g)
+        set_field(self, "u", u)
+        set_field(self, "gamma", gamma)
+        set_field(self, "vg", vg)
+        set_field(self, "va", va)
+        set_field(self, "length", length)
 
 
-@dataclass
-class BrillouinTriple:
+class BrillouinTriple(Record):
     """One phase-matched pump/signal/phonon triple.
 
     Wavenumbers satisfy k_pump = k_signal + q_phonon exactly;
@@ -70,15 +69,19 @@ class BrillouinTriple:
     rounding. All frequencies in Hz, wavenumbers in rad/m.
     """
 
-    k_pump: float
-    k_signal: float
-    q_phonon: float
-    omega_pump: float
-    omega_signal: float
-    Omega_phonon: float
+    _fields = ("k_pump", "k_signal", "q_phonon", "omega_pump", "omega_signal",
+               "Omega_phonon")
 
-    def __post_init__(self) -> None:
-        require_finite("phase-matched values", *vars(self).values())
+    def __init__(self, k_pump: float, k_signal: float, q_phonon: float,
+                 omega_pump: float, omega_signal: float, Omega_phonon: float) -> None:
+        require_finite("phase-matched values", k_pump, k_signal, q_phonon,
+                       omega_pump, omega_signal, Omega_phonon)
+        self.k_pump = k_pump
+        self.k_signal = k_signal
+        self.q_phonon = q_phonon
+        self.omega_pump = omega_pump
+        self.omega_signal = omega_signal
+        self.Omega_phonon = Omega_phonon
 
 
 def phase_match(

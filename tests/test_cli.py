@@ -4,7 +4,6 @@ import argparse
 import ast
 import copy
 import csv
-import dataclasses
 import gc
 import importlib
 import io
@@ -154,8 +153,8 @@ def poison_oracle_table(monkeypatch):
     def measured_nan(column):
         table = measure(column)
         values = table.values
-        return dataclasses.replace(
-            table, values=(*values[:CROSS_N_A], math.nan, *values[CROSS_N_A + 1:]))
+        return table.replace(
+            values=(*values[:CROSS_N_A], math.nan, *values[CROSS_N_A + 1:]))
 
     monkeypatch.setattr(pipeline, "diagonal_moments", measured_nan)
 
@@ -259,13 +258,13 @@ def test_check_writes_rows(tmp_path, capsys):
 
 def patch_reference(monkeypatch, **changes):
     """Make brisq check run the reference device with changed blocks."""
-    changed = dataclasses.replace(pipeline.reference_scenario(), **changes)
+    changed = pipeline.reference_scenario().replace(**changes)
     monkeypatch.setattr(pipeline, "reference_scenario", lambda: changed)
 
 
 def test_check_fails_off_the_documented_values(monkeypatch, tmp_path, capsys):
     # four times the flux doubles f: tanh r = 0.101 against 0.05
-    drive = dataclasses.replace(pipeline.reference_scenario().drive, flux_in=4e12)
+    drive = pipeline.reference_scenario().drive.replace(flux_in=4e12)
     patch_reference(monkeypatch, drive=drive)
     out = tmp_path / "checks.json"
     assert main(["check", "--out", str(out)]) == EXIT_MISMATCH
@@ -641,6 +640,25 @@ def test_no_verb_imports_scipy():
         "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     assert _fresh_python(code) == "[0, 0, 0] []"
+
+
+def test_no_verb_loads_the_record_machinery(tmp_path):
+    # brisq's records are plain classes: dataclasses would load inspect
+    # (with ast, dis and tokenize) and compile each record's methods at
+    # start-up, in every cold process
+    out = str(tmp_path / "run.csv")
+    code = (
+        "import contextlib, io, sys\n"
+        "from brisq import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['check']),\n"
+        f"             cli.main(['run', {RUN_SCENARIO!r}]),\n"
+        f"             cli.main(['run', {RUN_SCENARIO!r}, '--format', 'csv', '--db',\n"
+        f"                       '--out', {out!r}]),\n"
+        f"             cli.main(['sweep', {SWEEP_SCENARIO!r}])]\n"
+        "print(codes, [m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    assert _fresh_python(code) == "[0, 0, 0, 0] []"
 
 
 def test_import_loads_blas_single_threaded_and_leaves_env_alone():

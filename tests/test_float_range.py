@@ -2,19 +2,20 @@
 
 Every float argument of phase_match, pump_steady_state, diagonalize,
 full_moment_table, pair_probability, pair_tail, thermal_occupation and
-ThermalEnv.quality, the fields of the dataclasses they take and the
+ThermalEnv.quality, the fields of the records they take and the
 orders of pair_probability and pair_tail included, is replaced by edge
-floats. Each call must return a finite value or
-raise ValueError or PhysicsError.
+floats, a fractional order among them. Each call must return finite
+values, a real float from the stages that return one number, or raise
+ValueError or PhysicsError.
 """
 
-import dataclasses
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brisq._record import Record
 from brisq.bogoliubov import diagonalize
 from brisq.errors import PhysicsError
 from brisq.pump import PumpDrive, pump_steady_state
@@ -27,7 +28,9 @@ from brisq.squeezing import (
 )
 from brisq.waveguide import WaveguideParams, phase_match
 
-EDGES = (0.0, -0.0, 5e-324, 1e-300, -1.0, 400.0, 1e308, math.inf, -math.inf, math.nan)
+# 0.25 is a fractional pair order, which makes tanh(r) ** (2 * n) complex at r < 0
+EDGES = (0.0, -0.0, 5e-324, 1e-300, 0.25, -1.0, 400.0, 1e308, math.inf, -math.inf,
+         math.nan)
 
 # the reference device: a 193 THz carrier, g = u = 1 MHz, a resonant drive
 WAVEGUIDE = dict(omega0=193e12, g=1e6, u=1e6, gamma=0.01, vg=7e7, va=8433.0,
@@ -65,9 +68,9 @@ STAGES = {
 
 
 def _numbers(result):
-    """Every number a stage returned: a float, or a dataclass's fields,
+    """Every number a stage returned: a float, or a record's fields,
     with the values of a MomentTable."""
-    if not dataclasses.is_dataclass(result):
+    if not isinstance(result, Record):
         return [result]
     found = []
     for value in vars(result).values():
@@ -81,6 +84,8 @@ def check(stage, overrides):
         result = call(reference | overrides)
     except (ValueError, PhysicsError):
         return
+    if not isinstance(result, Record):
+        assert type(result) is float, (stage, overrides, result)
     for value in _numbers(result):
         for part in (value.real, value.imag):
             assert math.isfinite(part), (stage, overrides, result)
@@ -102,6 +107,9 @@ def cases(draw):
 @example(case=("thermal_occupation", {"Omega": math.inf, "temperature": math.inf}))
 # h*Omega/(kB*T) is a subnormal whose inverse overflows
 @example(case=("thermal_occupation", {"temperature": 1e308}))
+# a negative float to a fractional power is complex
+@example(case=("pair_probability", {"r": -1.0, "n": 0.25}))
+@example(case=("pair_tail", {"r": -1.0, "n_min": 0.25}))
 @given(case=cases())
 def test_stage_results_stay_in_the_float_range(case):
     check(*case)

@@ -1,7 +1,9 @@
 """Truncated Fock-space oracle tests."""
 
+import contextlib
 import gc
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
@@ -635,9 +637,15 @@ def test_a_negative_variance_product_raises(monkeypatch):
     monkeypatch.setattr(focksim, "_table_coefficients", lambda: coefficients)
     with pytest.raises(ValueError, match="math domain error"):
         measure_moments(vacuum_state(4))
-    forms = list(focksim._diagonal_forms())
-    forms[row] = tuple(-value for value in forms[row])
-    monkeypatch.setattr(focksim, "_diagonal_forms", lambda: forms)
+    # diagonal_moments evaluates each distinct row of _diagonal_forms once
+    # and expands the values; X_a shares its row with Y_a, so the negated
+    # row is appended and the expansion reads it for X_a alone
+    forms, expand = focksim._distinct_diagonal_forms()
+    rows = list(expand(range(len(forms))))
+    forms = (*forms, tuple(-value for value in forms[rows[row]]))
+    rows[row] = len(forms) - 1
+    monkeypatch.setattr(focksim, "_distinct_diagonal_forms",
+                        lambda: (forms, operator.itemgetter(*rows)))
     with pytest.raises(ValueError, match="math domain error"):
         diagonal_moments([1.0, 0.0, 0.0, 0.0])
 
@@ -1037,6 +1045,36 @@ def test_diagonal_moments_requires_a_normalized_column():
             diagonal_moments(column)
     vacuum = diagonal_moments([1.0, 0.0, 0.0])
     assert vacuum == measure_moments(vacuum_state(3))
+
+
+def test_distinct_diagonal_forms_give_every_entry_bit_for_bit():
+    # diagonal_moments evaluates the 9 distinct rows of _diagonal_forms and
+    # expands them to its 26; forming every row, the reference, gives the
+    # same bits at each cutoff that oracle runs reach with f/omega_bar in
+    # (0, 0.95) and (0.95, 0.999), the benchmark's oracle ramp
+    forms, expand = focksim._distinct_diagonal_forms()
+    assert len(set(forms)) == len(forms) == 9
+    assert expand(forms) == focksim._diagonal_forms()
+    cutoffs = {}
+    for low, high, count in ((0.0, 0.95, 140), (0.95, 0.999, 60)):
+        for i in range(count):
+            r = 0.5 * math.atanh(low + (i + 0.5) * (high - low) / count)
+            with contextlib.suppress(CutoffTooSmall):
+                cutoffs.setdefault(choose_cutoff(r, flux_tol=1e-8), r)
+    assert len(cutoffs) == 78 and min(cutoffs) == 3 and max(cutoffs) == 123
+    for cutoff, r in cutoffs.items():
+        column = vacuum_column(cutoff, r)
+        squares = [c * c for c in column]
+        levels = [float(k) for k in range(1, cutoff)]
+        norm2 = sum(squares)
+        lowered = sum(k * s for k, s in zip(levels, squares[1:]))
+        raised = sum(k * s for k, s in zip(levels, squares))
+        paired = sum(k * (c * d) for k, c, d in zip(levels, column, column[1:]))
+        every = [a * norm2 + b * lowered + c * raised + d * paired
+                 for a, b, c, d in focksim._diagonal_forms()]
+        reference = focksim._moment_table(norm2, every, 0.0)
+        assert ([value.hex() for value in diagonal_moments(column).values]
+                == [value.hex() for value in reference.values]), cutoff
 
 
 def test_herald_on_squeezed_vacuum_is_diagonal():

@@ -1,0 +1,96 @@
+"""The record contract: every record's fields in __init__'s order, which
+is the report's key order, equality field by field, replace() as a
+checked copy, and hashing and freezing for the frozen records alone."""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+
+from brisq.errors import PhysicsError
+from brisq.focksim import BogoliubovResiduals, TwoModeState, vacuum_state
+from brisq.pipeline import SweepConfig, _plain, reference_scenario, run
+
+REPORT = run(reference_scenario())
+SCENARIO = REPORT.scenario
+
+# record -> (an instance, a valid change, an invalid change and its error
+# or None where __init__ checks nothing)
+RECORDS = {
+    "WaveguideParams": (SCENARIO.waveguide, {"g": 2e6}, ({"va": 8e7}, ValueError)),
+    "PumpDrive": (SCENARIO.drive, {"flux_in": 4e12}, ({"omega_p": 0.0}, ValueError)),
+    "OracleConfig": (SCENARIO.oracle, {"cutoff": 8}, ({"enabled": 1}, ValueError)),
+    "ThermalEnv": (SCENARIO.thermal, {"temperature": 0.0}, ({"Gamma": 0.0}, ValueError)),
+    "SweepConfig": (SweepConfig("drive.flux_in", (1e12, 2e12)), {"values": [3e12]},
+                    ({"parameter": "geometry"}, ValueError)),
+    "Scenario": (SCENARIO, {"k_pump": None}, None),
+    "BrillouinTriple": (REPORT.triple, {"q_phonon": 0.0},
+                        ({"k_pump": math.inf}, PhysicsError)),
+    "PumpSteadyState": (REPORT.pump, {"photon_number": 0.0},
+                        ({"coupling": complex(1.7e308, 1.7e308)}, PhysicsError)),
+    "SqueezeSpec": (REPORT.squeeze, {"r": 0.0}, ({"gap": math.nan}, PhysicsError)),
+    "MomentTable": (REPORT.analytic, {"r": None}, ({"values": ()}, ValueError)),
+    "RunReport": (REPORT, {"oracle": None}, None),
+    "TwoModeState": (vacuum_state(3), {"amplitudes": np.eye(9)[1]},
+                     ({"cutoff": 4}, ValueError)),
+    "BogoliubovResiduals": (BogoliubovResiduals(0.0, 1e-16, 0.0, 2), {"block": 3}, None),
+}
+FROZEN = {"WaveguideParams", "PumpDrive", "OracleConfig", "ThermalEnv", "SweepConfig",
+          "Scenario", "TwoModeState", "BogoliubovResiduals"}
+# the records the report writes as a dict of their fields
+REPORTED = {"WaveguideParams", "PumpDrive", "OracleConfig", "ThermalEnv", "SweepConfig",
+            "BrillouinTriple", "PumpSteadyState", "SqueezeSpec"}
+
+
+def test_every_record_is_listed():
+    assert {type(value[0]).__name__ for value in RECORDS.values()} == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_contract(name):
+    record, change, invalid = RECORDS[name]
+    cls = type(record)
+    assert cls.__name__ == name
+    # _fields is __init__'s order and all an instance holds; the report
+    # writes a record's fields in that order
+    assert tuple(inspect.signature(cls).parameters) == cls._fields
+    assert list(vars(record)) == list(cls._fields)
+    if name in REPORTED:
+        assert list(_plain(record)) == list(cls._fields)
+    assert repr(record).startswith(f"{name}({cls._fields[0]}=")
+
+    copy = record.replace()
+    assert copy is not record and copy == record and not copy != record
+    changed = record.replace(**change)
+    for field in cls._fields:
+        expected = change[field] if field in change else getattr(record, field)
+        if isinstance(expected, list):
+            expected = tuple(expected)
+        assert getattr(changed, field) is expected or getattr(changed, field) == expected
+    if cls is not TwoModeState:  # unequal arrays compare elementwise
+        assert changed != record
+    assert record != object() and record.__eq__(object()) is NotImplemented
+    if invalid is not None:
+        fields, error = invalid
+        with pytest.raises(error):
+            record.replace(**fields)
+    with pytest.raises(TypeError):
+        record.replace(no_such_field=1)
+
+    if name not in FROZEN:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+        return
+    if cls is not TwoModeState:  # its amplitudes, an array, are not hashable
+        assert hash(copy) == hash(record)
+        assert {record: 1}[copy] == 1
+    field = cls._fields[0]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert copy == record
+

@@ -1,6 +1,5 @@
 """Closed-form squeezed-vacuum statistics tests."""
 
-import dataclasses
 import math
 
 import pytest
@@ -221,7 +220,7 @@ def test_table_deviation():
     left = full_moment_table(0.3)
     assert table_deviation(left, full_moment_table(0.3)) == 0.0
     second_x_a = len(QUAD_KEYS)
-    bumped = dataclasses.replace(left, values=(
+    bumped = left.replace(values=(
         *left.values[:second_x_a], left.second["X_a"] + 1e-3,
         *left.values[second_x_a + 1:]))
     assert bumped.second["X_a"] == left.second["X_a"] + 1e-3
@@ -242,8 +241,8 @@ def test_table_deviation_propagates_nan():
     # first["X_a"]
     left = full_moment_table(0.3)
     for i in range(TABLE_SIZE):
-        poisoned = dataclasses.replace(
-            left, values=(*left.values[:i], math.nan, *left.values[i + 1:]))
+        poisoned = left.replace(
+            values=(*left.values[:i], math.nan, *left.values[i + 1:]))
         assert math.isnan(table_deviation(left, poisoned)), i
         assert math.isnan(table_deviation(poisoned, left)), i
 
