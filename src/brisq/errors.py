@@ -1,11 +1,8 @@
-"""Exception types and the gates shared across the package: two for
-floats and one for the Fock oracle's cutoff, which scenario loading
-checks without importing the oracle."""
+"""Exception types and the two float gates shared across the package.
+The Fock basis's cutoff gate lives with the basis, in focksim."""
 
 import cmath
 import math
-
-CUTOFF_CAP = 128
 
 
 class PhysicsError(Exception):
@@ -47,16 +44,3 @@ def require_finite(what: str, *values: complex) -> None:
     if not all(map(cmath.isfinite, values)):
         raise PhysicsError(f"{what} overflow the float range")
 
-
-def require_cutoff(cutoff: int) -> None:
-    """The one cutoff gate: ValueError unless cutoff is an int in
-    [2, CUTOFF_CAP].
-
-    A basis of cutoff levels per mode has cutoff**2 states. A dense
-    operator on it costs 8 * cutoff**4 bytes, 2.1 GB at CUTOFF_CAP, so
-    the oracle's one dense builder, focksim.squeeze_operator, stops at
-    focksim.DENSE_CAP, ~42 MB per matrix; everything else works sector
-    by sector or on state vectors.
-    """
-    if type(cutoff) is not int or not 2 <= cutoff <= CUTOFF_CAP:
-        raise ValueError(f"cutoff: expected an integer in [2, {CUTOFF_CAP}]")

@@ -6,12 +6,12 @@ basis and measuring them with no analytic shortcuts: every expectation
 value is <psi|O|psi> with O applied to the state vector.
 
 Every builder takes the cutoff, the number of levels per mode, and a
-TwoModeState carries it; require_cutoff is the one gate for it. Basis
-ordering is row major over (n_a, n_b) with the phonon index n_b
-fastest: index = n_a * cutoff + n_b. Truncation artifacts concentrate
-near the edge n ~ cutoff, so operator identities are checked on the
-low-occupation block n_a, n_b < cutoff/2; the closed-form tail mass
-tanh(r)^(2*cutoff) bounds how much of the squeezed vacuum the basis
+TwoModeState carries it; require_cutoff, the one gate for it, caps it at
+CUTOFF_CAP. Basis ordering is row major over (n_a, n_b) with the phonon
+index n_b fastest: index = n_a * cutoff + n_b. Truncation artifacts
+concentrate near the edge n ~ cutoff, so operator identities are checked
+on the low-occupation block n_a, n_b < cutoff/2; the closed-form tail
+mass tanh(r)^(2*cutoff) bounds how much of the squeezed vacuum the basis
 cannot hold.
 
 A TwoModeState keeps the dtype of its amplitudes, promoted to at least
@@ -27,20 +27,18 @@ the squeezed vacuum, on the n_a = n_b diagonal, is measured on three
 sectors, about 3 * cutoff points instead of cutoff**2, and no sector
 takes more than O(cutoff) memory.
 
-A run's oracle has one measure path, on the n_a = n_b column alone:
-vacuum_column makes the squeezed vacuum's column as a list and
-diagonal_moments measures it through the same moment forms as
-measure_moments, in O(cutoff) time and memory, with no cutoff**2 state.
-squeezed_vacuum and measure_moments remain the general builder and
-measurer, and the reference for that path.
+vacuum_column is the one builder of the squeezed vacuum's n_a = n_b
+column, as a list; squeezed_vacuum scatters it into a state. A run's
+oracle measures the column alone with diagonal_moments, through the
+same moment forms as measure_moments, in O(cutoff) time and memory;
+squeezed_vacuum and measure_moments are the reference for that path.
 
 numpy is imported at the first call that needs an array (_load_numpy),
-not with this module. choose_cutoff, series_admits, vacuum_series and
-diagonal_moments run in pure Python: where ||r K0||_inf = |r| (2 cutoff
-- 3) <= 1, vacuum_column takes the column from vacuum_series, the
-Taylor series of the column, exact to rounding, and loads no numpy;
-elsewhere it takes the column that squeezed_vacuum forms from the
-sector SVD.
+not with this module. choose_cutoff and diagonal_moments run in pure
+Python, and so does vacuum_column where ||r K0||_inf = |r| (2 cutoff -
+3) <= 1: there it takes the column from the Taylor series of
+exp(r K0)|0, 0>, exact to rounding, and loads no numpy; elsewhere it
+takes the column from the sector SVD.
 """
 
 from __future__ import annotations
@@ -55,25 +53,24 @@ import threading
 from typing import Any, Callable, NamedTuple, Sequence
 
 from ._record import FrozenRecord, set_field
-from .errors import (
-    CUTOFF_CAP,
-    CutoffTooSmall,
-    ZeroProbability,
-    require_cutoff,
-    require_number,
-)
+from .errors import CutoffTooSmall, ZeroProbability, require_number
 from .squeezing import CROSS_KEYS, QUAD_KEYS, MomentTable, pair_tail
 
+# A basis of cutoff levels per mode has cutoff**2 states. A dense
+# operator on it costs 8 * cutoff**4 bytes, 2.1 GB at CUTOFF_CAP, so the
+# one dense builder, squeeze_operator, stops at DENSE_CAP, ~42 MB per
+# matrix; everything else works sector by sector or on state vectors.
+CUTOFF_CAP = 128
 DENSE_CAP = 48
 TAIL_TOL = 1e-12
 EDGE_TOL = 1e-10
 NORM_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
 # sector spectra kept by _sector_spectrum: every sector of the largest
-# cutoff, 2 * CUTOFF_CAP - 1 = 255 of them, fits at once
-_SPECTRUM_MEMO = 256
-# Taylor terms of vacuum_series, enough for the widest norm it admits,
-# ||r K0||_inf = 1: the tail sum_{j > 18} 1/j! < (1/19!) (20/19) < 1e-17
+# cutoff, 2 * CUTOFF_CAP - 1 of them, fits at once
+_SPECTRUM_MEMO = 2 * CUTOFF_CAP
+# Taylor terms of _series_column, enough for the widest norm it is used
+# at, ||r K0||_inf = 1: the tail sum_{j > 18} 1/j! < (1/19!) (20/19) < 1e-17
 SERIES_TERMS = 18
 
 
@@ -113,6 +110,13 @@ class _NumpyOnFirstUse:
 np = _NumpyOnFirstUse()
 
 
+def require_cutoff(cutoff: int) -> None:
+    """The one cutoff gate: ValueError unless cutoff is an int in
+    [2, CUTOFF_CAP]."""
+    if type(cutoff) is not int or not 2 <= cutoff <= CUTOFF_CAP:
+        raise ValueError(f"cutoff: expected an integer in [2, {CUTOFF_CAP}]")
+
+
 def _require_occupation(cutoff: int, *levels: int) -> None:
     # a bool is an int to Python and a float reaches numpy's indexing
     # as an IndexError, so both are refused here
@@ -131,6 +135,8 @@ class TwoModeState(FrozenRecord):
     to NORM_TOL. A numeric dtype is kept, promoted to at least float64:
     a real state stays float64 and is measured in real arithmetic, a
     complex one stays complex128. Other dtypes convert to complex128.
+    Two states are equal when their cutoffs are and their amplitudes
+    are by np.array_equal; a state, like its array, is not hashable.
     """
 
     _fields = ("amplitudes", "cutoff")
@@ -147,6 +153,14 @@ class TwoModeState(FrozenRecord):
             raise ValueError("amplitude vector does not match cutoff**2")
         set_field(self, "amplitudes", amp)
         set_field(self, "cutoff", cutoff)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cutoff == other.cutoff
+                and bool(np.array_equal(self.amplitudes, other.amplitudes)))
+
+    __hash__ = None
 
     def grid(self) -> np.ndarray:
         """Amplitudes reshaped to (n_a, n_b); a view, not a copy."""
@@ -345,9 +359,8 @@ def squeeze_operator(cutoff: int, r: float) -> np.ndarray:
 def _svd_column(cutoff: int, r: float) -> np.ndarray:
     """The n_a = n_b column of the squeezed vacuum, amplitude k on |k, k>,
     from the sector SVD: column 0 of the n_a = n_b sector's block, formed
-    without the block. Both gates run before anything is allocated."""
-    require_cutoff(cutoff)
-    _require_tail(cutoff, r)
+    without the block. A kernel of vacuum_column, which gates its inputs,
+    and the tests' reference for the series kernel."""
     u, wt, sin, versine = _sector_rotation(r, cutoff, 0)
     # column 0 of _sector_block: e_0 - U (1 - cos rS) U[0] on the even
     # levels, U[0] sin(rS) W^T on the odd ones
@@ -359,17 +372,15 @@ def _svd_column(cutoff: int, r: float) -> np.ndarray:
 
 
 def squeezed_vacuum(cutoff: int, r: float) -> TwoModeState:
-    """Squeeze operator applied to the two-mode vacuum.
+    """Squeeze operator applied to the two-mode vacuum: the list that
+    vacuum_column returns, on the n_a = n_b diagonal of a cutoff**2 state.
 
-    The vacuum lives in the n_a = n_b sector, so only column 0 of that
-    sector's block is needed; the restriction is exact, not an
-    approximation, and the column is formed without the block. Raises
-    CutoffTooSmall and ValueError as squeeze_operator does, but has no
-    dense cap.
+    The generator conserves n_a - n_b, so the vacuum's image lies in the
+    n_a = n_b sector; the restriction is exact, not an approximation.
+    Raises CutoffTooSmall and ValueError as squeeze_operator does, but
+    has no dense cap.
     """
-    column = _svd_column(cutoff, r)
-    amp = np.zeros(cutoff * cutoff)
-    amp[_sector_index(cutoff, 0)] = column
+    amp = np.diag(vacuum_column(cutoff, r)).reshape(-1)
     return TwoModeState(amplitudes=amp, cutoff=cutoff)
 
 
@@ -680,8 +691,8 @@ def measure_moments(state: TwoModeState) -> MomentTable:
                          float(abs(values.imag).max()))
 
 
-def series_admits(cutoff: int, r: float) -> bool:
-    """Whether vacuum_series is exact to rounding at this cutoff and r:
+def _series_admits(cutoff: int, r: float) -> bool:
+    """Whether _series_column is exact to rounding at this cutoff and r:
     ||r K0||_inf = |r| (2 cutoff - 3) <= 1, K0 the pair generator on the
     n_a = n_b sector (its row n = cutoff - 2 sums n + (n + 1))."""
     return abs(r) * (2 * cutoff - 3) <= 1.0
@@ -714,12 +725,12 @@ def _series_coefficients(cutoff: int) -> tuple[tuple[float, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def vacuum_series(cutoff: int, r: float) -> list[float]:
-    """The n_a = n_b column of squeezed_vacuum(cutoff, r), amplitude k on
-    |k, k>, in pure Python from the Taylor series of exp(r K0)|0, 0>.
+def _series_column(cutoff: int, r: float) -> list[float]:
+    """The n_a = n_b column of the squeezed vacuum, amplitude k on |k, k>,
+    in pure Python from the Taylor series of exp(r K0)|0, 0>: the kernel
+    vacuum_column takes where _series_admits(cutoff, r) holds, after its
+    gates.
 
-    Requires series_admits(cutoff, r) and raises ValueError otherwise;
-    raises CutoffTooSmall and ValueError for r as squeezed_vacuum does.
     Level k sums the terms p_k,j r^j of SERIES_TERMS + 1 in all, r's
     powers formed by repeated products. With theta = |r| (2 cutoff - 3)
     <= 1 the dropped terms add at most (1/19!) (20/19) < 1e-17 to any
@@ -729,11 +740,6 @@ def vacuum_series(cutoff: int, r: float) -> list[float]:
     the |terms| of a level add up to at most a level of exp(|r| |K0|)
     e_0, whose inf-norm is e^theta.
     """
-    require_cutoff(cutoff)
-    _require_tail(cutoff, r)
-    if not series_admits(cutoff, r):
-        raise ValueError(f"|r| (2 cutoff - 3) = {abs(r) * (2 * cutoff - 3):g} > 1: "
-                         "the vacuum series needs ||r K0|| <= 1")
     powers = list(itertools.accumulate(itertools.repeat(r, SERIES_TERMS), operator.mul,
                                        initial=1.0))
     column = [sum(map(operator.mul, row, powers[k::2]))
@@ -742,15 +748,17 @@ def vacuum_series(cutoff: int, r: float) -> list[float]:
 
 
 def vacuum_column(cutoff: int, r: float) -> list[float]:
-    """The n_a = n_b column of squeezed_vacuum(cutoff, r), amplitude k on
-    |k, k>, as a list: from vacuum_series where series_admits holds and
-    from the sector SVD otherwise, the column squeezed_vacuum scatters
-    into its state. Raises CutoffTooSmall and ValueError as
-    squeezed_vacuum does.
+    """The n_a = n_b column of the squeezed vacuum, amplitude k on |k, k>,
+    as a list: the one builder of that column, which squeezed_vacuum
+    scatters into its state. Both gates run once, before either kernel,
+    and raise CutoffTooSmall and ValueError as squeeze_operator does;
+    the column comes from the Taylor series where _series_admits holds
+    and from the sector SVD otherwise.
     """
     require_cutoff(cutoff)
-    if series_admits(cutoff, r):
-        return vacuum_series(cutoff, r)
+    _require_tail(cutoff, r)
+    if _series_admits(cutoff, r):
+        return _series_column(cutoff, r)
     return _svd_column(cutoff, r).tolist()
 
 

@@ -127,7 +127,11 @@ def pair_tail(r: float, n_min: int) -> float:
     to exactly tanh(r)^(2*n_min)."""
     _require_order("n_min", n_min)
     require_number("squeeze parameter r", r)
-    return math.tanh(r) ** (2 * n_min)
+    t = math.tanh(r)
+    try:
+        return t ** (2 * n_min)
+    except OverflowError:  # an order beyond the float range: the power's limit
+        return 1.0 if abs(t) == 1.0 else 0.0
 
 
 def full_moment_table(r: float) -> MomentTable:

@@ -110,6 +110,9 @@ def cases(draw):
 # a negative float to a fractional power is complex
 @example(case=("pair_probability", {"r": -1.0, "n": 0.25}))
 @example(case=("pair_tail", {"r": -1.0, "n_min": 0.25}))
+# an order whose double 2 n does not fit a float
+@example(case=("pair_probability", {"n": 10**400}))
+@example(case=("pair_tail", {"n_min": 10**400}))
 @given(case=cases())
 def test_stage_results_stay_in_the_float_range(case):
     check(*case)

@@ -29,11 +29,9 @@ from brisq.focksim import (
     fock_state,
     herald,
     measure_moments,
-    series_admits,
     squeeze_operator,
     squeezed_vacuum,
     vacuum_column,
-    vacuum_series,
     vacuum_state,
 )
 from brisq.squeezing import (
@@ -48,6 +46,9 @@ from brisq.focksim import (
     _sector_images,
     _sector_index,
     _sector_spectrum,
+    _series_admits,
+    _series_column,
+    _svd_column,
 )
 
 R_REF = 0.05016767361301254
@@ -798,7 +799,7 @@ def gamma(n):
 
 
 def series_error(cutoff, r):
-    """Bound on |vacuum_series(cutoff, r) - exp(r K0) e_0| in every level,
+    """Bound on |_series_column(cutoff, r) - exp(r K0) e_0| in every level,
     from the term count J and theta = ||r K0||_inf <= 1.
 
     Truncation: the dropped terms (r K0)^j e_0 / j!, j > J, sum to at
@@ -818,10 +819,10 @@ def series_error(cutoff, r):
 
 
 def svd_error(cutoff, r):
-    """Bound on |squeezed_vacuum's n_a = n_b column - exp(r K0) e_0| in
-    every level, in the standard model with LAPACK's p(N) = N: the SVD
-    of the sector's bidiagonal block B0 is exact for B0 + E with
-    ||E|| <= N u ||B0||, and its U and W are orthogonal to N u.
+    """Bound on |_svd_column(cutoff, r) - exp(r K0) e_0| in every level,
+    in the standard model with LAPACK's p(N) = N: the SVD of the
+    sector's bidiagonal block B0 is exact for B0 + E with ||E|| <= N u
+    ||B0||, and its U and W are orthogonal to N u.
 
     E moves the column by at most ||r E|| <= N u theta (exp of a skew
     generator is orthogonal); U and W's departure from orthogonality,
@@ -850,9 +851,9 @@ def moment_error(cutoff, column_error, spread):
 
 
 def widest_series_r(cutoff):
-    """The largest r that both series_admits and the tail gate admit."""
+    """The largest r that both _series_admits and the tail gate admit."""
     r = min(1.0 / (2 * cutoff - 3), gate_edge(cutoff))
-    while not series_admits(cutoff, r):
+    while not _series_admits(cutoff, r):
         r = math.nextafter(r, 0.0)
     return r
 
@@ -878,7 +879,7 @@ def exact_vacuum_column(cutoff, r, terms=60):
 def test_vacuum_series_is_within_its_bound_of_exact_arithmetic(cutoff, sign):
     # at the widest r the rule admits, where the bound is loosest
     r = sign * widest_series_r(cutoff)
-    column = vacuum_series(cutoff, r)
+    column = _series_column(cutoff, r)
     exact = exact_vacuum_column(cutoff, r)
     assert len(column) == cutoff
     assert all(type(value) is float for value in column)
@@ -887,22 +888,23 @@ def test_vacuum_series_is_within_its_bound_of_exact_arithmetic(cutoff, sign):
 
 @st.composite
 def series_points(draw):
-    """(cutoff, r) that series_admits and the tail gate both admit."""
+    """(cutoff, r) that _series_admits and the tail gate both admit."""
     cutoff = draw(st.integers(2, CUTOFF_CAP))
     limit = widest_series_r(cutoff)
     r = draw(st.floats(-limit, limit))
-    assume(series_admits(cutoff, r))
+    assume(_series_admits(cutoff, r))
     return cutoff, r
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(series_points())
 def test_vacuum_series_agrees_with_the_sector_svd(point):
+    # the two kernels of vacuum_column, at points where it takes the series
     cutoff, r = point
-    column = vacuum_series(cutoff, r)
-    state = squeezed_vacuum(cutoff, r)
+    column, svd_column = _series_column(cutoff, r), _svd_column(cutoff, r)
+    state = TwoModeState(np.diag(svd_column).reshape(-1), cutoff)
     apart = series_error(cutoff, r) + svd_error(cutoff, r)
-    assert np.abs(np.array(column) - state.grid().diagonal()).max() <= apart
+    assert np.abs(np.array(column) - svd_column).max() <= apart
 
     series, svd = diagonal_moments(column), measure_moments(state)
     # one bound per form, its spread read off the forms both paths share
@@ -971,13 +973,13 @@ def diagonal_measure_error(column):
 
 @st.composite
 def svd_points(draw):
-    """(cutoff, r) that the tail gate admits and series_admits refuses,
+    """(cutoff, r) that the tail gate admits and _series_admits refuses,
     where vacuum_column takes the sector SVD; cutoffs 7-128 have them."""
     cutoff = draw(st.integers(2, CUTOFF_CAP))
     low, high = math.nextafter(1.0 / (2 * cutoff - 3), 2.0), gate_edge(cutoff)
     assume(low <= high)
     r = draw(st.floats(low, high)) * draw(st.sampled_from((1.0, -1.0)))
-    assume(not series_admits(cutoff, r))
+    assume(not _series_admits(cutoff, r))
     return cutoff, r
 
 
@@ -1008,22 +1010,41 @@ def test_series_admits_exactly_the_unit_generator_norm():
         for k in range(cutoff - 1):
             generator[k + 1, k], generator[k, k + 1] = k + 1, -(k + 1)
         assert np.abs(generator).sum(axis=1).max() == 2 * cutoff - 3
-        assert series_admits(cutoff, 1.0 / (2 * cutoff - 3))
-        assert series_admits(cutoff, -1.0 / (2 * cutoff - 3))
-        assert not series_admits(cutoff, (1.0 + 1e-12) / (2 * cutoff - 3))
-    assert series_admits(5, 0.0) and not series_admits(5, math.nan)
+        assert _series_admits(cutoff, 1.0 / (2 * cutoff - 3))
+        assert _series_admits(cutoff, -1.0 / (2 * cutoff - 3))
+        assert not _series_admits(cutoff, (1.0 + 1e-12) / (2 * cutoff - 3))
+    assert _series_admits(5, 0.0) and not _series_admits(5, math.nan)
 
 
-def test_vacuum_series_refuses_what_its_rule_or_the_gates_refuse():
-    with pytest.raises(ValueError, match="needs"):
-        vacuum_series(12, 0.05)  # 0.05 * 21 > 1
-    with pytest.raises(CutoffTooSmall):
-        vacuum_series(3, 0.1)  # tail 1e-6
-    with pytest.raises(ValueError, match="cutoff"):
-        vacuum_series(1, 0.0)
-    with pytest.raises(ValueError, match="not a number"):
-        vacuum_series(5, math.nan)
-    assert vacuum_series(4, 0.0) == [1.0, 0.0, 0.0, 0.0]
+def test_vacuum_column_gates_its_inputs_before_either_kernel(monkeypatch):
+    # the kernels gate nothing: vacuum_column refuses before it reaches
+    # either, where the series rule admits (3, 0.1) as where it sends
+    # (7, 0.5) and both NaNs to the SVD
+    def unreachable(cutoff, r):
+        raise AssertionError(f"kernel reached at cutoff {cutoff!r}, r = {r!r}")
+
+    for kernel in ("_series_column", "_svd_column"):
+        monkeypatch.setattr(focksim, kernel, unreachable)
+    for cutoff, r, error, message in ((1, 0.0, ValueError, "cutoff"),
+                                      (129, 0.0, ValueError, "cutoff"),
+                                      (3, 0.1, CutoffTooSmall, "tail mass"),  # tail 1e-6
+                                      (7, 0.5, CutoffTooSmall, "tail mass"),
+                                      (5, math.nan, ValueError, "not a number"),
+                                      (40, math.nan, ValueError, "not a number")):
+        with pytest.raises(error, match=message):
+            vacuum_column(cutoff, r)
+    monkeypatch.undo()
+    assert vacuum_column(4, 0.0) == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("cutoff, r", [(5, R_REF), (30, 0.3)])
+def test_squeezed_vacuum_scatters_the_one_vacuum_column(cutoff, r):
+    # bit for bit, at the reference device's series point and at an SVD
+    # point: |r| (2 cutoff - 3) is 0.35 and 17.1
+    column = vacuum_column(cutoff, r)
+    state = squeezed_vacuum(cutoff, r)
+    assert state.grid().diagonal().tolist() == column
+    assert np.array_equal(state.grid(), np.diag(column))
 
 
 def test_vacuum_column_refuses_what_squeezed_vacuum_refuses():
@@ -1131,6 +1152,25 @@ def test_state_validation_and_accessors():
             vacuum.probability(n_a, n_b)
     assert state.grid()[1, 2] == 1.0 + 0j
 
+
+
+def test_states_compare_by_cutoff_and_amplitudes():
+    # one truth value per comparison, from np.array_equal, not an
+    # elementwise array; a real state equals its complex twin
+    state = TwoModeState(np.eye(4)[0], 2)
+    assert state == TwoModeState(np.eye(4)[0], 2)
+    assert not state != TwoModeState(np.eye(4)[0], 2)
+    assert state != TwoModeState(np.eye(4)[1], 2)
+    assert not state == TwoModeState(np.eye(4)[1], 2)
+    assert state != TwoModeState(np.eye(9)[0], 3)
+    twin = TwoModeState(np.eye(4)[0].astype(complex), 2)
+    assert twin.amplitudes.dtype == complex and state == twin
+    # the amplitudes are an array, so a state is not hashable; it still
+    # refuses assignment
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(state)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        state.cutoff = 3
 
 def test_occupation_is_an_int_in_the_basis():
     # probability, herald and fock_state share one check: a bool, a

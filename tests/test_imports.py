@@ -70,3 +70,10 @@ def test_only_the_oracle_and_the_blas_guard_import_numpy():
             seen.add(module)
             assert not _numpy_imports(trees[module]), (name, module)
             todo.extend(_sibling_imports(trees[module]))
+
+
+def test_errors_imports_no_sibling_module():
+    # every module imports its exceptions and float gates from errors,
+    # so errors itself stands on the standard library alone
+    errors = SRC / "errors.py"
+    assert _sibling_imports(ast.parse(errors.read_text(), str(errors))) == set()

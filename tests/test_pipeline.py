@@ -335,7 +335,7 @@ def test_oracle_holds_wherever_it_finds_a_cutoff(ratio):
 # takes its column from the vacuum series, threshold_scenario(0.9)'s
 # (cutoff 30) from the sector SVD; diagonal_moments measures both
 ORACLE_PATHS = {
-    "series": (reference_scenario, "vacuum_series"),
+    "series": (reference_scenario, "_series_column"),
     "svd": (lambda: threshold_scenario(0.9), "_svd_column"),
 }
 
@@ -378,7 +378,7 @@ def test_run_takes_the_vacuum_series_exactly_where_the_rule_admits_it(monkeypatc
     # the reference device's r = 0.0502 puts |r| (2 cutoff - 3) at 1.003
     # for cutoff 12 and 0.953 for 11
     calls = []
-    for name in ("vacuum_series", "_svd_column"):
+    for name in ("_series_column", "_svd_column"):
         function = getattr(focksim, name)
         monkeypatch.setattr(focksim, name, lambda cutoff, r, function=function,
                             name=name: calls.append(name) or function(cutoff, r))
@@ -388,7 +388,7 @@ def test_run_takes_the_vacuum_series_exactly_where_the_rule_admits_it(monkeypatc
             oracle=OracleConfig(enabled=True, cutoff=cutoff))
         report = reports[cutoff] = run(scenario)
         assert report.oracle["ok"] is True
-    assert calls == ["vacuum_series", "_svd_column"]
+    assert calls == ["_series_column", "_svd_column"]
     r = reports[11].squeeze.r
     assert abs(r) * (2 * 11 - 3) <= 1.0 < abs(r) * (2 * 12 - 3)
     # both report tables in the same layout, within rounding of each other

@@ -68,8 +68,7 @@ def test_record_contract(name):
         if isinstance(expected, list):
             expected = tuple(expected)
         assert getattr(changed, field) is expected or getattr(changed, field) == expected
-    if cls is not TwoModeState:  # unequal arrays compare elementwise
-        assert changed != record
+    assert changed != record
     assert record != object() and record.__eq__(object()) is NotImplemented
     if invalid is not None:
         fields, error = invalid

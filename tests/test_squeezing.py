@@ -58,6 +58,17 @@ def test_vacuum_limit():
         pair_tail(0.3, -2)
 
 
+
+def test_orders_beyond_the_float_range_take_the_limit():
+    # 2 n does not fit a float, so tanh(r) ** (2 n) cannot be formed:
+    # the tail is its limit, 0 where |tanh r| < 1 and 1 where tanh r
+    # rounds to +-1, and P_n is 0
+    order = 10**400
+    for r, tail in ((0.0, 0.0), (0.3, 0.0), (-0.3, 0.0), (400.0, 1.0),
+                    (math.inf, 1.0), (-math.inf, 1.0)):
+        assert pair_tail(r, order) == tail, r
+        assert pair_probability(r, order) == 0.0, r
+
 def test_nan_r_is_refused_by_name():
     # without the gate each returns NaN, or a table of NaNs
     for call in (lambda r: pair_probability(r, 3), lambda r: pair_tail(r, 3),
