@@ -66,8 +66,8 @@ TAIL_TOL = 1e-12
 EDGE_TOL = 1e-10
 NORM_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
-# sector spectra kept by _sector_spectrum: every sector of the largest
-# cutoff, 2 * CUTOFF_CAP - 1 of them, fits at once
+# sector spectra kept by _sector_spectrum, focksim's one per-cutoff memo:
+# every sector of the largest cutoff, 2 * CUTOFF_CAP - 1, fits at once
 _SPECTRUM_MEMO = 2 * CUTOFF_CAP
 # Taylor terms of _series_column, enough for the widest norm it is used
 # at, ||r K0||_inf = 1: the tail sum_{j > 18} 1/j! < (1/19!) (20/19) < 1e-17
@@ -130,13 +130,14 @@ def _require_occupation(cutoff: int, *levels: int) -> None:
 class TwoModeState(FrozenRecord):
     """State vector over the row-major (n_a, n_b) basis.
 
-    The cutoff must pass require_cutoff; the amplitudes are taken as
-    given, but measure_moments requires them normalized, <psi|psi> = 1
-    to NORM_TOL. A numeric dtype is kept, promoted to at least float64:
-    a real state stays float64 and is measured in real arithmetic, a
-    complex one stays complex128. Other dtypes convert to complex128.
-    Two states are equal when their cutoffs are and their amplitudes
-    are by np.array_equal; a state, like its array, is not hashable.
+    The cutoff must pass require_cutoff; the amplitudes, copied into a
+    read-only array, may be unnormalized, but measure_moments requires
+    <psi|psi> = 1 to NORM_TOL. A numeric dtype is kept, promoted to at
+    least float64: a real state stays float64 and is measured in real
+    arithmetic, a complex one stays complex128. Other dtypes convert to
+    complex128. Two states are equal when their cutoffs are and their
+    amplitudes are by np.array_equal; a state, like its array, is not
+    hashable.
     """
 
     _fields = ("amplitudes", "cutoff")
@@ -144,11 +145,12 @@ class TwoModeState(FrozenRecord):
     def __init__(self, amplitudes: np.ndarray, cutoff: int) -> None:
         require_cutoff(cutoff)
         amp = np.asarray(amplitudes)
-        # a numeric dtype is kept, promoted to at least float64; anything
-        # else, such as an object array, converts to complex128
+        # the state's own read-only copy, in a numeric dtype promoted to at
+        # least float64; anything else, such as an object array, converts
+        # to complex128
         numeric = amp.dtype.kind in "biufc"
-        amp = amp.astype(np.result_type(amp.dtype, float) if numeric else complex,
-                         copy=False)
+        amp = amp.astype(np.result_type(amp.dtype, float) if numeric else complex)
+        amp.flags.writeable = False
         if amp.shape != (cutoff * cutoff,):
             raise ValueError("amplitude vector does not match cutoff**2")
         set_field(self, "amplitudes", amp)
@@ -600,9 +602,13 @@ _DIAGONAL_GRAM = (((0, 0),), ((1, 1), (2, 2)), ((3, 3), (4, 4)),
 
 
 @functools.cache
-def _diagonal_forms() -> tuple[tuple[float, ...], ...]:
-    """_table_forms collapsed onto the four Gram sums of _DIAGONAL_GRAM:
-    row i times the sums is table entry i of a real diagonal state.
+def _diagonal_forms() -> tuple[tuple[tuple[float, ...], ...],
+                               Callable[[Sequence[float]], tuple[float, ...]]]:
+    """_table_forms collapsed onto the four Gram sums of _DIAGONAL_GRAM, in
+    which row i times the sums is table entry i of a real diagonal state:
+    the distinct collapsed rows, 9 of the 26, and the itemgetter that
+    expands one value per distinct row, in that order, to the 26 entries
+    in _table_forms order.
 
     The collapsed coefficients are real, so such a state's moments have
     no imaginary part to discard; a -0.0 is made 0.0, so that a moment
@@ -614,18 +620,8 @@ def _diagonal_forms() -> tuple[tuple[float, ...], ...]:
                      for entries in _DIAGONAL_GRAM]
         assert all(value.imag == 0.0 for value in collapsed)
         rows.append(tuple(value.real + 0.0 for value in collapsed))
-    return tuple(rows)
-
-
-@functools.cache
-def _distinct_diagonal_forms() -> tuple[tuple[tuple[float, ...], ...],
-                                        Callable[[Sequence[float]], tuple[float, ...]]]:
-    """The distinct rows of _diagonal_forms, 9 of its 26, and the
-    itemgetter that expands one value per distinct row, in that order,
-    to the 26 entries in _diagonal_forms order."""
-    forms = _diagonal_forms()
-    distinct = tuple(dict.fromkeys(forms))
-    return distinct, operator.itemgetter(*map(distinct.index, forms))
+    distinct = tuple(dict.fromkeys(rows))
+    return distinct, operator.itemgetter(*map(distinct.index, rows))
 
 
 def _moment_table(norm2: float, entries: Sequence[float], max_imag: float) -> MomentTable:
@@ -698,19 +694,20 @@ def _series_admits(cutoff: int, r: float) -> bool:
     return abs(r) * (2 * cutoff - 3) <= 1.0
 
 
-@functools.lru_cache(maxsize=CUTOFF_CAP)
-def _series_coefficients(cutoff: int) -> tuple[tuple[float, ...], ...]:
+@functools.cache
+def _series_coefficients(levels: int) -> tuple[tuple[float, ...], ...]:
     """Row k: the Taylor coefficients (K0^j e_0)_k / j! of level k of
-    exp(r K0)|0, 0>, for j = k, k + 2, ... up to SERIES_TERMS.
+    exp(r K0)|0, 0>, for j = k, k + 2, ... up to SERIES_TERMS, on a basis
+    of levels levels per mode.
 
     K0|k, k> = (k + 1)|k + 1, k + 1> - k|k - 1, k - 1>, with the raising
-    term dropped at the top level cutoff - 1, so K0^j e_0 has integer
+    term dropped at the top level levels - 1, so K0^j e_0 has integer
     entries, on the levels of j's parity up to j: they are formed
-    exactly and divided by j! with one rounding. Levels above
-    SERIES_TERMS get no term. Memoized per cutoff, at most 100 floats
-    each.
+    exactly and divided by j! with one rounding. A level above
+    SERIES_TERMS gets no term, so _series_column asks for levels =
+    min(cutoff, SERIES_TERMS + 1): the memo holds at most 18 tables of at
+    most 100 floats, whatever the cutoffs visited.
     """
-    levels = min(cutoff, SERIES_TERMS + 1)
     rows: list[list[float]] = [[] for _ in range(levels)]
     # K0^j e_0 on the levels, then a 0 that power[-1] and power[levels] read
     power = [1] + [0] * levels
@@ -742,8 +739,8 @@ def _series_column(cutoff: int, r: float) -> list[float]:
     """
     powers = list(itertools.accumulate(itertools.repeat(r, SERIES_TERMS), operator.mul,
                                        initial=1.0))
-    column = [sum(map(operator.mul, row, powers[k::2]))
-              for k, row in enumerate(_series_coefficients(cutoff))]
+    rows = _series_coefficients(min(cutoff, SERIES_TERMS + 1))
+    column = [sum(map(operator.mul, row, powers[k::2])) for k, row in enumerate(rows)]
     return column + [0.0] * (cutoff - len(column))
 
 
@@ -762,12 +759,11 @@ def vacuum_column(cutoff: int, r: float) -> list[float]:
     return _svd_column(cutoff, r).tolist()
 
 
-@functools.lru_cache(maxsize=CUTOFF_CAP)
-def _float_levels(cutoff: int) -> tuple[float, ...]:
-    """The levels 1, ..., cutoff - 1 as floats, memoized per cutoff: a
-    float times a float skips the int conversion a product with an int
-    level makes, and gives the same bits."""
-    return tuple(map(float, range(1, cutoff)))
+# The levels 1, ..., CUTOFF_CAP - 1 as floats: a float times a float
+# skips the int conversion a product with an int level makes, and gives
+# the same bits. map stops at its shorter operand, so a sum over a column
+# of cutoff levels reads the first cutoff - 1 of them.
+_LEVELS = tuple(map(float, range(1, CUTOFF_CAP)))
 
 
 def diagonal_moments(column: Sequence[float]) -> MomentTable:
@@ -778,16 +774,17 @@ def diagonal_moments(column: Sequence[float]) -> MomentTable:
     sums over the column give every nonzero entry of its Gram matrix
     (see _DIAGONAL_GRAM), and each moment is the same form as in
     measure_moments, read on those entries; a form that several moments
-    share is evaluated once. Raises ValueError when the state is not
-    normalized, as measure_moments does.
+    share is evaluated once. Raises ValueError unless the column's
+    length, its basis size, passes require_cutoff, and when the state is
+    not normalized, as measure_moments does.
     """
+    require_cutoff(len(column))
     squares = list(map(operator.mul, column, column))
-    levels = _float_levels(len(column))
     norm2 = sum(squares)
-    lowered = sum(map(operator.mul, levels, squares[1:]))
-    raised = sum(map(operator.mul, levels, squares))
-    paired = sum(map(operator.mul, levels, map(operator.mul, column, column[1:])))
-    forms, expand = _distinct_diagonal_forms()
+    lowered = sum(map(operator.mul, _LEVELS, squares[1:]))
+    raised = sum(map(operator.mul, _LEVELS, squares[:-1]))
+    paired = sum(map(operator.mul, _LEVELS, map(operator.mul, column, column[1:])))
+    forms, expand = _diagonal_forms()
     return _moment_table(norm2, expand([a * norm2 + b * lowered + c * raised + d * paired
                                         for a, b, c, d in forms]), 0.0)
 

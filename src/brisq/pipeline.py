@@ -481,19 +481,17 @@ def reference_scenario(oracle: bool = True) -> Scenario:
 
 
 def _squeezing(quad: str):
-    return lambda _, squeezing: squeezing[quad]
+    return lambda report: report.analytic.squeezing[quad]
 
 
 REFERENCE_CHECKS = (
-    # name, value read from the report and its analytic squeezing
-    # section, kind, expected, tolerance
-    ("coupling |f|", lambda report, _: report.squeeze.f, "rel", 1e9, 1e-3),
-    ("cosh^2 r", lambda report, _: math.cosh(report.squeeze.r) ** 2,
-     "abs", 1.0025, 1e-4),
-    ("tanh r", lambda report, _: math.tanh(report.squeeze.r), "abs", 0.05, 1e-3),
-    ("P_0", lambda report, _: report.pair_probabilities[0], "abs", 0.9975, 1e-4),
-    ("P_1", lambda report, _: report.pair_probabilities[1], "abs", 0.0025, 1e-4),
-    ("P_2", lambda report, _: report.pair_probabilities[2], "rel", 6.25e-6, 2e-2),
+    # name, value read from the report, kind, expected, tolerance
+    ("coupling |f|", lambda report: report.squeeze.f, "rel", 1e9, 1e-3),
+    ("cosh^2 r", lambda report: math.cosh(report.squeeze.r) ** 2, "abs", 1.0025, 1e-4),
+    ("tanh r", lambda report: math.tanh(report.squeeze.r), "abs", 0.05, 1e-3),
+    ("P_0", lambda report: report.pair_probabilities[0], "abs", 0.9975, 1e-4),
+    ("P_1", lambda report: report.pair_probabilities[1], "abs", 0.0025, 1e-4),
+    ("P_2", lambda report: report.pair_probabilities[2], "rel", 6.25e-6, 2e-2),
     ("S_X_a", _squeezing("X_a"), "abs", 0.0025, 1e-4),
     ("S_Y_a", _squeezing("Y_a"), "abs", 0.0025, 1e-4),
     ("S_X_b", _squeezing("X_b"), "abs", 0.0025, 1e-4),
@@ -502,8 +500,8 @@ REFERENCE_CHECKS = (
     ("S_Y_d", _squeezing("Y_d"), "abs", -0.0475, 5e-4),
     ("S_Y_c", _squeezing("Y_c"), "abs", 0.0525, 5e-4),
     ("S_X_d", _squeezing("X_d"), "abs", 0.0525, 5e-4),
-    ("quality Q", lambda report, _: report.thermal["quality"], "exact", 1e4, 0.0),
-    ("thermal n_bar", lambda report, _: report.thermal["n_bar"], "rel", 0.1, 5e-2),
+    ("quality Q", lambda report: report.thermal["quality"], "exact", 1e4, 0.0),
+    ("thermal n_bar", lambda report: report.thermal["n_bar"], "rel", 0.1, 5e-2),
 )
 
 
@@ -515,10 +513,9 @@ def reference_checks() -> list[dict]:
     deviation-vs-tolerance verdict as a row of kind 'max'.
     """
     report = run(reference_scenario())
-    squeezing = report.analytic.squeezing
     rows = []
     for name, read, kind, expected, tolerance in REFERENCE_CHECKS:
-        value = read(report, squeezing)
+        value = read(report)
         if kind == "abs":
             ok = abs(value - expected) <= tolerance
         elif kind == "rel":

@@ -303,8 +303,10 @@ def test_spectrum_memo_memory_is_bounded():
     gc.collect()
     tracemalloc.start()
     try:
+        # the sector SVD's column, not squeezed_vacuum, which takes the
+        # series at r = 0 and reads no spectrum
         for cutoff in range(2, CUTOFF_CAP + 1):
-            squeezed_vacuum(cutoff, 0.0)
+            _svd_column(cutoff, 0.0)
         for cutoff in range(100, CUTOFF_CAP + 1):
             bogoliubov_check(cutoff, 1.0)
         walked = retained()
@@ -638,14 +640,15 @@ def test_a_negative_variance_product_raises(monkeypatch):
     monkeypatch.setattr(focksim, "_table_coefficients", lambda: coefficients)
     with pytest.raises(ValueError, match="math domain error"):
         measure_moments(vacuum_state(4))
-    # diagonal_moments evaluates each distinct row of _diagonal_forms once
-    # and expands the values; X_a shares its row with Y_a, so the negated
-    # row is appended and the expansion reads it for X_a alone
-    forms, expand = focksim._distinct_diagonal_forms()
+    # diagonal_moments evaluates each distinct collapsed row of
+    # _diagonal_forms once and expands the values; X_a shares its row with
+    # Y_a, so the negated row is appended and the expansion reads it for
+    # X_a alone
+    forms, expand = focksim._diagonal_forms()
     rows = list(expand(range(len(forms))))
     forms = (*forms, tuple(-value for value in forms[rows[row]]))
     rows[row] = len(forms) - 1
-    monkeypatch.setattr(focksim, "_distinct_diagonal_forms",
+    monkeypatch.setattr(focksim, "_diagonal_forms",
                         lambda: (forms, operator.itemgetter(*rows)))
     with pytest.raises(ValueError, match="math domain error"):
         diagonal_moments([1.0, 0.0, 0.0, 0.0])
@@ -1070,12 +1073,19 @@ def test_diagonal_moments_requires_a_normalized_column():
 
 def test_distinct_diagonal_forms_give_every_entry_bit_for_bit():
     # diagonal_moments evaluates the 9 distinct rows of _diagonal_forms and
-    # expands them to its 26; forming every row, the reference, gives the
-    # same bits at each cutoff that oracle runs reach with f/omega_bar in
+    # expands them to the 26 table entries; forming every row, the
+    # reference, collapsed here from _table_forms itself, gives the same
+    # bits at each cutoff that oracle runs reach with f/omega_bar in
     # (0, 0.95) and (0.95, 0.999), the benchmark's oracle ramp
-    forms, expand = focksim._distinct_diagonal_forms()
+    every_row = []
+    for row in focksim._table_forms():
+        collapsed = [complex(sum(row[5 * i + j] for i, j in entries))
+                     for entries in focksim._DIAGONAL_GRAM]
+        assert all(value.imag == 0.0 for value in collapsed)
+        every_row.append(tuple(value.real + 0.0 for value in collapsed))
+    forms, expand = focksim._diagonal_forms()
     assert len(set(forms)) == len(forms) == 9
-    assert expand(forms) == focksim._diagonal_forms()
+    assert expand(forms) == tuple(every_row)
     cutoffs = {}
     for low, high, count in ((0.0, 0.95, 140), (0.95, 0.999, 60)):
         for i in range(count):
@@ -1092,10 +1102,44 @@ def test_distinct_diagonal_forms_give_every_entry_bit_for_bit():
         raised = sum(k * s for k, s in zip(levels, squares))
         paired = sum(k * (c * d) for k, c, d in zip(levels, column, column[1:]))
         every = [a * norm2 + b * lowered + c * raised + d * paired
-                 for a, b, c, d in focksim._diagonal_forms()]
+                 for a, b, c, d in every_row]
         reference = focksim._moment_table(norm2, every, 0.0)
         assert ([value.hex() for value in diagonal_moments(column).values]
                 == [value.hex() for value in reference.values]), cutoff
+
+
+def test_diagonal_moments_takes_a_column_the_cutoff_gate_admits():
+    # the column's length is its basis size: 2 to CUTOFF_CAP levels, as
+    # every other builder's cutoff
+    for size in (1, CUTOFF_CAP + 1):
+        with pytest.raises(ValueError, match="cutoff"):
+            diagonal_moments([1.0] + [0.0] * (size - 1))
+    for size in (2, CUTOFF_CAP):
+        column = [1.0] + [0.0] * (size - 1)
+        assert diagonal_moments(column) == measure_moments(vacuum_state(size))
+
+
+def test_series_tables_do_not_grow_with_the_cutoff():
+    # the series table depends on the level count alone, at most
+    # SERIES_TERMS + 1, so a walk over every cutoff leaves at most 18
+    # tables; the diagonal measure reads one constant level tuple
+    def retained():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    focksim._diagonal_forms()  # the moment forms, built once for any cutoff
+    focksim._series_coefficients.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = retained()
+        for cutoff in range(2, CUTOFF_CAP + 1):
+            diagonal_moments(vacuum_column(cutoff, 0.0))
+        grown = retained() - before
+    finally:
+        tracemalloc.stop()
+    assert focksim._series_coefficients.cache_info().currsize <= 18
+    assert grown <= 100_000
 
 
 def test_herald_on_squeezed_vacuum_is_diagonal():
@@ -1171,6 +1215,22 @@ def test_states_compare_by_cutoff_and_amplitudes():
         hash(state)
     with pytest.raises(AttributeError, match="cannot assign"):
         state.cutoff = 3
+
+
+def test_a_state_owns_read_only_amplitudes():
+    # a write to the array a state was built from does not reach it, nor
+    # its copies, and its own amplitudes refuse writes, whatever the dtype
+    for dtype in (float, complex, np.float32):
+        given_amplitudes = np.eye(4, dtype=dtype)[0]
+        state = TwoModeState(given_amplitudes, 2)
+        copy = state.replace()
+        given_amplitudes[0] = 0.5
+        assert state.amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert state == copy and state.amplitudes is not copy.amplitudes
+        for array in (state.amplitudes, copy.amplitudes, state.grid()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
 
 def test_occupation_is_an_int_in_the_basis():
     # probability, herald and fock_state share one check: a bool, a
