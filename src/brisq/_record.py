@@ -1,8 +1,11 @@
 """Base classes of brisq's records.
 
 A record is a class whose __init__ takes its fields, checks them and
-stores them, and whose _fields names them in __init__'s order. Record
-gives it equality field by field, a repr of its fields and
+stores them. Its fields are __init__'s parameters, positional then
+keyword-only: when a class that defines __init__ is created, Record
+reads their names off __init__'s code object into the class's _fields,
+and a class without its own __init__ keeps its parent's. Record gives
+it equality field by field, a repr of its fields and
 replace(**changes), a copy built anew through __init__, so the copy is
 checked as the original was. A plain record is not hashable.
 FrozenRecord adds a hash of the fields and refuses assignment and
@@ -29,6 +32,14 @@ class Record:
     """A record: equal to a record of its class with equal fields."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            # __init__'s parameters lead its local names, self first
+            code = init.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -38,9 +38,6 @@ class SqueezeSpec(Record):
     is the constant offset picked up by the transformed vacuum.
     """
 
-    _fields = ("omega", "Omega", "f", "omega_bar", "delta", "gap", "r",
-               "omega_alpha", "omega_beta", "omega_zero")
-
     def __init__(self, omega: float, Omega: float, f: float, omega_bar: float,
                  delta: float, gap: float, r: float, omega_alpha: float,
                  omega_beta: float, omega_zero: float) -> None:

@@ -140,8 +140,6 @@ class TwoModeState(FrozenRecord):
     hashable.
     """
 
-    _fields = ("amplitudes", "cutoff")
-
     def __init__(self, amplitudes: np.ndarray, cutoff: int) -> None:
         require_cutoff(cutoff)
         amp = np.asarray(amplitudes)
@@ -192,8 +190,6 @@ class BogoliubovResiduals(FrozenRecord):
     at most cutoff/2: squeezing stretches occupations by about exp(2r),
     so a fixed half-basis block would press against the truncation edge
     and the reflected flux would swamp the comparison."""
-
-    _fields = ("alpha", "beta", "commutator", "block")
 
     def __init__(self, alpha: float, beta: float, commutator: float, block: int) -> None:
         set_field(self, "alpha", alpha)

@@ -109,8 +109,6 @@ class OracleConfig(FrozenRecord):
     moment is compared against the numerical state; the run is flagged
     when the largest deviation exceeds tolerance."""
 
-    _fields = ("enabled", "cutoff", "tolerance")
-
     def __init__(self, enabled: bool = False, cutoff: int | None = None,
                  tolerance: float = 1e-8) -> None:
         if not isinstance(enabled, bool):
@@ -156,8 +154,6 @@ def _sweep_kind(parameter: Any) -> str:
 class SweepConfig(FrozenRecord):
     """One-dimensional grid over a numeric scenario field; values, a list
     or tuple of the field's kind, is stored as a tuple of floats."""
-
-    _fields = ("parameter", "values")
 
     def __init__(self, parameter: str, values: Sequence[Any]) -> None:
         kind = _sweep_kind(parameter)
@@ -220,12 +216,13 @@ def _parse_sweep(raw: Any) -> SweepConfig:
 class Scenario(FrozenRecord):
     """Fully resolved scenario (all frequencies in Hz)."""
 
-    _fields = ("waveguide", "drive", "geometry", "k_pump", "oracle", "thermal", "sweep")
-
     def __init__(self, waveguide: WaveguideParams, drive: PumpDrive,
                  geometry: str = BACKWARD, k_pump: float | None = None,
                  oracle: OracleConfig = OracleConfig(), thermal: ThermalEnv | None = None,
                  sweep: SweepConfig | None = None) -> None:
+        if geometry not in (FORWARD, BACKWARD):
+            raise ValueError(f"geometry: expected 'forward' or 'backward', "
+                             f"got {geometry!r}")
         set_field(self, "waveguide", waveguide)
         set_field(self, "drive", drive)
         set_field(self, "geometry", geometry)
@@ -236,29 +233,23 @@ class Scenario(FrozenRecord):
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
-        given = _require_keys(raw, _SCENARIO_KEYS, {"waveguide", "drive"},
-                              "scenario")
+        given = _require_keys(raw, cls._fields, {"waveguide", "drive"}, "scenario")
         fields = {key: _parse_block(key, value) for key, value in given.items()
                   if key in _BLOCKS}
-        geometry = given.get("geometry", BACKWARD)
-        if geometry not in (FORWARD, BACKWARD):
-            raise ScenarioError(f"geometry: expected 'forward' or 'backward', "
-                                f"got {geometry!r}")
         if "k_pump" in given:
             fields["k_pump"] = parse_value(given["k_pump"], NUMBER, "k_pump")
         if "sweep" in given:
             fields["sweep"] = _parse_sweep(given["sweep"])
-        return cls(geometry=geometry, **fields)
+        try:
+            return cls(geometry=given.get("geometry", BACKWARD), **fields)
+        except ValueError as err:
+            raise ScenarioError(str(err)) from err
 
     def to_dict(self) -> dict:
         """Re-emittable scenario fragment; running it reproduces the run.
         Blocks that are None are left out; k_pump None is written as null."""
-        return {key: _plain(getattr(self, key)) for key in _SCENARIO_KEYS
+        return {key: _plain(getattr(self, key)) for key in self._fields
                 if getattr(self, key) is not None or key == "k_pump"}
-
-
-# the scenario's keys, in report key order
-_SCENARIO_KEYS = Scenario._fields
 
 
 def load_scenario(path: str) -> Scenario:
@@ -276,9 +267,6 @@ def load_scenario(path: str) -> Scenario:
 
 class RunReport(Record):
     """Everything one scenario run produced; to_dict() is the JSON report."""
-
-    _fields = ("scenario", "triple", "pump", "squeeze", "pair_probabilities",
-               "analytic", "oracle", "thermal")
 
     def __init__(self, scenario: Scenario, triple: BrillouinTriple,
                  pump: PumpSteadyState, squeeze: SqueezeSpec,
@@ -403,12 +391,11 @@ def _replace_parameter(scenario: Scenario, path: str, value: float) -> Scenario:
     block, _, name = path.rpartition(".")
     try:
         if not block:
-            return Scenario(**{**vars(scenario), name: value})
-        inner = getattr(scenario, block)
-        inner = type(inner)(**{**vars(inner), name: value})
+            return scenario.replace(**{name: value})
+        inner = getattr(scenario, block).replace(**{name: value})
+        return scenario.replace(**{block: inner})
     except ValueError as err:
         raise ScenarioError(f"{path}: {err}") from err
-    return Scenario(**{**vars(scenario), block: inner})
 
 
 _ERROR_KEYS = ("parameter", "value", "status", "error_type", "error")

@@ -23,8 +23,6 @@ class PumpDrive(FrozenRecord):
     amplitude is sqrt(flux_in).
     """
 
-    _fields = ("omega_p", "flux_in")
-
     def __init__(self, omega_p: float, flux_in: float) -> None:
         if not omega_p > 0:
             raise ValueError("omega_p must be positive")
@@ -42,8 +40,6 @@ class PumpSteadyState(Record):
     coupling the pump-enhanced pair coupling f = g * amplitude (complex
     in general, real and positive on resonance).
     """
-
-    _fields = ("detuning", "amplitude", "photon_number", "coupling")
 
     def __init__(self, detuning: complex, amplitude: complex, photon_number: float,
                  coupling: complex) -> None:

@@ -59,8 +59,6 @@ class MomentTable(Record):
     analytic tables).
     """
 
-    _fields = ("r", "values", "max_imag_discarded")
-
     def __init__(self, r: float | None, values: tuple[float, ...],
                  max_imag_discarded: float = 0.0) -> None:
         if len(values) != TABLE_SIZE:
@@ -80,8 +78,6 @@ class MomentTable(Record):
 class ThermalEnv(FrozenRecord):
     """Thermal environment of the phonon mode: frequency Omega (Hz),
     temperature in K, and phonon linewidth Gamma (Hz)."""
-
-    _fields = ("Omega", "temperature", "Gamma")
 
     def __init__(self, Omega: float, temperature: float, Gamma: float) -> None:
         if not Omega > 0:

@@ -39,8 +39,6 @@ class WaveguideParams(FrozenRecord):
         result depends on it.
     """
 
-    _fields = ("omega0", "g", "u", "gamma", "vg", "va", "length")
-
     def __init__(self, *, omega0: float, g: float, u: float, gamma: float,
                  vg: float, va: float, length: float) -> None:
         if not omega0 > 0:
@@ -68,9 +66,6 @@ class BrillouinTriple(Record):
     frequencies satisfy omega_pump = omega_signal + Omega_phonon to
     rounding. All frequencies in Hz, wavenumbers in rad/m.
     """
-
-    _fields = ("k_pump", "k_signal", "q_phonon", "omega_pump", "omega_signal",
-               "Omega_phonon")
 
     def __init__(self, k_pump: float, k_signal: float, q_phonon: float,
                  omega_pump: float, omega_signal: float, Omega_phonon: float) -> None:

@@ -2,12 +2,16 @@
 is the report's key order, equality field by field, replace() as a
 checked copy, and hashing and freezing for the frozen records alone."""
 
+import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import brisq
+from brisq._record import FrozenRecord, Record
 from brisq.errors import PhysicsError
 from brisq.focksim import BogoliubovResiduals, TwoModeState, vacuum_state
 from brisq.pipeline import SweepConfig, _plain, reference_scenario, run
@@ -24,7 +28,7 @@ RECORDS = {
     "ThermalEnv": (SCENARIO.thermal, {"temperature": 0.0}, ({"Gamma": 0.0}, ValueError)),
     "SweepConfig": (SweepConfig("drive.flux_in", (1e12, 2e12)), {"values": [3e12]},
                     ({"parameter": "geometry"}, ValueError)),
-    "Scenario": (SCENARIO, {"k_pump": None}, None),
+    "Scenario": (SCENARIO, {"k_pump": None}, ({"geometry": "sideways"}, ValueError)),
     "BrillouinTriple": (REPORT.triple, {"q_phonon": 0.0},
                         ({"k_pump": math.inf}, PhysicsError)),
     "PumpSteadyState": (REPORT.pump, {"photon_number": 0.0},
@@ -43,8 +47,39 @@ REPORTED = {"WaveguideParams", "PumpDrive", "OracleConfig", "ThermalEnv", "Sweep
             "BrillouinTriple", "PumpSteadyState", "SqueezeSpec"}
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_record_is_listed():
     assert {type(value[0]).__name__ for value in RECORDS.values()} == set(RECORDS)
+    for module in pkgutil.iter_modules(brisq.__path__):
+        importlib.import_module(f"brisq.{module.name}")
+    defined = {cls.__name__ for cls in _subclasses(Record)
+               if cls.__module__.startswith("brisq.") and cls is not FrozenRecord}
+    assert defined == set(RECORDS)
+
+
+def test_fields_are_read_off_init():
+    class Toy(Record):
+        def __init__(self, a, b=1, *rest, c, d=2, **extra):
+            total = a + b  # a local name, not a field
+
+    class Child(Toy):
+        pass
+
+    class Keywords(FrozenRecord):
+        def __init__(self, *, x=0.0):
+            pass
+
+    # positional then keyword-only parameters, without self, *rest,
+    # **extra or a local
+    assert Toy._fields == ("a", "b", "c", "d")
+    assert Child._fields == Toy._fields
+    assert Keywords._fields == ("x",)
+    assert Record._fields == FrozenRecord._fields == ()
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -52,8 +87,8 @@ def test_record_contract(name):
     record, change, invalid = RECORDS[name]
     cls = type(record)
     assert cls.__name__ == name
-    # _fields is __init__'s order and all an instance holds; the report
-    # writes a record's fields in that order
+    # _fields, read off __init__'s code, is its signature's order and all
+    # an instance holds; the report writes a record's fields in that order
     assert tuple(inspect.signature(cls).parameters) == cls._fields
     assert list(vars(record)) == list(cls._fields)
     if name in REPORTED:
