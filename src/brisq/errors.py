@@ -1,8 +1,10 @@
-"""Exception types and the two float gates shared across the package.
+"""Exception types and the three float gates shared across the package.
 The Fock basis's cutoff gate lives with the basis, in focksim."""
 
 import cmath
 import math
+
+_FLOAT_MAX = 1.7976931348623157e308  # sys.float_info.max
 
 
 class PhysicsError(Exception):
@@ -31,6 +33,18 @@ class ZeroProbability(PhysicsError):
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario input, or an output file the
     CLI cannot write. CLI exit code 2."""
+
+
+def require_real(name: str, value: object) -> float:
+    """value as a finite float; ValueError naming the field for a bool, any
+    other non-number, a NaN, an infinity or an int beyond the float range."""
+    if type(value) is float and value - value == 0.0:  # finite: inf - inf is NaN
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name}: expected a number")
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # an int compares exactly
+        raise ValueError(f"{name}: {value!r} is not a finite number")
+    return float(value)
 
 
 def require_number(name: str, value: float) -> None:

@@ -2,12 +2,11 @@
 
 A scenario is a JSON document naming the waveguide, the drive, the
 scattering geometry, and optional oracle / thermal / sweep blocks; a
-null entry counts as absent. Every numeric field is either a NUMBER or
-a FREQUENCY, which may also be a string with a unit suffix ("10 GHz");
-recognized suffixes are mHz, Hz, kHz, MHz, GHz, THz (case sensitive).
-Non-finite values are rejected. run() resolves one scenario end to end;
-sweep() runs a grid over one numeric scenario field row by row, recording
-per-row failures without aborting the grid.
+null entry counts as absent. A field in UNIT_FIELDS may be a string with
+a case-sensitive unit suffix ("10 GHz"); every other value goes as given
+to the record that owns the field, which checks it as in code. run()
+resolves one scenario end to end; sweep() runs a grid over one numeric
+field row by row, recording per-row failures without aborting the grid.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from ._record import FrozenRecord, Record, set_field
 from .bogoliubov import SqueezeSpec, diagonalize
-from .errors import PhysicsError, ScenarioError, Unstable, require_finite
+from .errors import PhysicsError, ScenarioError, Unstable, require_finite, require_real
 from .focksim import (
     choose_cutoff,
     diagonal_moments,
@@ -54,38 +53,29 @@ UNIT_SCALES = {
 }
 _FREQ_RE = re.compile(
     r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]+)\s*$")
+# the fields a file may write as a unit string, by the names a sweep gives them
+UNIT_FIELDS = {"waveguide.omega0", "waveguide.g", "waveguide.u", "waveguide.gamma",
+               "drive.omega_p", "thermal.Omega", "thermal.Gamma"}
 
 PAIR_PROBABILITY_ORDERS = 6
 # bounds both grid forms, steps and the length of a values list; the
 # grid is built whole at load
 MAX_SWEEP_STEPS = 10**6
 
-FREQUENCY = "frequency"
-NUMBER = "number"
 
-def parse_value(value: Any, kind: str, where: str = "value") -> float:
-    """Finite float from a scenario value of the given kind.
-
-    NUMBER takes a JSON number. FREQUENCY takes a number in Hz or a
-    string with a case-sensitive unit suffix ("10 GHz").
-    """
-    if isinstance(value, str) and kind == FREQUENCY:
-        match = _FREQ_RE.match(value)
-        if not (match and match.group(2) in UNIT_SCALES):
-            raise ScenarioError(
-                f"{where}: cannot parse frequency {value!r}; expected e.g. '10 GHz'")
-        number = float(match.group(1)) * UNIT_SCALES[match.group(2)]
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-    elif kind == FREQUENCY:
-        raise ScenarioError(f"{where}: expected a number or unit string")
-    else:
-        raise ScenarioError(f"{where}: expected a number")
+def parse_value(value: Any, field: str, where: str | None = None) -> Any:
+    """A unit string ("10 GHz") given for a field in UNIT_FIELDS as its finite
+    frequency in Hz; any other value as given. Errors name where, or the field."""
+    if not (isinstance(value, str) and field in UNIT_FIELDS):
+        return value
+    where = where or field
+    match = _FREQ_RE.match(value)
+    if not (match and match.group(2) in UNIT_SCALES):
+        raise ScenarioError(
+            f"{where}: cannot parse frequency {value!r}; expected e.g. '10 GHz'")
+    number = float(match.group(1)) * UNIT_SCALES[match.group(2)]
     if not math.isfinite(number):
-        raise ScenarioError(f"{where}: {value!r} is not a finite {kind}")
+        raise ScenarioError(f"{where}: {value!r} is not a finite frequency")
     return number
 
 
@@ -111,6 +101,7 @@ class OracleConfig(FrozenRecord):
 
     def __init__(self, enabled: bool = False, cutoff: int | None = None,
                  tolerance: float = 1e-8) -> None:
+        tolerance = require_real("tolerance", tolerance)
         if not isinstance(enabled, bool):
             raise ValueError("enabled: expected true or false")
         if cutoff is not None:
@@ -122,41 +113,38 @@ class OracleConfig(FrozenRecord):
         set_field(self, "tolerance", tolerance)
 
 
-# block -> (record, field -> kind), the kinds in the record's field
-# order. A kind of None passes the value to the record, which checks it.
-# Every field of a block is required but the oracle's, which all have
-# defaults.
-_BLOCKS = {
-    "waveguide": (WaveguideParams, {
-        "omega0": FREQUENCY, "g": FREQUENCY, "u": FREQUENCY, "gamma": FREQUENCY,
-        "vg": NUMBER, "va": NUMBER, "length": NUMBER}),
-    "drive": (PumpDrive, {"omega_p": FREQUENCY, "flux_in": NUMBER}),
-    "oracle": (OracleConfig, {"enabled": None, "cutoff": None, "tolerance": NUMBER}),
-    "thermal": (ThermalEnv, {
-        "Omega": FREQUENCY, "temperature": NUMBER, "Gamma": FREQUENCY}),
-}
+# block -> the record whose _fields are its keys. Every field of a block
+# is required but the oracle's, which all have defaults.
+_BLOCKS = {"waveguide": WaveguideParams, "drive": PumpDrive, "oracle": OracleConfig,
+           "thermal": ThermalEnv}
 
-# sweepable parameter -> kind of its values
-_SWEEPABLE = {"k_pump": NUMBER} | {
-    f"{block}.{name}": kind
-    for block in ("waveguide", "drive") for name, kind in _BLOCKS[block][1].items()}
+# the parameters a sweep may vary, in the order its error lists them
+_SWEEPABLE = ("k_pump", *(f"{block}.{name}" for block in ("waveguide", "drive")
+                          for name in _BLOCKS[block]._fields))
 
 
-def _sweep_kind(parameter: Any) -> str:
-    kind = _SWEEPABLE.get(parameter) if isinstance(parameter, str) else None
-    if kind is None:
+def _require_sweepable(parameter: Any) -> None:
+    if parameter not in _SWEEPABLE:
         raise ScenarioError(
             f"sweep.parameter: {parameter!r} is not sweepable; "
             f"choose one of {list(_SWEEPABLE)}")
-    return kind
+
+
+def _grid_value(value: Any, parameter: str, where: str) -> float:
+    """A sweep value of the parameter, as its record would store it."""
+    value = parse_value(value, parameter, where)
+    try:
+        return require_real(where, value)
+    except ValueError as err:
+        raise ScenarioError(str(err)) from err
 
 
 class SweepConfig(FrozenRecord):
     """One-dimensional grid over a numeric scenario field; values, a list
-    or tuple of the field's kind, is stored as a tuple of floats."""
+    or tuple of values the field takes, is stored as a tuple of floats."""
 
     def __init__(self, parameter: str, values: Sequence[Any]) -> None:
-        kind = _sweep_kind(parameter)
+        _require_sweepable(parameter)
         if not isinstance(values, (list, tuple)):
             raise ScenarioError("sweep.values: expected a list")
         if len(values) > MAX_SWEEP_STEPS:
@@ -166,14 +154,14 @@ class SweepConfig(FrozenRecord):
             raise ScenarioError("sweep: empty value grid")
         set_field(self, "parameter", parameter)
         set_field(self, "values", tuple(
-            parse_value(value, kind, "sweep.values") for value in values))
+            _grid_value(value, parameter, "sweep.values") for value in values))
 
 
 def _parse_block(block: str, raw: Any) -> Any:
-    cls, kinds = _BLOCKS[block]
-    given = _require_keys(raw, kinds, set() if block == "oracle" else set(kinds), block)
-    fields = {name: value if kinds[name] is None
-              else parse_value(value, kinds[name], f"{block}.{name}")
+    cls = _BLOCKS[block]
+    names = cls._fields
+    given = _require_keys(raw, names, set() if block == "oracle" else set(names), block)
+    fields = {name: parse_value(value, f"{block}.{name}")
               for name, value in given.items()}
     try:
         return cls(**fields)
@@ -184,7 +172,8 @@ def _parse_block(block: str, raw: Any) -> Any:
 def _parse_sweep(raw: Any) -> SweepConfig:
     block = _require_keys(raw, {"parameter", "values", "start", "stop", "steps"},
                           {"parameter"}, "sweep")
-    kind = _sweep_kind(block["parameter"])
+    parameter = block["parameter"]
+    _require_sweepable(parameter)
     if "values" in block:
         if set(block) & {"start", "stop", "steps"}:
             raise ScenarioError("sweep: give either values or start/stop/steps")
@@ -197,8 +186,8 @@ def _parse_sweep(raw: Any) -> SweepConfig:
         if type(steps) is not int or not 1 <= steps <= MAX_SWEEP_STEPS:
             raise ScenarioError(
                 f"sweep.steps: expected an int in [1, {MAX_SWEEP_STEPS}]")
-        start = parse_value(block["start"], kind, "sweep.start")
-        stop = parse_value(block["stop"], kind, "sweep.stop")
+        start = _grid_value(block["start"], parameter, "sweep.start")
+        stop = _grid_value(block["stop"], parameter, "sweep.stop")
         if steps == 1:
             values = [start]
         else:
@@ -210,7 +199,7 @@ def _parse_sweep(raw: Any) -> SweepConfig:
                     f"sweep: the grid from start {start!r} to stop {stop!r} "
                     "overflows the float range")
             values = [start + i * width for i in range(steps)]
-    return SweepConfig(parameter=block["parameter"], values=values)
+    return SweepConfig(parameter=parameter, values=values)
 
 
 class Scenario(FrozenRecord):
@@ -220,6 +209,7 @@ class Scenario(FrozenRecord):
                  geometry: str = BACKWARD, k_pump: float | None = None,
                  oracle: OracleConfig = OracleConfig(), thermal: ThermalEnv | None = None,
                  sweep: SweepConfig | None = None) -> None:
+        k_pump = None if k_pump is None else require_real("k_pump", k_pump)
         if geometry not in (FORWARD, BACKWARD):
             raise ValueError(f"geometry: expected 'forward' or 'backward', "
                              f"got {geometry!r}")
@@ -234,14 +224,12 @@ class Scenario(FrozenRecord):
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
         given = _require_keys(raw, cls._fields, {"waveguide", "drive"}, "scenario")
-        fields = {key: _parse_block(key, value) for key, value in given.items()
-                  if key in _BLOCKS}
-        if "k_pump" in given:
-            fields["k_pump"] = parse_value(given["k_pump"], NUMBER, "k_pump")
-        if "sweep" in given:
-            fields["sweep"] = _parse_sweep(given["sweep"])
+        fields = {key: _parse_block(key, value) if key in _BLOCKS else value
+                  for key, value in given.items()}
+        if "sweep" in fields:
+            fields["sweep"] = _parse_sweep(fields["sweep"])
         try:
-            return cls(geometry=given.get("geometry", BACKWARD), **fields)
+            return cls(**fields)
         except ValueError as err:
             raise ScenarioError(str(err)) from err
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from ._record import FrozenRecord, Record, set_field
-from .errors import DegenerateLinewidth, require_finite, require_number
+from .errors import DegenerateLinewidth, require_finite, require_number, require_real
 from .waveguide import WaveguideParams
 
 
@@ -24,6 +24,7 @@ class PumpDrive(FrozenRecord):
     """
 
     def __init__(self, omega_p: float, flux_in: float) -> None:
+        omega_p, flux_in = map(require_real, self._fields, (omega_p, flux_in))
         if not omega_p > 0:
             raise ValueError("omega_p must be positive")
         if not flux_in >= 0:

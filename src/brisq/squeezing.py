@@ -15,7 +15,7 @@ import operator
 from collections.abc import Iterable
 
 from ._record import FrozenRecord, Record, set_field
-from .errors import require_finite, require_number
+from .errors import require_finite, require_number, require_real
 
 # exact by definition since the 2019 SI redefinition
 PLANCK_H = 6.62607015e-34  # J s
@@ -80,6 +80,8 @@ class ThermalEnv(FrozenRecord):
     temperature in K, and phonon linewidth Gamma (Hz)."""
 
     def __init__(self, Omega: float, temperature: float, Gamma: float) -> None:
+        Omega, temperature, Gamma = map(require_real, self._fields,
+                                        (Omega, temperature, Gamma))
         if not Omega > 0:
             raise ValueError("Omega must be positive")
         if not temperature >= 0:
@@ -185,13 +187,12 @@ def thermal_occupation(env: ThermalEnv) -> float:
     Omega is an ordinary frequency, so the quantum of energy is
     h*Omega. Returns 0 for T = 0. Where x = h*Omega/(kB*T) is 0 or a
     subnormal below ~5.6e-309, the occupation ~1/x is beyond the float
-    range and raises PhysicsError. An infinite Omega and T raise ValueError.
+    range and raises PhysicsError.
     """
     thermal_energy = BOLTZMANN_K * env.temperature
     if thermal_energy == 0.0:  # T = 0, or so small that kB*T underflows
         return 0.0
     x = PLANCK_H * env.Omega / thermal_energy
-    require_number("h*Omega/(kB*T)", x)  # inf / inf
     if x > 700.0:
         # expm1 would overflow; the occupation is exp(-x) to this accuracy
         return math.exp(-x)

@@ -11,7 +11,7 @@ for staying inside it.
 from __future__ import annotations
 
 from ._record import FrozenRecord, Record, set_field
-from .errors import require_finite, require_number
+from .errors import require_finite, require_number, require_real
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -41,6 +41,8 @@ class WaveguideParams(FrozenRecord):
 
     def __init__(self, *, omega0: float, g: float, u: float, gamma: float,
                  vg: float, va: float, length: float) -> None:
+        omega0, g, u, gamma, vg, va, length = map(
+            require_real, self._fields, (omega0, g, u, gamma, vg, va, length))
         if not omega0 > 0:
             raise ValueError("omega0 must be positive")
         if not 0 < va < vg:

@@ -316,6 +316,38 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys):
             assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("verb, path, literal, message", [
+    # the record that owns a field checks its type and finiteness, so a
+    # block field's message names the block, then the field
+    ("run", "waveguide.vg", "true", "waveguide: vg: expected a number"),
+    ("run", "waveguide.g", "true", "waveguide: g: expected a number"),
+    ("run", "drive.flux_in", "NaN", "drive: flux_in: nan is not a finite number"),
+    ("run", "thermal.Omega", "Infinity", "thermal: Omega: inf is not a finite number"),
+    ("run", "oracle.tolerance", '"1e-8"', "oracle: tolerance: expected a number"),
+    ("run", "thermal.temperature", "1" + "0" * 400,
+     f"thermal: temperature: 1{'0' * 400} is not a finite number"),
+    ("run", "k_pump", '"fast"', "k_pump: expected a number"),
+    ("run", "k_pump", "NaN", "k_pump: nan is not a finite number"),
+    ("run", "waveguide.g", '"1e999 GHz"',
+     "waveguide.g: '1e999 GHz' is not a finite frequency"),
+    # a frequency's grid value: the gate's text, as for any other field
+    ("sweep", "sweep.values", '[1e6, true]', "sweep.values: expected a number"),
+    ("sweep", "sweep.start", "NaN", "sweep.start: nan is not a finite number"),
+    ("sweep", "sweep.values", '["1 kHz", "x"]',
+     "sweep.values: cannot parse frequency 'x'; expected e.g. '10 GHz'"),
+], ids=["vg-bool", "g-bool", "flux_in-nan", "Omega-inf", "tolerance-str",
+        "temperature-401-digits", "k_pump-str", "k_pump-nan", "g-unit-overflow",
+        "grid-bool", "grid-start-nan", "grid-unit"])
+def test_malformed_field_message(tmp_path, capsys, verb, path, literal, message):
+    raw = read_scenario(RUN_SCENARIO)
+    if verb == "sweep":
+        raw["sweep"] = {"parameter": "waveguide.g", "start": 1e6, "stop": 2e6, "steps": 2}
+        if path == "sweep.values":
+            raw["sweep"] = {"parameter": "waveguide.g", "values": []}
+    assert main([verb, write_with_literal(tmp_path, raw, path, literal)]) == EXIT_SCENARIO
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+
 @pytest.mark.parametrize("content", [
     Path(RUN_SCENARIO).read_text().replace("backward", "backw\u00e4rd")
     .encode("latin-1"),

@@ -16,9 +16,9 @@ from brisq.errors import CutoffTooSmall, PhysicsError, ScenarioError, Unstable
 from brisq.focksim import _sector_spectrum
 from brisq.pipeline import (
     _BLOCKS,
-    FREQUENCY,
+    _SWEEPABLE,
     MAX_SWEEP_STEPS,
-    NUMBER,
+    UNIT_FIELDS,
     OracleConfig,
     Scenario,
     SweepConfig,
@@ -31,6 +31,7 @@ from brisq.pipeline import (
 )
 from brisq.pump import PumpDrive
 from brisq.squeezing import CROSS_KEYS, QUAD_KEYS, TABLE_SIZE
+from brisq.waveguide import WaveguideParams
 
 REFERENCE_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "backward_10ghz.json"
 K_PUMP_REF = 592980.2391963544
@@ -60,22 +61,37 @@ def scenario_dict(**overrides):
 
 
 def test_parse_frequency():
-    assert parse_value("10 GHz", FREQUENCY) == 1e10
-    assert parse_value("10 mHz", FREQUENCY) == 0.01
-    assert parse_value("2.5kHz", FREQUENCY) == 2500.0
-    assert parse_value("1e9 Hz", FREQUENCY) == 1e9
-    assert parse_value(".5 Hz", FREQUENCY) == 0.5
-    assert parse_value(5, FREQUENCY) == 5.0
-    assert parse_value(2.5e6, FREQUENCY) == 2.5e6
-    assert parse_value(2.5e6, NUMBER) == 2.5e6
-    for bad in ("10 Mhz", "GHz", "1 XHz", "10e9", True, None, [1e9],
-                "1.2.3 MHz", ". Hz", "1e999 Hz", "1e300 THz", "nan Hz",
-                math.nan, math.inf, -math.inf, 10 ** 400):
-        with pytest.raises(ScenarioError):
-            parse_value(bad, FREQUENCY)
-    for bad in ("1 kHz", "5", True, None, math.nan, math.inf, 10 ** 400):
-        with pytest.raises(ScenarioError):
-            parse_value(bad, NUMBER)
+    assert parse_value("10 GHz", "waveguide.g") == 1e10
+    assert parse_value("10 mHz", "waveguide.g") == 0.01
+    assert parse_value("2.5kHz", "waveguide.g") == 2500.0
+    assert parse_value("1e9 Hz", "waveguide.g") == 1e9
+    assert parse_value(".5 Hz", "waveguide.g") == 0.5
+    # a number, or a value of a field that takes no unit, goes to the record as given
+    assert parse_value(5, "waveguide.g") == 5
+    assert parse_value(2.5e6, "waveguide.g") == 2.5e6
+    assert parse_value("1 kHz", "drive.flux_in") == "1 kHz"
+    for bad in ("10 Mhz", "GHz", "1 XHz", "10e9", "1.2.3 MHz", ". Hz", "1e999 Hz",
+                "1e300 THz", "nan Hz"):
+        with pytest.raises(ScenarioError, match="^waveguide.g: "):
+            parse_value(bad, "waveguide.g")
+    with pytest.raises(ScenarioError,
+                       match="^waveguide.g: '1e999 GHz' is not a finite frequency$"):
+        parse_value("1e999 GHz", "waveguide.g")
+    with pytest.raises(ScenarioError, match="^sweep.values: cannot parse frequency 'x'"):
+        parse_value("x", "waveguide.g", "sweep.values")
+    # what parse_value refused before the records checked their own
+    # fields is still refused, by the record that owns the field
+    waveguide = scenario_dict()["waveguide"]
+    for bad in (True, [1e9], math.nan, math.inf, -math.inf, 10 ** 400):
+        with pytest.raises(ScenarioError, match="^waveguide: g: "):
+            Scenario.from_dict(scenario_dict(waveguide=dict(waveguide, g=bad)))
+    # null counts as absent
+    with pytest.raises(ScenarioError, match=r"^waveguide: missing keys \['g'\]$"):
+        Scenario.from_dict(scenario_dict(waveguide=dict(waveguide, g=None)))
+    for bad in ("1 kHz", "5", True, math.nan, math.inf, 10 ** 400):
+        with pytest.raises(ScenarioError, match="^drive: flux_in: "):
+            Scenario.from_dict(scenario_dict(drive=dict(
+                scenario_dict()["drive"], flux_in=bad)))
 
 
 def test_load_scenario_file(tmp_path):
@@ -578,11 +594,26 @@ def test_reference_checks_all_pass():
     assert failing == []
 
 
-def test_block_kinds_follow_the_record_field_order():
-    # the kinds order the "choose one of" list, the fields the report's
+def test_sweepable_fields_follow_the_record_field_order():
+    # the records' fields order the "choose one of" list and the report's
     # keys; one order serves both
-    for block, (cls, kinds) in _BLOCKS.items():
-        assert tuple(kinds) == cls._fields, block
+    assert _SWEEPABLE == ("k_pump",
+                          *(f"waveguide.{name}" for name in WaveguideParams._fields),
+                          *(f"drive.{name}" for name in PumpDrive._fields))
+    with pytest.raises(ScenarioError) as refused:
+        SweepConfig("geometry", (1.0,))
+    assert str(refused.value) == (
+        "sweep.parameter: 'geometry' is not sweepable; choose one of ['k_pump', "
+        "'waveguide.omega0', 'waveguide.g', 'waveguide.u', 'waveguide.gamma', "
+        "'waveguide.vg', 'waveguide.va', 'waveguide.length', 'drive.omega_p', "
+        "'drive.flux_in']")
+
+
+def test_unit_fields_are_fields_of_their_blocks():
+    # a stale name would leave a renamed field without its unit strings
+    for dotted in UNIT_FIELDS:
+        block, name = dotted.split(".")
+        assert name in _BLOCKS[block]._fields, dotted
 
 
 def test_scenario_and_its_blocks_are_frozen():

@@ -12,9 +12,9 @@ import pytest
 
 import brisq
 from brisq._record import FrozenRecord, Record
-from brisq.errors import PhysicsError
+from brisq.errors import PhysicsError, ScenarioError
 from brisq.focksim import BogoliubovResiduals, TwoModeState, vacuum_state
-from brisq.pipeline import SweepConfig, _plain, reference_scenario, run
+from brisq.pipeline import Scenario, SweepConfig, _plain, reference_scenario, run
 
 REPORT = run(reference_scenario())
 SCENARIO = REPORT.scenario
@@ -132,3 +132,59 @@ def test_record_contract(name):
         record.extra = 1
     assert copy == record
 
+
+
+# the input records' fields that take a number or a flag -> the block a
+# scenario file writes them in (None: the scenario's own key)
+INPUT_FIELDS = {
+    "WaveguideParams": ("waveguide", SCENARIO.waveguide._fields),
+    "PumpDrive": ("drive", SCENARIO.drive._fields),
+    "ThermalEnv": ("thermal", SCENARIO.thermal._fields),
+    "OracleConfig": ("oracle", SCENARIO.oracle._fields),
+    "Scenario": (None, ("k_pump",)),
+}
+JUNK = {"str": "x", "None": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+        "bool": True, "complex": 1j, "list": [1.0], "int-10**400": 10**400}
+# the junk values a field takes: no cutoff or k_pump, and an enabled oracle
+VALID = {("cutoff", "None"), ("k_pump", "None"), ("enabled", "bool")}
+JUNK_CASES = [pytest.param(name, field, label, id=f"{name}.{field}={label}")
+              for name, (_, fields) in INPUT_FIELDS.items() for field in fields
+              for label in JUNK if (field, label) not in VALID]
+
+
+def test_junk_matrix_covers_every_input_field():
+    assert set(INPUT_FIELDS) <= set(RECORDS)
+    assert len(JUNK_CASES) == 141
+
+
+@pytest.mark.parametrize("name, field, label", JUNK_CASES)
+def test_record_refuses_junk_as_a_file_does(name, field, label):
+    # a record built in code refuses what the file parser refuses, so
+    # run and sweep never see a value their stages cannot take
+    record = RECORDS[name][0]
+    junk = JUNK[label]
+    with pytest.raises(ValueError):
+        type(record)(**{**vars(record), field: junk})
+    with pytest.raises(ValueError):
+        record.replace(**{field: junk})
+    block, _ = INPUT_FIELDS[name]
+    raw = SCENARIO.to_dict()
+    if block is None:
+        raw[field] = junk
+    elif junk is None and name == "OracleConfig":
+        return  # a null oracle field counts as absent and takes its default
+    else:
+        raw[block] = {**raw[block], field: junk}
+    with pytest.raises(ScenarioError):
+        Scenario.from_dict(raw)
+
+
+def test_library_scenario_refuses_a_bad_k_pump_and_tolerance():
+    # both were accepted: run raised a bare TypeError (and sweep() raised it
+    # out of its iterator), and an infinite tolerance passed every oracle
+    with pytest.raises(ValueError, match="^k_pump: expected a number$"):
+        reference_scenario().replace(k_pump="fast")
+    with pytest.raises(ValueError, match="^tolerance: inf is not a finite number$"):
+        SCENARIO.oracle.replace(tolerance=math.inf)
+    # fields are stored as the gated float
+    assert SCENARIO.waveguide.replace(va=8433).va.__class__ is float

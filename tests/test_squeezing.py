@@ -309,7 +309,7 @@ def test_thermal_occupation_limits():
     assert warm > cold
     with pytest.raises(ValueError):
         ThermalEnv(Omega=1e10, temperature=-0.1, Gamma=1e6)
-    with pytest.raises(ValueError, match="^temperature must be nonnegative$"):
+    with pytest.raises(ValueError, match="^temperature: nan is not a finite number$"):
         ThermalEnv(Omega=1e10, temperature=math.nan, Gamma=1e6)
     with pytest.raises(ValueError):
         ThermalEnv(Omega=0.0, temperature=0.2, Gamma=1e6)

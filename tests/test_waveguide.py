@@ -151,9 +151,9 @@ def test_params_validation():
 
 
 def test_params_refuse_nan_rates():
-    # NaN passes `< 0`, so the rates are checked as `not x >= 0`
+    # NaN passes `< 0`; the field gate refuses it before any range check
     for name in ("g", "u", "gamma"):
-        with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+        with pytest.raises(ValueError, match=f"^{name}: nan is not a finite number$"):
             make_params(**{name: math.nan})
 
 
