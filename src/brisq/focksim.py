@@ -49,7 +49,6 @@ import math
 import operator
 import os
 import sys
-import threading
 from typing import Any, Callable, NamedTuple, Sequence
 
 from ._record import FrozenRecord, set_field
@@ -74,28 +73,23 @@ _SPECTRUM_MEMO = 2 * CUTOFF_CAP
 SERIES_TERMS = 18
 
 
-_NUMPY_LOCK = threading.Lock()
-
-
 def _load_numpy() -> Any:
     """numpy, imported at the first call that needs an array and bound to
     this module's np, so later calls find it there directly."""
     global np
-    # the lock keeps two threads' first calls from both setting and
-    # deleting the variable below
-    with _NUMPY_LOCK:
-        if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
-            # numpy loads OpenBLAS with one thread (see the package
-            # docstring). This function is the only place brisq imports
-            # numpy, so the guard holds whichever oracle call comes first.
-            # OpenBLAS reads the variable once, when numpy loads it; child
-            # processes do not inherit it.
-            os.environ["OPENBLAS_NUM_THREADS"] = "1"
-            try:
-                import numpy
-            finally:
-                del os.environ["OPENBLAS_NUM_THREADS"]
-        import numpy
+    if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+        # numpy loads OpenBLAS with one thread (see the package docstring).
+        # This function is the only place brisq imports numpy, so the guard
+        # holds whichever oracle call comes first. OpenBLAS reads the
+        # variable once, when numpy loads it; child processes do not
+        # inherit it. Racing first calls may each set it, and the import
+        # lock loads numpy once; each pop is idempotent, so it ends unset.
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    import numpy
     np = numpy
     return numpy
 

@@ -430,8 +430,8 @@ def sweep(scenario: Scenario) -> Iterator[dict[str, Any]]:
     return (_sweep_row(scenario, value) for value in scenario.sweep.values)
 
 
-def reference_scenario(oracle: bool = True) -> Scenario:
-    """Backward-scattering reference device with a 10 GHz phonon.
+def reference_scenario() -> Scenario:
+    """Backward-scattering reference device with a 10 GHz phonon, oracle on.
 
     Representative single-mode waveguide numbers (193 THz carrier,
     vg = 7e7 m/s, va = 8433 m/s, 1 cm length) with g = u = 1 MHz,
@@ -450,7 +450,7 @@ def reference_scenario(oracle: bool = True) -> Scenario:
         drive=PumpDrive(omega_p=omega_p, flux_in=1e12),
         geometry=BACKWARD,
         k_pump=k_pump,
-        oracle=OracleConfig(enabled=oracle),
+        oracle=OracleConfig(enabled=True),
         thermal=ThermalEnv(Omega=Omega, temperature=0.2, Gamma=1e6),
     )
 

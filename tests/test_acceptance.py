@@ -33,6 +33,10 @@ from brisq import (
     thermal_occupation,
     vacuum_state,
 )
+from brisq.pipeline import OracleConfig
+
+# the reference device with its Fock oracle off: the closed forms alone
+ANALYTIC_REFERENCE = reference_scenario().replace(oracle=OracleConfig())
 
 R_GRID = (0.01, 0.05, 0.1, 0.3, 0.5, 0.8, 1.0)
 
@@ -55,7 +59,7 @@ def _check(failures, label, value, expected, tolerance, relative=False):
 def test_acceptance_1_reference_device_numbers():
     failures = []
     started = time.perf_counter()
-    report = run(reference_scenario(oracle=False))
+    report = run(ANALYTIC_REFERENCE)
     elapsed = time.perf_counter() - started
     _check(failures, "coupling f", report.squeeze.f, 1e9, 1e-3, relative=True)
     _check(failures, "cosh^2 r", math.cosh(report.squeeze.r) ** 2, 1.0025, 1e-4)
@@ -72,7 +76,7 @@ def test_acceptance_1_reference_device_numbers():
 def test_acceptance_2_squeezing_parameters():
     failures = []
     started = time.perf_counter()
-    squeezing = run(reference_scenario(oracle=False)).analytic.squeezing
+    squeezing = run(ANALYTIC_REFERENCE).analytic.squeezing
     elapsed = time.perf_counter() - started
     for quad in ("X_a", "Y_a", "X_b", "Y_b"):
         _check(failures, f"S_{quad}", squeezing[quad], 0.0025, 1e-4)

@@ -693,6 +693,16 @@ def test_no_verb_loads_the_record_machinery(tmp_path):
     assert _fresh_python(code) == "[0, 0, 0, 0] []"
 
 
+def test_a_clean_interpreter_loads_no_threading_for_the_cli():
+    # under -S no site hook imports anything first, so this sees what the
+    # CLI itself loads: the numpy loader's guard needs no lock
+    code = ("import sys, brisq.cli\n"
+            "print([m for m in ('threading', 'numpy') if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=_src_env(),
+                          text=True, capture_output=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_import_loads_blas_single_threaded_and_leaves_env_alone():
     # the oracle's first array loads numpy, and loaded before numpy it
     # loads OpenBLAS with one thread (one task in the process) and
@@ -719,11 +729,12 @@ def test_import_loads_blas_single_threaded_and_leaves_env_alone():
 
 
 def test_threads_that_load_numpy_together_leave_the_env_alone():
-    # the oracle's first array sets and deletes OPENBLAS_NUM_THREADS at
-    # call time, so several threads reaching it at once must neither fail
-    # on the variable nor leave it set
+    # the oracle's first array sets and pops OPENBLAS_NUM_THREADS at call
+    # time, so several threads reaching it at once must neither fail on
+    # the variable nor leave it set, and OpenBLAS still loads with one
+    # thread: once the racers have exited, one task is left in the process
     code = (
-        "import os, sys, threading\n"
+        "import os, sys, threading, time\n"
         "from brisq import focksim\n"
         "sys.setswitchinterval(1e-6)\n"
         "barrier, errors = threading.Barrier(8), []\n"
@@ -736,10 +747,14 @@ def test_threads_that_load_numpy_together_leave_the_env_alone():
         "threads = [threading.Thread(target=first_array) for _ in range(8)]\n"
         "for thread in threads: thread.start()\n"
         "for thread in threads: thread.join(60)\n"
+        "def tasks():\n"
+        "    return len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
+        "deadline = time.monotonic() + 10\n"
+        "while tasks() > 1 and time.monotonic() < deadline: time.sleep(0.01)\n"
         "print(errors, any(t.is_alive() for t in threads), "
-        "os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "os.environ.get('OPENBLAS_NUM_THREADS'), tasks())\n"
     )
-    assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "[] False None"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "[] False None 1"
 
 
 def test_the_package_lists_every_export_without_loading_numpy():

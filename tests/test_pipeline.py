@@ -514,7 +514,7 @@ def test_coupling_magnitude_beyond_the_float_range_is_a_physics_error():
     # a drive one half linewidth off resonance puts f at 45 degrees: both
     # parts fit the float range, |f| does not, and abs() used to raise a
     # raw OverflowError inside run
-    scenario = reference_scenario(oracle=False)
+    scenario = reference_scenario().replace(oracle=OracleConfig())
     waveguide = scenario.waveguide.replace(g=1.5e308, u=1.0, gamma=0.0)
     omega_pump = run(scenario).triple.omega_pump
     scenario = scenario.replace(waveguide=waveguide, drive=PumpDrive(

@@ -1,9 +1,13 @@
-"""Property: any scenario dict ends in a report or a documented exit code.
+"""Properties: any scenario ends in a report or a documented error.
 
 Random and mutated scenario dicts go through `cli.main` in-process. Every
 call must return 0, 2, 3 or 4 without raising, and whatever it prints on
 stdout must be strict JSON (no NaN or Infinity), or CSV whose every
 record has as many cells as its header.
+
+A scenario built in code from edge floats is refused at construction
+with ValueError, or run() returns a strictly JSON-ready report or raises
+PhysicsError, and sweep() yields JSON-ready ok and error rows only.
 """
 
 import contextlib
@@ -19,6 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brisq.cli import main
+from brisq.errors import PhysicsError
+from brisq.pipeline import _BLOCKS, _SWEEPABLE, SweepConfig, reference_scenario, run, sweep
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 BASES = [json.loads((SCENARIOS / name).read_text())
@@ -146,3 +152,44 @@ def test_any_scenario_ends_in_documented_exit(case, flags):
         json.loads(stdout.getvalue(), parse_constant=reject_constant)
     else:
         assert stdout.getvalue() == ""
+
+
+# every numeric input field of a scenario, as (block or None, name)
+INPUT_FIELDS = (*((block, name) for block in ("waveguide", "drive", "thermal")
+                  for name in _BLOCKS[block]._fields),
+                ("oracle", "tolerance"), (None, "k_pump"))
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-300, 0.25, -1.0, 400.0, 1e308)
+
+
+def with_fields(scenario, changes):
+    """The scenario with each (block, name) field set to its value."""
+    blocks = {}
+    for (block, name), value in changes:
+        blocks.setdefault(block, {})[name] = value
+    top = blocks.pop(None, {})
+    top.update({block: getattr(scenario, block).replace(**fields)
+                for block, fields in blocks.items()})
+    return scenario.replace(**top)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(changes=st.lists(st.tuples(st.sampled_from(INPUT_FIELDS),
+                                  st.sampled_from(EDGE_FLOATS)),
+                        min_size=1, max_size=3, unique_by=lambda change: change[0]),
+       parameter=st.sampled_from(_SWEEPABLE),
+       grid=st.lists(st.sampled_from(EDGE_FLOATS), min_size=1, max_size=3))
+def test_a_scenario_built_in_code_never_escapes_run_or_sweep(changes, parameter, grid):
+    assert len(INPUT_FIELDS) == 14
+    try:
+        scenario = with_fields(reference_scenario(), changes)
+    except ValueError:
+        return
+    try:
+        report = run(scenario)
+    except PhysicsError:
+        pass
+    else:
+        json.dumps(report.to_dict(), allow_nan=False)
+    for row in sweep(scenario.replace(sweep=SweepConfig(parameter, grid))):
+        assert row["status"] in ("ok", "error")
+        json.dumps(row, allow_nan=False)
