@@ -43,6 +43,7 @@ takes the column from the sector SVD.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -78,17 +79,16 @@ def _load_numpy() -> Any:
     this module's np, so later calls find it there directly."""
     global np
     if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
-        # numpy loads OpenBLAS with one thread (see the package docstring).
-        # This function is the only place brisq imports numpy, so the guard
-        # holds whichever oracle call comes first. OpenBLAS reads the
-        # variable once, when numpy loads it; child processes do not
-        # inherit it. Racing first calls may each set it, and the import
-        # lock loads numpy once; each pop is idempotent, so it ends unset.
+        # numpy loads OpenBLAS with one thread (see the package docstring),
+        # which reads this once, at load. Racing first calls each set it and
+        # del it after their import, so it ends unset; a del may find it
+        # gone, and os.environ.pop would not help: it reads, then dels.
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
         try:
             import numpy
         finally:
-            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+            with contextlib.suppress(KeyError):
+                del os.environ["OPENBLAS_NUM_THREADS"]
     import numpy
     np = numpy
     return numpy

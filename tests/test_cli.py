@@ -698,9 +698,7 @@ def test_a_clean_interpreter_loads_no_threading_for_the_cli():
     # CLI itself loads: the numpy loader's guard needs no lock
     code = ("import sys, brisq.cli\n"
             "print([m for m in ('threading', 'numpy') if m in sys.modules])\n")
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=_src_env(),
-                          text=True, capture_output=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _fresh_python(code, flags=("-S",)) == "[]"
 
 
 def test_import_loads_blas_single_threaded_and_leaves_env_alone():
@@ -729,8 +727,8 @@ def test_import_loads_blas_single_threaded_and_leaves_env_alone():
 
 
 def test_threads_that_load_numpy_together_leave_the_env_alone():
-    # the oracle's first array sets and pops OPENBLAS_NUM_THREADS at call
-    # time, so several threads reaching it at once must neither fail on
+    # the oracle's first array sets and deletes OPENBLAS_NUM_THREADS at
+    # call time, so several threads reaching it at once must neither fail on
     # the variable nor leave it set, and OpenBLAS still loads with one
     # thread: once the racers have exited, one task is left in the process
     code = (
@@ -755,6 +753,24 @@ def test_threads_that_load_numpy_together_leave_the_env_alone():
         "os.environ.get('OPENBLAS_NUM_THREADS'), tasks())\n"
     )
     assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "[] False None 1"
+
+
+def test_the_loader_passes_when_a_racing_call_deleted_the_env_first():
+    # a racing first call can delete OPENBLAS_NUM_THREADS between this
+    # call's import and its own del; a finder that deletes it as numpy is
+    # looked up makes that order certain
+    code = (
+        "import os, sys\n"
+        "from brisq import focksim\n"
+        "class RacingCall:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            del os.environ['OPENBLAS_NUM_THREADS']\n"
+        "sys.meta_path.insert(0, RacingCall())\n"
+        "focksim.squeezed_vacuum(12, 0.3)\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)\n"
+    )
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == "None True"
 
 
 def test_the_package_lists_every_export_without_loading_numpy():
@@ -857,15 +873,16 @@ def test_the_console_script_and_the_module_share_one_entry():
     assert main_block == ["entry()"]
 
 
-def _fresh_python(code: str, **env_updates) -> str:
-    """stdout of `code` run by a new interpreter that imports brisq from src."""
+def _fresh_python(code: str, flags: tuple[str, ...] = (), **env_updates) -> str:
+    """stdout of `code` run by a new interpreter, given `flags` before `-c`,
+    that imports brisq from src."""
     env = _src_env()
     for name, value in env_updates.items():
         if value is None:
             env.pop(name, None)
         else:
             env[name] = value
-    done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env, text=True,
                           capture_output=True, timeout=120, check=True)
     return done.stdout.strip()
 
