@@ -100,16 +100,6 @@ def diagonalize(omega: float, Omega: float, f: float) -> SqueezeSpec:
     pair = math.ldexp(f, -exponent)
     gap = math.ldexp(math.sqrt((bar - pair) * (bar + pair)), exponent)
     r = 0.5 * math.atanh(f / omega_bar)
-    return SqueezeSpec(
-        omega=omega,
-        Omega=Omega,
-        f=f,
-        omega_bar=omega_bar,
-        delta=delta,
-        gap=gap,
-        r=r,
-        omega_alpha=gap + delta,
-        omega_beta=gap - delta,
-        omega_zero=gap - omega_bar,
-    )
+    return SqueezeSpec(omega, Omega, f, omega_bar, delta, gap, r, gap + delta,
+                       gap - delta, gap - omega_bar)
 

@@ -50,6 +50,7 @@ EXIT_PHYSICS = 3
 EXIT_MISMATCH = 4
 
 _DB_KEYS = tuple(f"db_{quad}" for quad in QUAD_KEYS)
+_S_KEYS = tuple(f"S_{quad}" for quad in QUAD_KEYS)
 
 
 # one parser per process, built at the first main() call: parse_args
@@ -114,8 +115,9 @@ def _csv(header: Sequence[str], rows: Iterable[dict[str, Any]]) -> Iterator[str]
     row leaves the columns it lacks empty."""
     writer = csv.writer(_Echo())
     yield writer.writerow(header)
+    blanks = ("",) * len(header)
     for row in rows:
-        yield writer.writerow([row.get(key, "") for key in header])
+        yield writer.writerow(map(row.get, header, blanks))
 
 
 def _json_sweep(header: dict[str, Any], rows: Iterable[dict[str, Any]]) -> Iterator[str]:
@@ -123,15 +125,16 @@ def _json_sweep(header: dict[str, Any], rows: Iterable[dict[str, Any]]) -> Itera
     in pieces, each row rendered as it arrives.
 
     The header, not empty, goes through json.dumps. Each row (there is
-    at least one) is a non-empty dict of scalars; it goes through
-    JSONEncoder without indent, the C encoder, given the separators
-    that indent=2 puts between a row's items, so its keys and values
-    are written as json.dumps writes them and a NaN or infinity raises
-    ValueError.
+    at least one) is a non-empty dict of scalars, with no container to
+    check for cycles; it goes through JSONEncoder without indent, the C
+    encoder, given the separators that indent=2 puts between a row's
+    items, so its keys and values are written as json.dumps writes them
+    and a NaN or infinity raises ValueError.
     """
     head = json.dumps(header, indent=2, allow_nan=False)
     yield head[:-2] + ',\n  "rows": ['  # head ends in "\n}"
-    encode = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": ")).encode
+    encode = json.JSONEncoder(allow_nan=False, check_circular=False,
+                              separators=(",\n      ", ": ")).encode
     separator = "\n"
     for row in rows:
         yield f"{separator}    {{\n      {encode(row)[1:-1]}\n    }}"
@@ -208,8 +211,8 @@ def main(argv: list[str] | None = None) -> int:
             nonlocal misses
             for row in rows:
                 if args.db and row["status"] == "ok":
-                    row.update(zip(_DB_KEYS, (_decibels(row[f"S_{quad}"])
-                                             for quad in QUAD_KEYS)))
+                    row.update(zip(_DB_KEYS,
+                                   map(_decibels, map(row.__getitem__, _S_KEYS))))
                 misses += row.get("oracle_ok") is False
                 yield row
 

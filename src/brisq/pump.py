@@ -83,9 +83,4 @@ def pump_steady_state(params: WaveguideParams, drive: PumpDrive,
         photon_number = abs(amplitude) ** 2
     except OverflowError:  # ** and complex abs raise where * gives inf
         photon_number = math.inf
-    return PumpSteadyState(
-        detuning=detuning,
-        amplitude=amplitude,
-        photon_number=photon_number,
-        coupling=params.g * amplitude,
-    )
+    return PumpSteadyState(detuning, amplitude, photon_number, params.g * amplitude)

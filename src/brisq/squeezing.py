@@ -32,16 +32,23 @@ TABLE_LAYOUT = (("first", QUAD_KEYS), ("second", QUAD_KEYS), ("products", MODE_K
 TABLE_SIZE = sum(len(keys) for _, keys in TABLE_LAYOUT)
 
 
+def _section_slices() -> dict[str, slice]:
+    slices, start = {}, 0
+    for name, keys in TABLE_LAYOUT:
+        slices[name] = slice(start, start + len(keys))
+        start += len(keys)
+    return slices
+
+
+# each section's slice of MomentTable.values
+TABLE_SLICES = _section_slices()
+
+
 def _section(name: str) -> property:
     """MomentTable's section name: its slice of values as a fresh dict
     in key order."""
-    start = 0
-    for section, keys in TABLE_LAYOUT:
-        if section == name:
-            break
-        start += len(keys)
-    stop = start + len(keys)
-    return property(lambda table: dict(zip(keys, table.values[start:stop])))
+    keys, cells = dict(TABLE_LAYOUT)[name], TABLE_SLICES[name]
+    return property(lambda table: dict(zip(keys, table.values[cells])))
 
 
 class MomentTable(Record):

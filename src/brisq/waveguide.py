@@ -123,11 +123,5 @@ def phase_match(
     else:
         raise ValueError(f"unknown geometry {geometry!r}")
     k_signal = k_pump - q
-    return BrillouinTriple(
-        k_pump=k_pump,
-        k_signal=k_signal,
-        q_phonon=q,
-        omega_pump=params.omega0 + pump_slope * k_pump,
-        omega_signal=params.omega0 + signal_slope * k_signal,
-        Omega_phonon=va * abs(q),
-    )
+    return BrillouinTriple(k_pump, k_signal, q, params.omega0 + pump_slope * k_pump,
+                           params.omega0 + signal_slope * k_signal, va * abs(q))

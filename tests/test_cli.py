@@ -587,13 +587,24 @@ def test_sweep_into_a_closed_pipe_exits_two(tmp_path, fmt):
     assert stderr == b"scenario error: cannot write '<stdout>': Broken pipe\n"
 
 
+def parse_cell(key, cell):
+    """A sweep's CSV cell as the JSON scalar it was written from: the
+    text under a text key, else a bool or a float."""
+    if key in ("parameter", "status", "error_type", "error"):
+        return cell
+    if cell in ("True", "False"):
+        return cell == "True"
+    return float(cell)
+
+
 @pytest.mark.parametrize("args", [
     [SWEEP_SCENARIO, "--db", "--oracle", "on"],
     [str(SCENARIOS / "threshold_sweep.json")],
 ], ids=["flux", "threshold"])
 def test_csv_sweep_drops_nothing_of_the_json_sweep(tmp_path, args):
     # the CSV header is the fixed column list; a row's empty cells are
-    # the keys it lacks, and its other cells are its JSON values as text
+    # the keys it lacks, and its other cells are its JSON values as text,
+    # which parse back to the same bools and repr-exact floats
     reports = {}
     for fmt in ("json", "csv"):
         out = tmp_path / f"rows.{fmt}"
@@ -603,6 +614,9 @@ def test_csv_sweep_drops_nothing_of_the_json_sweep(tmp_path, args):
     for json_row, csv_row in zip(reports["json"], reports["csv"]):
         assert [(key, str(value)) for key, value in json_row.items()] == \
             [(key, cell) for key, cell in csv_row.items() if cell != ""]
+        parsed = {key: parse_cell(key, cell) for key, cell in csv_row.items() if cell != ""}
+        assert [(key, type(value), repr(value)) for key, value in json_row.items()] == \
+            [(key, type(value), repr(value)) for key, value in parsed.items()]
     statuses = {row["status"] for row in reports["json"]}
     assert statuses == ({"ok", "error"} if "threshold" in args[0] else {"ok"})
 

@@ -564,6 +564,68 @@ def test_sweep_other_parameters():
     assert wavenumbers[1]["r"] == pytest.approx(R_REF, rel=1e-12)
 
 
+def replaced_row(scenario, value):
+    """The sweep row at value built through replace() and the full run
+    report: the reference that sweep()'s own rebuild must match."""
+    parameter = scenario.sweep.parameter
+    block, _, name = parameter.rpartition(".")
+    try:
+        try:
+            changed = (scenario.replace(**{name: value}) if not block else
+                       scenario.replace(**{block: getattr(scenario, block).replace(
+                           **{name: value})}))
+        except ValueError as err:
+            raise ScenarioError(f"{parameter}: {err}") from err
+        report = run(changed)
+    except (PhysicsError, ScenarioError) as err:
+        return {"parameter": parameter, "value": value, "status": "error",
+                "error_type": type(err).__name__, "error": str(err)}
+    row = {"parameter": parameter, "value": value, "status": "ok",
+           "f": report.squeeze.f, "r": report.squeeze.r,
+           "pump_photons": report.pump.photon_number,
+           **{f"P_{n}": p for n, p in enumerate(report.pair_probabilities[:3])},
+           **{f"S_{quad}": s for quad, s in report.analytic.squeezing.items()}}
+    if report.oracle is not None:
+        row.update(oracle_deviation=report.oracle["deviation"],
+                   oracle_ok=report.oracle["ok"])
+    return row
+
+
+REFERENCE_OMEGA_P = reference_scenario().drive.omega_p
+
+
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "no_oracle"])
+@pytest.mark.parametrize("parameter, values, statuses", [
+    # flux 0 is the vacuum, whose c/d squeezing entries are -0.0; flux -1
+    # fails PumpDrive's own gate
+    ("drive.flux_in", (1e12, 0.0, -1.0, 1e15), ("ok", "ok", "ScenarioError", "Unstable")),
+    ("waveguide.g", (5e5, 2e6, 0.0), ("ok", "ok", "ok")),
+    # va >= vg fails the gate that ties two waveguide fields
+    ("waveguide.va", (8433.0, 7e7, 8e7), ("ok", "ScenarioError", "ScenarioError")),
+    ("drive.omega_p", (REFERENCE_OMEGA_P, REFERENCE_OMEGA_P + 1e6), ("ok", "ok")),
+    ("k_pump", (0.5 * K_PUMP_REF, K_PUMP_REF, 1e301), ("ok", "ok", "PhysicsError")),
+])
+def test_sweep_rows_equal_the_rows_of_a_replaced_scenario(parameter, values, statuses,
+                                                         oracle):
+    scenario = reference_scenario().replace(
+        oracle=OracleConfig(enabled=oracle), sweep=SweepConfig(parameter, values))
+    rows = list(sweep(scenario))
+    assert [row.get("error_type", row["status"]) for row in rows] == list(statuses)
+    for row, value in zip(rows, values):
+        # key for key in order; floats by repr, so -0.0 is not 0.0, and
+        # error messages as strings
+        assert [(key, type(cell), repr(cell)) for key, cell in row.items()] == \
+            [(key, type(cell), repr(cell))
+             for key, cell in replaced_row(scenario, value).items()]
+    if parameter == "drive.flux_in":
+        vacuum = rows[1]
+        assert all(math.copysign(1.0, vacuum[f"S_{quad}"]) == -1.0
+                   for quad in ("X_c", "Y_d"))
+        assert rows[2]["error"] == "drive.flux_in: flux_in must be nonnegative"
+    if parameter == "waveguide.va":
+        assert rows[1]["error"] == "waveguide.va: velocities must satisfy 0 < va < vg"
+
+
 def test_sweep_with_decibels(tmp_path, capsys):
     scenario = reference_scenario().replace(
         sweep=SweepConfig(parameter="drive.flux_in", values=(1e12, 1e15)))
