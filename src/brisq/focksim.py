@@ -38,7 +38,10 @@ not with this module. choose_cutoff and diagonal_moments run in pure
 Python, and so does vacuum_column where ||r K0||_inf = |r| (2 cutoff -
 3) <= 1: there it takes the column from the Taylor series of
 exp(r K0)|0, 0>, exact to rounding, and loads no numpy; elsewhere it
-takes the column from the sector SVD.
+takes the column from the sector SVD, through an r-free kernel built
+from it once per cutoff, at its first use, so that a column costs one
+np.sin, an in-place square and one matrix product. The kernels and the
+sector spectra share _sector_memo, focksim's one per-cutoff memo.
 """
 
 from __future__ import annotations
@@ -66,9 +69,10 @@ TAIL_TOL = 1e-12
 EDGE_TOL = 1e-10
 NORM_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
-# sector spectra kept by _sector_spectrum, focksim's one per-cutoff memo:
-# every sector of the largest cutoff, 2 * CUTOFF_CAP - 1, fits at once
-_SPECTRUM_MEMO = 2 * CUTOFF_CAP
+# entries kept by _sector_memo, focksim's one per-cutoff memo: every
+# sector spectrum of the largest cutoff, 2 * CUTOFF_CAP - 1, and its
+# column kernel fit at once
+_SECTOR_MEMO = 2 * CUTOFF_CAP
 # Taylor terms of _series_column, enough for the widest norm it is used
 # at, ||r K0||_inf = 1: the tail sum_{j > 18} 1/j! < (1/19!) (20/19) < 1e-17
 SERIES_TERMS = 18
@@ -248,10 +252,21 @@ def _sector_index(cutoff: int, m: int) -> np.ndarray:
     return np.arange(start, start + (cutoff - abs(m)) * (cutoff + 1), cutoff + 1)
 
 
-@functools.lru_cache(maxsize=_SPECTRUM_MEMO)
+@functools.lru_cache(maxsize=_SECTOR_MEMO)
+def _sector_memo(build: Callable[[int, int], tuple], cutoff: int, m: int) -> tuple:
+    """build(cutoff, m), memoized: focksim's one per-cutoff memo, which the
+    two kinds of entry that depend on (cutoff, m) alone share, the sector
+    spectra of _sector_spectrum and the column kernels of _column_kernel.
+    The oracle reads one kernel per cutoff and a sweep revisits the same
+    few cutoffs. An entry of either kind is read-only arrays of ~size**2
+    / 2 floats, at most ~68 KB (size 128): the largest 256 there are,
+    both kinds of every sector of size 118 to 128, hold ~15.5 MB."""
+    return build(cutoff, m)
+
+
 def _sector_spectrum(cutoff: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signed SVD (U, sigma, W^T) of the r-free even-to-odd block of the
-    n_a - n_b = m sector, as read-only arrays.
+    n_a - n_b = m sector, as read-only arrays; read through _sector_memo.
 
     In the sector basis |na0 + n, nb0 + n> of _sector_index the pair
     generator r (a^dag b^dag - a b) has K[n+1, n] = r * sqrt((na0+n+1)
@@ -261,10 +276,7 @@ def _sector_spectrum(cutoff: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     floor(size/2) bidiagonal block, and B0 = U S W^T. The rows of U and
     the columns of W^T are signed by s_n = (-1)^(n // 2) of their level,
     which turns the phases i^(m-n) of exp(K) into exact signs (see
-    _sector_block). The result depends on (cutoff, m) alone, so it is
-    memoized: the oracle reads one sector per cutoff and a sweep revisits
-    the same few cutoffs. An entry is at most 66 KB (size 128), so the
-    full memo holds at most ~14.4 MB; every sector of cutoff 128 is 5.7 MB.
+    _sector_block).
     """
     size, na0, nb0 = cutoff - abs(m), max(m, 0), max(-m, 0)
     ns = np.arange(size - 1)
@@ -283,17 +295,6 @@ def _sector_spectrum(cutoff: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return u, sigma, wt
 
 
-def _sector_rotation(r: float, cutoff: int,
-                     m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sector's signed spectrum with r applied: U, W^T, the angles'
-    sines sin(r S) and the versines 2 sin(r S / 2)^2 = 1 - cos(r S),
-    padded with 0 for an odd size's extra left singular vector."""
-    u, sigma, wt = _sector_spectrum(cutoff, m)
-    versine = np.zeros(u.shape[0])
-    versine[:sigma.size] = 2.0 * np.sin(0.5 * r * sigma) ** 2
-    return u, wt, np.sin(r * sigma), versine
-
-
 def _sector_block(r: float, cutoff: int, m: int) -> np.ndarray:
     """exp of the pair generator restricted to the n_a - n_b = m sector.
 
@@ -302,21 +303,25 @@ def _sector_block(r: float, cutoff: int, m: int) -> np.ndarray:
     so exp(K)[n, m] = i^(m-n) (cos T + i sin T)[n, m]. From the memoized
     B0 = U S W^T, cos T = I - U (1 - cos rS) U^T on the even-even block,
     I - W (1 - cos rS) W^T on the odd-odd block and sin T = U sin(rS) W^T
-    on the even-odd block. 1 - cos is written 2 sin^2(rS/2), so r = 0
-    gives exactly the identity and small r loses nothing to cancellation;
-    sin is odd, so a negative r needs no special case. The phase i^(m-n)
-    (times i on sin) is exactly s_n s_m, with an extra minus sign where n
-    is even and m odd, and the signed U and W^T carry it, so the result
-    is real and no scaling and squaring amplifies rounding: at cutoff
-    128 and r = 1.43 a block agrees with a 40-digit evaluation to
-    ~5e-14, where scipy's scaled-and-squared expm is off by ~1.4e-12.
+    on the even-odd block. 1 - cos is written as the versine
+    2 sin^2(rS/2), padded with 0 for an odd size's extra left singular
+    vector, so r = 0 gives exactly the identity and small r loses
+    nothing to cancellation; sin is odd, so a negative r needs no
+    special case. The phase i^(m-n) (times i on sin) is exactly s_n s_m,
+    with an extra minus sign where n is even and m odd, and the signed U
+    and W^T carry it, so the result is real and no scaling and squaring
+    amplifies rounding: at cutoff 128 and r = 1.43 a block agrees with a
+    40-digit evaluation to ~5e-14, where scipy's scaled-and-squared expm
+    is off by ~1.4e-12.
     """
-    u, wt, sin, versine = _sector_rotation(r, cutoff, m)
+    u, sigma, wt = _sector_memo(_sector_spectrum, cutoff, m)
     even, odd = u.shape[0], wt.shape[0]
+    versine = np.zeros(even)
+    versine[:sigma.size] = 2.0 * np.sin(0.5 * r * sigma) ** 2
     out = np.empty((even + odd, even + odd))
     out[0::2, 0::2] = np.eye(even) - (u * versine) @ u.T
     out[1::2, 1::2] = np.eye(odd) - (wt.T * versine[:odd]) @ wt
-    sin_block = (u[:, :odd] * sin) @ wt
+    sin_block = (u[:, :odd] * np.sin(r * sigma)) @ wt
     out[0::2, 1::2] = -sin_block
     out[1::2, 0::2] = sin_block.T
     return out
@@ -348,18 +353,48 @@ def squeeze_operator(cutoff: int, r: float) -> np.ndarray:
     return out
 
 
-def _svd_column(cutoff: int, r: float) -> np.ndarray:
+def _column_kernel(cutoff: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r-free kernel (M, F) of column 0 of the n_a - n_b = m sector's
+    block, as read-only arrays; read through _sector_memo.
+
+    Column 0 of _sector_block is e_0 - A vers(r S) on the even levels and
+    B sin(r S) on the odd ones, with A = U diag(U[0]) and B = W diag(U[0])
+    over the k singular values (U's columns past k meet a zero versine),
+    vers x = 1 - cos x = 2 sin^2(x/2). M is the (ceil(size/2), 2k) matrix
+    [-2A | B], B padded with a zero row for an odd size, and F the
+    (2k, 2) frequencies [[S/2, 0], [0, S]]: with sin(r F), its first
+    column squared in place, row i of M sin(r F) holds levels 2i and
+    2i + 1 of the column less e_0, so its flat form is the column in
+    level order. M holds ~size**2 / 2 floats, as the sector's spectrum
+    does, and F 4k."""
+    u, sigma, wt = _sector_spectrum(cutoff, m)
+    k = sigma.size
+    top = u[0, :k]
+    kernel = np.zeros((u.shape[0], 2 * k))
+    kernel[:, :k] = -2.0 * u[:, :k] * top
+    kernel[:wt.shape[0], k:] = wt.T * top
+    frequencies = np.zeros((2 * k, 2))
+    frequencies[:k, 0] = 0.5 * sigma
+    frequencies[k:, 1] = sigma
+    for part in (kernel, frequencies):
+        part.flags.writeable = False
+    return kernel, frequencies
+
+
+def _svd_column(cutoff: int, r: float) -> list[float]:
     """The n_a = n_b column of the squeezed vacuum, amplitude k on |k, k>,
-    from the sector SVD: column 0 of the n_a = n_b sector's block, formed
-    without the block. A kernel of vacuum_column, which gates its inputs,
-    and the tests' reference for the series kernel."""
-    u, wt, sin, versine = _sector_rotation(r, cutoff, 0)
-    # column 0 of _sector_block: e_0 - U (1 - cos rS) U[0] on the even
-    # levels, U[0] sin(rS) W^T on the odd ones
-    column = np.zeros(cutoff)
-    column[0] = 1.0
-    column[0::2] -= u @ (versine * u[0])
-    column[1::2] = (u[0, :wt.shape[0]] * sin) @ wt
+    as a list, from the sector SVD: column 0 of the n_a = n_b sector's
+    block, formed from the cutoff's memoized _column_kernel with one
+    np.sin, an in-place square and one matrix product, without the
+    block. A kernel of vacuum_column, which gates its inputs, and the
+    tests' reference for the series kernel."""
+    kernel, frequencies = _sector_memo(_column_kernel, cutoff, 0)
+    sines = np.sin(r * frequencies)
+    halves = sines[:, 0]
+    halves *= halves  # sin^2(r S / 2): -2A carries the versine's factor 2
+    column = (kernel @ sines).ravel().tolist()
+    column[0] += 1.0
+    del column[cutoff:]  # an odd cutoff's padding row
     return column
 
 
@@ -623,12 +658,12 @@ def _moment_table(norm2: float, entries: Sequence[float], max_imag: float) -> Mo
     if not abs(norm2 - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized: <psi|psi> = {norm2!r}")
     first, second = entries[:8], entries[8:16]
-    variances = [s - f * f for f, s in zip(first, second)]
+    variances = tuple(map(operator.sub, second, map(operator.mul, first, first)))
     return MomentTable(None, (
         *first, *second,
         # QUAD_KEYS pairs X and Y of each mode; math.sqrt refuses a negative
-        *[math.sqrt(x * y) for x, y in zip(variances[0::2], variances[1::2])],
-        *[var - 0.5 for var in variances],
+        *map(math.sqrt, map(operator.mul, variances[0::2], variances[1::2])),
+        *map(operator.sub, variances, (0.5,) * 8),  # S = var - 1/2
         *entries[16:]), max_imag)
 
 
@@ -746,7 +781,7 @@ def vacuum_column(cutoff: int, r: float) -> list[float]:
     _require_tail(cutoff, r)
     if _series_admits(cutoff, r):
         return _series_column(cutoff, r)
-    return _svd_column(cutoff, r).tolist()
+    return _svd_column(cutoff, r)
 
 
 # The levels 1, ..., CUTOFF_CAP - 1 as floats: a float times a float

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -341,11 +342,12 @@ def run(scenario: Scenario) -> RunReport:
         # cutoff**2 state is built
         column = vacuum_column(cutoff, squeeze.r)
         numeric = diagonal_moments(column)
-        # |n, n> weights of the real column; 0 beyond the basis
-        weights = [c * c for c in column[:PAIR_PROBABILITY_ORDERS]]
-        weights += [0.0] * (PAIR_PROBABILITY_ORDERS - len(weights))
+        # each P_n against the |n, n> weight of the real column, which is
+        # 0 beyond the basis, where |P_n - 0| is P_n
         deviation = worst([table_deviation(analytic, numeric),
-                           *(abs(p - q) for p, q in zip(pair_probs, weights))])
+                           *map(abs, map(operator.sub, pair_probs,
+                                         map(operator.mul, column, column))),
+                           *pair_probs[cutoff:]])
         # a NaN or infinity in the numeric table or the weights shows here
         require_finite("oracle deviations", deviation)
         oracle_block = {

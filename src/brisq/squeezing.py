@@ -119,8 +119,9 @@ def _require_order(name: str, n: int) -> None:
 def pair_probability(r: float, n: int) -> float:
     """Probability of n photon-phonon pairs in the squeezed vacuum,
     P_n = tanh(r)^(2n) / cosh(r)^2. Geometric in n."""
-    _require_order("n", n)
-    require_number("squeeze parameter r", r)
+    if not (type(n) is int and n >= 0 and r == r):  # else both gates pass
+        _require_order("n", n)
+        require_number("squeeze parameter r", r)
     try:
         return math.tanh(r) ** (2 * n) / math.cosh(r) ** 2
     except OverflowError:  # cosh(r)^2 overflows; P_n is 0, as at r = inf
@@ -177,9 +178,13 @@ def worst(deviations: Iterable[float]) -> float:
 
     The builtin max keeps a NaN only in first place, since every
     comparison with NaN is False, so a NaN anywhere else would vanish.
+    A NaN anywhere makes the sum NaN, and so do +inf and -inf together,
+    so only a NaN sum is searched for a NaN.
     """
     values = list(deviations)
-    return math.nan if any(map(math.isnan, values)) else max(values)
+    if math.isnan(sum(values)) and any(map(math.isnan, values)):
+        return math.nan
+    return max(values)
 
 
 def table_deviation(left: MomentTable, right: MomentTable) -> float:

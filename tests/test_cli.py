@@ -707,6 +707,22 @@ def test_no_verb_loads_the_record_machinery(tmp_path):
     assert _fresh_python(code) == "[0, 0, 0, 0] []"
 
 
+def test_a_series_oracle_run_builds_no_sector_state_and_loads_no_numpy():
+    # the reference device's oracle takes the vacuum series, as the cold
+    # request of perfbench's oracle_ramp probe (f/omega_bar = 0.1) does:
+    # neither the import nor the run fills the memo of sector spectra and
+    # column kernels, and numpy stays unloaded
+    code = (
+        "import contextlib, io, sys\n"
+        "import brisq.cli\n"
+        "from brisq import cli, focksim\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['run', {RUN_SCENARIO!r}])\n"
+        "print(code, focksim._sector_memo.cache_info().currsize, 'numpy' in sys.modules)\n"
+    )
+    assert _fresh_python(code) == "0 0 False"
+
+
 def test_a_clean_interpreter_loads_no_threading_for_the_cli():
     # under -S no site hook imports anything first, so this sees what the
     # CLI itself loads: the numpy loader's guard needs no lock

@@ -42,9 +42,11 @@ from brisq.squeezing import (
     table_deviation,
 )
 from brisq.focksim import (
+    _column_kernel,
     _sector_block,
     _sector_images,
     _sector_index,
+    _sector_memo,
     _sector_spectrum,
     _series_admits,
     _series_column,
@@ -276,52 +278,62 @@ def test_negative_r_matches_expm(cutoff):
 
 
 def test_outputs_do_not_depend_on_call_order():
-    # cold: the spectrum is decomposed for this call; warm: it was left
-    # by a sector walk at another r
+    # cold: the spectrum or the column kernel is built for this call;
+    # warm: it was left by a sector walk or a column at another r
     cutoff, r = 40, 0.7
-    _sector_spectrum.cache_clear()
+    _sector_memo.cache_clear()
+    cold_column = vacuum_column(cutoff, r)
+    _sector_memo.cache_clear()
     cold_state = squeezed_vacuum(cutoff, r).amplitudes
-    _sector_spectrum.cache_clear()
+    _sector_memo.cache_clear()
     cold_block = _sector_block(r, 40, 3)
-    _sector_spectrum.cache_clear()
+    _sector_memo.cache_clear()
     bogoliubov_check(cutoff, 0.2)
-    hits = _sector_spectrum.cache_info().hits
+    vacuum_column(cutoff, 0.5)  # the sector SVD's kernel: 0.5 (2 cutoff - 3) > 1
+    hits = _sector_memo.cache_info().hits
+    warm_column = vacuum_column(cutoff, r)
     warm_state = squeezed_vacuum(cutoff, r).amplitudes
     warm_block = _sector_block(r, 40, 3)
-    assert _sector_spectrum.cache_info().hits == hits + 2
+    assert _sector_memo.cache_info().hits == hits + 3
+    assert list(map(float.hex, cold_column)) == list(map(float.hex, warm_column))
     assert np.array_equal(cold_state, warm_state)
     assert np.array_equal(cold_block, warm_block)
 
 
 def test_spectrum_memo_memory_is_bounded():
-    # 256 entries of at most 66 KB (size 128): ~14.4 MB, whatever the walk
+    # 256 entries, sector spectra and column kernels alike, of at most
+    # ~68 KB (size 128): ~15.5 MB for the largest 256, whatever the walk
     def retained():
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
 
-    _sector_spectrum.cache_clear()
+    _sector_memo.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
         # the sector SVD's column, not squeezed_vacuum, which takes the
-        # series at r = 0 and reads no spectrum
+        # series at r = 0 and reads no kernel; the conjugation checks
+        # read the spectra, and columns between them keep kernels in
         for cutoff in range(2, CUTOFF_CAP + 1):
             _svd_column(cutoff, 0.0)
         for cutoff in range(100, CUTOFF_CAP + 1):
             bogoliubov_check(cutoff, 1.0)
+            _svd_column(cutoff, 1.0)
         walked = retained()
-        # the 256 largest sectors of all: sizes 113-128
+        # the 272 largest sectors of all, sizes 113-128, each as a
+        # spectrum and as a column kernel
         for size in range(113, CUTOFF_CAP + 1):
             for cutoff in range(size, CUTOFF_CAP + 1):
                 for m in {cutoff - size, size - cutoff}:
-                    _sector_spectrum(cutoff, m)
+                    _sector_memo(_sector_spectrum, cutoff, m)
+                    _sector_memo(_column_kernel, cutoff, m)
         largest = retained()
     finally:
         tracemalloc.stop()
-    assert _sector_spectrum.cache_info().currsize == 256
+    assert _sector_memo.cache_info().currsize == 256
     assert walked <= 16_000_000
     assert largest <= 16_000_000
-    for part in _sector_spectrum(16, 3):
+    for part in (*_sector_memo(_sector_spectrum, 16, 3), *_sector_memo(_column_kernel, 16, 0)):
         with pytest.raises(ValueError, match="read-only"):
             part[0] = 1.0
 
@@ -861,20 +873,36 @@ def widest_series_r(cutoff):
     return r
 
 
-def exact_vacuum_column(cutoff, r, terms=60):
-    """exp(r K0) e_0 in rational arithmetic, to within 1/61! < 1e-83,
-    from the truncated K0 written out as a dense matrix."""
-    generator = [[Fraction(0)] * cutoff for _ in range(cutoff)]
-    for k in range(cutoff - 1):
-        generator[k + 1][k] = Fraction(k + 1)  # a^dag b^dag |k, k>
-        generator[k][k + 1] = Fraction(-(k + 1))  # -a b |k + 1, k + 1>
-    term = [Fraction(1)] + [Fraction(0)] * (cutoff - 1)
-    total = list(term)
-    x = Fraction(r)
-    for j in range(1, terms + 1):
-        term = [x / j * sum(g * t for g, t in zip(row, term) if g) for row in generator]
-        total = [a + b for a, b in zip(total, term)]
-    return total
+def taylor_terms(theta):
+    """The fewest terms J of exp's Taylor series whose remainder, at most
+    theta^(J+1) / (J+1)! * (J+2) / (J+2 - theta) for J + 2 > theta, is
+    below 1e-40: the bound of series_error, taken in logarithms."""
+    terms = max(1, math.floor(theta))
+    while theta and ((terms + 1) * math.log(theta) - math.lgamma(terms + 2)
+                     + math.log((terms + 2) / (terms + 2 - theta)) > math.log(1e-40)):
+        terms += 1
+    return terms
+
+
+def exact_vacuum_column(cutoff, r):
+    """exp(r K0) e_0 in rational arithmetic, to within 1e-40 in every
+    level: its Taylor series to taylor_terms(|r| (2 cutoff - 3)) terms,
+    on the truncated K0, summed exactly.
+
+    Horner's rule, W_J = e_0 and W_j = e_0 + r / (j + 1) K0 W_(j+1), is
+    carried on integer vectors X_j over one denominator D_j: with r =
+    p / q, D_j = q (j + 1) D_(j+1) and X_j = D_j e_0 + p K0 X_(j+1), so
+    every step is integer products and sums and no fraction is reduced
+    before the end.
+    """
+    p, q = Fraction(r).as_integer_ratio()
+    x, d = [1] + [0] * cutoff, 1  # the trailing 0 is read as level cutoff
+    for j in reversed(range(taylor_terms(abs(r) * (2 * cutoff - 3)))):
+        # (K0 x)_k = k x_(k-1) - (k + 1) x_(k+1); x[-1] is the trailing 0
+        d *= q * (j + 1)
+        x = [p * (k * x[k - 1] - (k + 1) * x[k + 1]) for k in range(cutoff)] + [0]
+        x[0] += d
+    return [Fraction(value, d) for value in x[:cutoff]]
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 5, 12, 40, 128])
@@ -887,6 +915,29 @@ def test_vacuum_series_is_within_its_bound_of_exact_arithmetic(cutoff, sign):
     assert len(column) == cutoff
     assert all(type(value) is float for value in column)
     assert max(abs(Fraction(c) - e) for c, e in zip(column, exact)) <= series_error(cutoff, r)
+
+
+@pytest.mark.parametrize("cutoff", [12, 40, 128])
+@pytest.mark.parametrize("share", [-0.5, 1.0])
+def test_svd_column_is_within_its_bound_of_exact_arithmetic(cutoff, share):
+    # up to the largest r the tail gate admits, where the bound is loosest
+    r = share * gate_edge(cutoff)
+    assert not _series_admits(cutoff, r)
+    column = _svd_column(cutoff, r)
+    exact = exact_vacuum_column(cutoff, r)
+    assert len(column) == cutoff
+    assert all(type(value) is float for value in column)
+    assert max(abs(Fraction(c) - e) for c, e in zip(column, exact)) <= svd_error(cutoff, r)
+
+
+def test_svd_column_is_column_zero_of_the_sector_block():
+    # the kernel forms column 0 of the n_a = n_b block without the block
+    for cutoff in range(2, CUTOFF_CAP + 1):
+        for r in (gate_edge(cutoff), -0.5 * gate_edge(cutoff)):
+            column = _svd_column(cutoff, r)
+            block = _sector_block(r, cutoff, 0)
+            assert len(column) == cutoff, (cutoff, r)
+            assert np.max(np.abs(np.array(column) - block[:, 0])) <= 1e-14, (cutoff, r)
 
 
 @st.composite

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from brisq import cli, focksim, pipeline
 from brisq.errors import CutoffTooSmall, PhysicsError, ScenarioError, Unstable
-from brisq.focksim import _sector_spectrum
+from brisq.focksim import _sector_memo
 from brisq.pipeline import (
     _BLOCKS,
     _SWEEPABLE,
@@ -435,8 +435,9 @@ def test_a_warm_oracle_run_builds_no_cutoff_squared_state():
 
 
 def test_oracle_report_does_not_depend_on_the_spectrum_memo():
+    # the memo holds the sector spectra and the column kernels alike
     scenario = threshold_scenario(0.99)
-    _sector_spectrum.cache_clear()
+    _sector_memo.cache_clear()
     cold = run(scenario).to_dict()
     warm = run(scenario).to_dict()
     assert cold == warm

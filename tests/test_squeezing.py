@@ -4,6 +4,8 @@ import math
 
 import pytest
 import scipy.constants
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brisq.errors import PhysicsError
 from brisq.pipeline import _plain
@@ -263,6 +265,32 @@ def test_worst_is_the_largest_or_nan():
     for values in ([math.nan, 1.0], [1.0, math.nan], [2.0, 0.0, math.nan]):
         assert math.isnan(worst(values)), values
     assert math.isnan(worst(iter([1.0, math.nan])))
+
+
+# any float, with NaN, the infinities and both zeros drawn often
+EDGE_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+                        st.floats())
+
+
+def reference_worst(values):
+    """NaN if any value is NaN, else the builtin max."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.lists(EDGE_FLOATS, min_size=1, max_size=40))
+def test_worst_is_the_reference_at_every_position(values):
+    # repr tells -0.0 from 0.0 and reads every NaN alike
+    assert repr(worst(values)) == repr(reference_worst(values))
+    assert repr(worst(iter(values))) == repr(reference_worst(values))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.lists(EDGE_FLOATS, min_size=2 * TABLE_SIZE, max_size=2 * TABLE_SIZE))
+def test_table_deviation_is_the_reference_at_every_position(values):
+    left, right = (MomentTable(None, tuple(values[i::2])) for i in (0, 1))
+    differences = [abs(a - b) for a, b in zip(left.values, right.values)]
+    assert repr(table_deviation(left, right)) == repr(reference_worst(differences))
 
 
 def test_thermal_occupation_reference_bath():
