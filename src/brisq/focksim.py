@@ -40,8 +40,9 @@ Python, and so does vacuum_column where ||r K0||_inf = |r| (2 cutoff -
 exp(r K0)|0, 0>, exact to rounding, and loads no numpy; elsewhere it
 takes the column from the sector SVD, through an r-free kernel built
 from it once per cutoff, at its first use, so that a column costs one
-np.sin, an in-place square and one matrix product. The kernels and the
-sector spectra share _sector_memo, focksim's one per-cutoff memo.
+np.sin, an in-place square and one matrix product. That kernel is the
+one per-cutoff array focksim keeps across calls; a sector spectrum is
+taken anew for each block that reads it.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ TAIL_TOL = 1e-12
 EDGE_TOL = 1e-10
 NORM_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
-# entries kept by _sector_memo, focksim's one per-cutoff memo: every
-# sector spectrum of the largest cutoff, 2 * CUTOFF_CAP - 1, and its
-# column kernel fit at once
-_SECTOR_MEMO = 2 * CUTOFF_CAP
 # Taylor terms of _series_column, enough for the widest norm it is used
 # at, ||r K0||_inf = 1: the tail sum_{j > 18} 1/j! < (1/19!) (20/19) < 1e-17
 SERIES_TERMS = 18
@@ -252,21 +249,10 @@ def _sector_index(cutoff: int, m: int) -> np.ndarray:
     return np.arange(start, start + (cutoff - abs(m)) * (cutoff + 1), cutoff + 1)
 
 
-@functools.lru_cache(maxsize=_SECTOR_MEMO)
-def _sector_memo(build: Callable[[int, int], tuple], cutoff: int, m: int) -> tuple:
-    """build(cutoff, m), memoized: focksim's one per-cutoff memo, which the
-    two kinds of entry that depend on (cutoff, m) alone share, the sector
-    spectra of _sector_spectrum and the column kernels of _column_kernel.
-    The oracle reads one kernel per cutoff and a sweep revisits the same
-    few cutoffs. An entry of either kind is read-only arrays of ~size**2
-    / 2 floats, at most ~68 KB (size 128): the largest 256 there are,
-    both kinds of every sector of size 118 to 128, hold ~15.5 MB."""
-    return build(cutoff, m)
-
-
 def _sector_spectrum(cutoff: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signed SVD (U, sigma, W^T) of the r-free even-to-odd block of the
-    n_a - n_b = m sector, as read-only arrays; read through _sector_memo.
+    n_a - n_b = m sector, taken anew on every call: focksim keeps no
+    spectrum, only the column kernels built from one.
 
     In the sector basis |na0 + n, nb0 + n> of _sector_index the pair
     generator r (a^dag b^dag - a b) has K[n+1, n] = r * sqrt((na0+n+1)
@@ -290,8 +276,6 @@ def _sector_spectrum(cutoff: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     # s_n is (-1)^i on the even level n = 2i and (-1)^j on the odd 2j + 1
     u[1::2] *= -1.0
     wt[:, 1::2] *= -1.0
-    for part in (u, sigma, wt):
-        part.flags.writeable = False
     return u, sigma, wt
 
 
@@ -300,10 +284,10 @@ def _sector_block(r: float, cutoff: int, m: int) -> np.ndarray:
 
     The restriction is exact: the generator conserves n_a - n_b. With
     T = r T0 (see _sector_spectrum) and D = diag(i^n), K = D^-1 (i T) D,
-    so exp(K)[n, m] = i^(m-n) (cos T + i sin T)[n, m]. From the memoized
-    B0 = U S W^T, cos T = I - U (1 - cos rS) U^T on the even-even block,
-    I - W (1 - cos rS) W^T on the odd-odd block and sin T = U sin(rS) W^T
-    on the even-odd block. 1 - cos is written as the versine
+    so exp(K)[n, m] = i^(m-n) (cos T + i sin T)[n, m]. From B0 = U S W^T,
+    one SVD per call, cos T = I - U (1 - cos rS) U^T on the even-even
+    block, I - W (1 - cos rS) W^T on the odd-odd block and sin T =
+    U sin(rS) W^T on the even-odd block. 1 - cos is written as the versine
     2 sin^2(rS/2), padded with 0 for an odd size's extra left singular
     vector, so r = 0 gives exactly the identity and small r loses
     nothing to cancellation; sin is odd, so a negative r needs no
@@ -314,7 +298,7 @@ def _sector_block(r: float, cutoff: int, m: int) -> np.ndarray:
     40-digit evaluation to ~5e-14, where scipy's scaled-and-squared expm
     is off by ~1.4e-12.
     """
-    u, sigma, wt = _sector_memo(_sector_spectrum, cutoff, m)
+    u, sigma, wt = _sector_spectrum(cutoff, m)
     even, odd = u.shape[0], wt.shape[0]
     versine = np.zeros(even)
     versine[:sigma.size] = 2.0 * np.sin(0.5 * r * sigma) ** 2
@@ -353,21 +337,24 @@ def squeeze_operator(cutoff: int, r: float) -> np.ndarray:
     return out
 
 
-def _column_kernel(cutoff: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The r-free kernel (M, F) of column 0 of the n_a - n_b = m sector's
-    block, as read-only arrays; read through _sector_memo.
+@functools.lru_cache(maxsize=CUTOFF_CAP)
+def _column_kernel(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r-free kernel (M, F) of column 0 of the n_a = n_b sector's
+    block, as read-only arrays, memoized per cutoff: the gate admits
+    fewer than CUTOFF_CAP cutoffs, so an entry is never evicted, and all
+    of them hold ~3 MB.
 
     Column 0 of _sector_block is e_0 - A vers(r S) on the even levels and
     B sin(r S) on the odd ones, with A = U diag(U[0]) and B = W diag(U[0])
     over the k singular values (U's columns past k meet a zero versine),
-    vers x = 1 - cos x = 2 sin^2(x/2). M is the (ceil(size/2), 2k) matrix
-    [-2A | B], B padded with a zero row for an odd size, and F the
+    vers x = 1 - cos x = 2 sin^2(x/2). M is the (ceil(cutoff/2), 2k)
+    matrix [-2A | B], B padded with a zero row for an odd cutoff, and F the
     (2k, 2) frequencies [[S/2, 0], [0, S]]: with sin(r F), its first
     column squared in place, row i of M sin(r F) holds levels 2i and
     2i + 1 of the column less e_0, so its flat form is the column in
-    level order. M holds ~size**2 / 2 floats, as the sector's spectrum
+    level order. M holds ~cutoff**2 / 2 floats, as the sector's spectrum
     does, and F 4k."""
-    u, sigma, wt = _sector_spectrum(cutoff, m)
+    u, sigma, wt = _sector_spectrum(cutoff, 0)
     k = sigma.size
     top = u[0, :k]
     kernel = np.zeros((u.shape[0], 2 * k))
@@ -384,11 +371,11 @@ def _column_kernel(cutoff: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 def _svd_column(cutoff: int, r: float) -> list[float]:
     """The n_a = n_b column of the squeezed vacuum, amplitude k on |k, k>,
     as a list, from the sector SVD: column 0 of the n_a = n_b sector's
-    block, formed from the cutoff's memoized _column_kernel with one
-    np.sin, an in-place square and one matrix product, without the
-    block. A kernel of vacuum_column, which gates its inputs, and the
-    tests' reference for the series kernel."""
-    kernel, frequencies = _sector_memo(_column_kernel, cutoff, 0)
+    block, formed from the cutoff's _column_kernel with one np.sin, an
+    in-place square and one matrix product, without the block or an SVD
+    after the cutoff's first column. A kernel of vacuum_column, which
+    gates its inputs, and the tests' reference for the series kernel."""
+    kernel, frequencies = _column_kernel(cutoff)
     sines = np.sin(r * frequencies)
     halves = sines[:, 0]
     halves *= halves  # sin^2(r S / 2): -2A carries the versine's factor 2

@@ -337,9 +337,8 @@ def run(scenario: Scenario) -> RunReport:
             cutoff = choose_cutoff(squeeze.r,
                                    flux_tol=scenario.oracle.tolerance)
         # the squeezed vacuum lives on the n_a = n_b diagonal: its column
-        # there (the Taylor series where that is exact to rounding, the
-        # sector SVD otherwise) is measured on that diagonal, and no
-        # cutoff**2 state is built
+        # there, built by whichever kernel vacuum_column chooses, is
+        # measured on that diagonal, and no cutoff**2 state is built
         column = vacuum_column(cutoff, squeeze.r)
         numeric = diagonal_moments(column)
         # each P_n against the |n, n> weight of the real column, which is

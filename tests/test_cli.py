@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from brisq.cli import (
     EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _csv, _decibels,
     _flatten, _json_sweep, main)
-from brisq import cli, pipeline
+from brisq import cli, focksim, pipeline
 from brisq.pipeline import OracleConfig, Scenario
 from brisq.squeezing import CROSS_KEYS, TABLE_SIZE, full_moment_table
 
@@ -710,17 +710,45 @@ def test_no_verb_loads_the_record_machinery(tmp_path):
 def test_a_series_oracle_run_builds_no_sector_state_and_loads_no_numpy():
     # the reference device's oracle takes the vacuum series, as the cold
     # request of perfbench's oracle_ramp probe (f/omega_bar = 0.1) does:
-    # neither the import nor the run fills the memo of sector spectra and
-    # column kernels, and numpy stays unloaded
+    # neither the import nor the run fills the column kernel memo, and
+    # numpy stays unloaded
     code = (
         "import contextlib, io, sys\n"
         "import brisq.cli\n"
         "from brisq import cli, focksim\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main(['run', {RUN_SCENARIO!r}])\n"
-        "print(code, focksim._sector_memo.cache_info().currsize, 'numpy' in sys.modules)\n"
+        "print(code, focksim._column_kernel.cache_info().currsize, 'numpy' in sys.modules)\n"
     )
     assert _fresh_python(code) == "0 0 False"
+
+
+def test_no_verb_reads_a_sector_block(monkeypatch, capsys):
+    # the verbs' oracles read the n_a = n_b column alone: a cutoff on the
+    # SVD route takes its sector spectrum once, to build its column
+    # kernel, and no verb builds a whole sector block
+    calls = {"_sector_block": [], "_sector_spectrum": [], "_svd_column": []}
+
+    def spy(name):
+        original, seen = getattr(focksim, name), calls[name]
+
+        def spied(*args):
+            seen.append(args)
+            return original(*args)
+        return spied
+
+    for name in calls:
+        monkeypatch.setattr(focksim, name, spy(name))
+    focksim._column_kernel.cache_clear()
+    assert main(["check"]) == EXIT_OK
+    assert main(["run", RUN_SCENARIO]) == EXIT_OK
+    for scenario in (SWEEP_SCENARIO, THRESHOLD_SCENARIO):
+        assert main(["sweep", scenario, "--oracle", "on"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls["_sector_block"] == []
+    svd_cutoffs = {cutoff for cutoff, _ in calls["_svd_column"]}
+    spectra = len(calls["_sector_spectrum"])
+    assert spectra == focksim._column_kernel.cache_info().misses == len(svd_cutoffs) > 0
 
 
 def test_a_clean_interpreter_loads_no_threading_for_the_cli():

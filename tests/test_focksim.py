@@ -46,8 +46,6 @@ from brisq.focksim import (
     _sector_block,
     _sector_images,
     _sector_index,
-    _sector_memo,
-    _sector_spectrum,
     _series_admits,
     _series_column,
     _svd_column,
@@ -278,64 +276,81 @@ def test_negative_r_matches_expm(cutoff):
 
 
 def test_outputs_do_not_depend_on_call_order():
-    # cold: the spectrum or the column kernel is built for this call;
-    # warm: it was left by a sector walk or a column at another r
+    # cold: the column kernel is built for this call; warm: it was left
+    # by a column at another r, after a sector walk at the same cutoff
     cutoff, r = 40, 0.7
-    _sector_memo.cache_clear()
+    _column_kernel.cache_clear()
     cold_column = vacuum_column(cutoff, r)
-    _sector_memo.cache_clear()
+    _column_kernel.cache_clear()
     cold_state = squeezed_vacuum(cutoff, r).amplitudes
-    _sector_memo.cache_clear()
     cold_block = _sector_block(r, 40, 3)
-    _sector_memo.cache_clear()
     bogoliubov_check(cutoff, 0.2)
     vacuum_column(cutoff, 0.5)  # the sector SVD's kernel: 0.5 (2 cutoff - 3) > 1
-    hits = _sector_memo.cache_info().hits
     warm_column = vacuum_column(cutoff, r)
     warm_state = squeezed_vacuum(cutoff, r).amplitudes
     warm_block = _sector_block(r, 40, 3)
-    assert _sector_memo.cache_info().hits == hits + 3
     assert list(map(float.hex, cold_column)) == list(map(float.hex, warm_column))
     assert np.array_equal(cold_state, warm_state)
     assert np.array_equal(cold_block, warm_block)
 
 
-def test_spectrum_memo_memory_is_bounded():
-    # 256 entries, sector spectra and column kernels alike, of at most
-    # ~68 KB (size 128): ~15.5 MB for the largest 256, whatever the walk
-    def retained():
-        gc.collect()
-        return tracemalloc.get_traced_memory()[0]
+def test_only_the_column_kernel_keeps_a_sector_svd(monkeypatch):
+    # a column at a cutoff whose kernel is memoized takes no SVD, at any
+    # r; the block builders take one per sector they build on every call
+    # and leave the kernel memo as it was
+    taken = []
+    svd = np.linalg.svd
 
-    _sector_memo.cache_clear()
+    def counted(block):
+        taken.append(block.shape)
+        return svd(block)
+
+    def svds(call, *args):
+        before = len(taken)
+        result = call(*args)
+        return len(taken) - before, result
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    _column_kernel.cache_clear()
+    cutoff = 40
+    assert svds(vacuum_column, cutoff, 0.5)[0] == 1
+    for r in (0.5, -0.02, -0.5 * gate_edge(cutoff), gate_edge(cutoff)):
+        assert not _series_admits(cutoff, r)
+        assert svds(vacuum_column, cutoff, r)[0] == 0, r
+    kept = _column_kernel.cache_info()
+    for _ in range(2):
+        for n, r in ((40, 0.3), (2, 0.0), (CUTOFF_CAP, 1.0)):
+            count, residuals = svds(bogoliubov_check, n, r)
+            assert count == 2 * min(residuals.block, n - 1) + 1, (n, r)
+        for n, r in ((7, 0.05), (40, 0.5)):
+            assert svds(squeeze_operator, n, r)[0] == 2 * n - 1, (n, r)
+    assert _column_kernel.cache_info() == kept
+
+
+def test_column_kernel_memo_memory_is_bounded():
+    # one read-only kernel per allowed cutoff, ~cutoff**2 / 2 floats each:
+    # all 127 at once retain ~3.0 MB, and no block builder between them
+    # leaves a sector spectrum behind. numpy, whose import alone retains
+    # ~7 MB, is loaded and its SVD run once before tracing starts
+    np.linalg.svd(np.eye(2))
+    _column_kernel.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
-        # the sector SVD's column, not squeezed_vacuum, which takes the
-        # series at r = 0 and reads no kernel; the conjugation checks
-        # read the spectra, and columns between them keep kernels in
         for cutoff in range(2, CUTOFF_CAP + 1):
-            _svd_column(cutoff, 0.0)
-        for cutoff in range(100, CUTOFF_CAP + 1):
-            bogoliubov_check(cutoff, 1.0)
             _svd_column(cutoff, 1.0)
-        walked = retained()
-        # the 272 largest sectors of all, sizes 113-128, each as a
-        # spectrum and as a column kernel
-        for size in range(113, CUTOFF_CAP + 1):
-            for cutoff in range(size, CUTOFF_CAP + 1):
-                for m in {cutoff - size, size - cutoff}:
-                    _sector_memo(_sector_spectrum, cutoff, m)
-                    _sector_memo(_column_kernel, cutoff, m)
-        largest = retained()
+            if cutoff >= 120:
+                bogoliubov_check(cutoff, 1.0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert _sector_memo.cache_info().currsize == 256
-    assert walked <= 16_000_000
-    assert largest <= 16_000_000
-    for part in (*_sector_memo(_sector_spectrum, 16, 3), *_sector_memo(_column_kernel, 16, 0)):
-        with pytest.raises(ValueError, match="read-only"):
-            part[0] = 1.0
+    assert _column_kernel.cache_info().currsize == CUTOFF_CAP - 1
+    assert held <= 3_500_000
+    for cutoff in range(2, CUTOFF_CAP + 1):
+        for part in _column_kernel(cutoff):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 1.0
 
 
 def test_nan_r_is_refused_by_name():

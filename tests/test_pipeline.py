@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from brisq import cli, focksim, pipeline
 from brisq.errors import CutoffTooSmall, PhysicsError, ScenarioError, Unstable
-from brisq.focksim import _sector_memo
+from brisq.focksim import _column_kernel
 from brisq.pipeline import (
     _BLOCKS,
     _SWEEPABLE,
@@ -434,10 +434,11 @@ def test_a_warm_oracle_run_builds_no_cutoff_squared_state():
     assert peak < cutoff * cutoff * 8 / 4
 
 
-def test_oracle_report_does_not_depend_on_the_spectrum_memo():
-    # the memo holds the sector spectra and the column kernels alike
+def test_oracle_report_does_not_depend_on_the_kernel_memo():
+    # near threshold the column comes from the sector SVD's kernel, built
+    # by the first run and read by the second
     scenario = threshold_scenario(0.99)
-    _sector_memo.cache_clear()
+    _column_kernel.cache_clear()
     cold = run(scenario).to_dict()
     warm = run(scenario).to_dict()
     assert cold == warm

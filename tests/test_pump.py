@@ -1,12 +1,17 @@
 """Pump steady-state and effective-coupling tests."""
 
 import math
+import operator
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brisq.errors import DegenerateLinewidth
 from brisq.pump import PumpDrive, pump_steady_state
 from test_waveguide import make_params
+
+UNIT = 2.0 ** -53  # unit roundoff of a float64
 
 
 def steady(omega_mode, omega_p=1e10, flux_in=1e12, **params):
@@ -99,3 +104,38 @@ def test_steady_state_composite_matches_parts():
     assert state.amplitude == amplitude
     assert state.photon_number == abs(amplitude) ** 2
     assert state.coupling == params.g * amplitude
+
+
+def decades(low, high):
+    """Floats 10**e for e in [low, high], so every decade is drawn alike."""
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(u=decades(-6, 12), gamma=st.just(0.0) | decades(-6, 12),
+       detuning=st.just(0.0) | decades(-3, 12) | decades(-3, 12).map(operator.neg),
+       flux_in=decades(-3, 20))
+@example(u=1e6, gamma=0.01, detuning=0.0, flux_in=1e12)  # the reference device
+def test_the_pump_conserves_photon_flux(u, gamma, detuning, flux_in):
+    # The model is a resonator driven through a port of rate u, with a
+    # second port of rate u and an intrinsic loss gamma (README): the
+    # steady state damps at u + gamma/2 and couples in through sqrt(u),
+    # so the photons in leave through the two ports and the loss,
+    #   flux_in = (u + gamma) n + |sqrt(flux_in) - sqrt(u) a|^2,
+    # at every detuning. The bound counts roundings, UNIT for each basic
+    # operation and sqrt, 2 UNIT for abs (hypot) and ** 2 (pow):
+    # - u + gamma/2 rounds once, which moves the identity by 2 UNIT F;
+    # - a is within 9 UNIT of exact (two sqrt, a product and at most six
+    #   in Smith's complex division), so n within 24 UNIT, and the first
+    #   term, at most F, within 26 UNIT;
+    # - the out-coupled field cancels, but its error is at most 10 UNIT
+    #   |sqrt(u) a|, and |field| |sqrt(u) a| <= F/2, so its square moves
+    #   by 10 UNIT F, plus 10 UNIT of itself for sqrt(flux_in) squared,
+    #   the subtraction, abs and ** 2;
+    # - the sum rounds once.
+    # That is 39 UNIT F to first order.
+    omega_p = 2e14
+    state = steady(omega_p + detuning, omega_p=omega_p, flux_in=flux_in, u=u, gamma=gamma)
+    outgoing = abs(math.sqrt(flux_in) - math.sqrt(u) * state.amplitude) ** 2
+    balance = (u + gamma) * state.photon_number + outgoing
+    assert abs(balance - flux_in) <= 40 * UNIT * flux_in
