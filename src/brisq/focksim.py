@@ -215,17 +215,21 @@ def choose_cutoff(r: float, flux_tol: float = math.inf) -> int:
     r ~ 1e-4 leaves a tail of ~1e-16 but moments off by ~r^2).
 
     Raises CutoffTooSmall when no cutoff up to CUTOFF_CAP suffices and
-    ValueError when r is NaN.
+    ValueError when r is NaN or flux_tol is NaN or not positive.
     """
     require_number("squeeze parameter r", r)
+    if not flux_tol > 0.0:  # a NaN too, which would drop the flux bound
+        raise ValueError(f"flux_tol must be positive, not {flux_tol!r}")
     t = math.tanh(abs(r))
     if t == 0.0:
         return 2
     if t >= 1.0:
         raise CutoffTooSmall(f"tanh(r) rounds to 1 at r = {r:g}")
     n = max(2, math.ceil(math.log(TAIL_TOL) / (2.0 * math.log(t))))
-    while n <= CUTOFF_CAP and (pair_tail(r, n) > TAIL_TOL
-                               or n * pair_tail(r, n - 1) > flux_tol):
+    # t ** (2 n) is pair_tail(r, n) bit for bit: tanh is odd, the power
+    # even, and r is gated above
+    while n <= CUTOFF_CAP and (t ** (2 * n) > TAIL_TOL
+                               or n * t ** (2 * n - 2) > flux_tol):
         n += 1
     if n > CUTOFF_CAP:
         raise CutoffTooSmall(
@@ -614,13 +618,15 @@ _DIAGONAL_GRAM = (((0, 0),), ((1, 1), (2, 2)), ((3, 3), (4, 4)),
 
 
 @functools.cache
-def _diagonal_forms() -> tuple[tuple[tuple[float, ...], ...],
-                               Callable[[Sequence[float]], tuple[float, ...]]]:
+def _diagonal_forms() -> tuple[tuple[float, float, float, float], ...]:
     """_table_forms collapsed onto the four Gram sums of _DIAGONAL_GRAM, in
     which row i times the sums is table entry i of a real diagonal state:
-    the distinct collapsed rows, 9 of the 26, and the itemgetter that
-    expands one value per distinct row, in that order, to the 26 entries
-    in _table_forms order.
+    the distinct collapsed rows, 9 of the 26, in order of first use.
+    diagonal_moments names them after the entries that read them: zero
+    (every first moment, adag_b, a2 and b2), bare (<X^2> and <Y^2> of
+    modes a and b), low (<X_c^2> and <Y_d^2>), high (<Y_c^2> and
+    <X_d^2>), number (n_a and n_b), mixed_number (n_c and n_d), ab, c2
+    and d2.
 
     The collapsed coefficients are real, so such a state's moments have
     no imaginary part to discard; a -0.0 is made 0.0, so that a moment
@@ -633,7 +639,16 @@ def _diagonal_forms() -> tuple[tuple[tuple[float, ...], ...],
         assert all(value.imag == 0.0 for value in collapsed)
         rows.append(tuple(value.real + 0.0 for value in collapsed))
     distinct = tuple(dict.fromkeys(rows))
-    return distinct, operator.itemgetter(*map(distinct.index, rows))
+    # the distinct row of each entry, first, second, then cross moments
+    assert tuple(map(distinct.index, rows)) == (0, 0, 0, 0, 0, 0, 0, 0,
+                                                1, 1, 1, 1, 2, 3, 3, 2,
+                                                4, 4, 5, 5, 6, 0, 0, 0, 7, 8)
+    return distinct
+
+
+def _require_normalized(norm2: float) -> None:
+    if not abs(norm2 - 1.0) <= NORM_TOL:
+        raise ValueError(f"state is not normalized: <psi|psi> = {norm2!r}")
 
 
 def _moment_table(norm2: float, entries: Sequence[float], max_imag: float) -> MomentTable:
@@ -642,8 +657,7 @@ def _moment_table(norm2: float, entries: Sequence[float], max_imag: float) -> Mo
     largest imaginary part dropped from them: the products and the
     squeezing are derived from the variances and put in TABLE_LAYOUT
     order. Raises ValueError unless <psi|psi> is within NORM_TOL of 1."""
-    if not abs(norm2 - 1.0) <= NORM_TOL:
-        raise ValueError(f"state is not normalized: <psi|psi> = {norm2!r}")
+    _require_normalized(norm2)
     first, second = entries[:8], entries[8:16]
     variances = tuple(map(operator.sub, second, map(operator.mul, first, first)))
     return MomentTable(None, (
@@ -785,10 +799,13 @@ def diagonal_moments(column: Sequence[float]) -> MomentTable:
     The images of such a state overlap only within a sector, so four
     sums over the column give every nonzero entry of its Gram matrix
     (see _DIAGONAL_GRAM), and each moment is the same form as in
-    measure_moments, read on those entries; a form that several moments
-    share is evaluated once. Raises ValueError unless the column's
-    length, its basis size, passes require_cutoff, and when the state is
-    not normalized, as measure_moments does.
+    measure_moments, read on those entries: the nine distinct forms of
+    _diagonal_forms, each evaluated once, zero terms included, give the
+    26 entries, and their three distinct variances the products and the
+    squeezing, written straight into TABLE_LAYOUT order with the same
+    bits as _moment_table. Raises ValueError unless the column's length,
+    its basis size, passes require_cutoff, and when the state is not
+    normalized, as measure_moments does.
     """
     require_cutoff(len(column))
     squares = list(map(operator.mul, column, column))
@@ -796,9 +813,33 @@ def diagonal_moments(column: Sequence[float]) -> MomentTable:
     lowered = sum(map(operator.mul, _LEVELS, squares[1:]))
     raised = sum(map(operator.mul, _LEVELS, squares[:-1]))
     paired = sum(map(operator.mul, _LEVELS, map(operator.mul, column, column[1:])))
-    forms, expand = _diagonal_forms()
-    return _moment_table(norm2, expand([a * norm2 + b * lowered + c * raised + d * paired
-                                        for a, b, c, d in forms]), 0.0)
+    _require_normalized(norm2)
+    # form k's coefficients of norm2, lowered, raised and paired
+    ((n0, l0, r0, p0), (n1, l1, r1, p1), (n2, l2, r2, p2), (n3, l3, r3, p3),
+     (n4, l4, r4, p4), (n5, l5, r5, p5), (n6, l6, r6, p6), (n7, l7, r7, p7),
+     (n8, l8, r8, p8)) = _diagonal_forms()
+    zero = n0 * norm2 + l0 * lowered + r0 * raised + p0 * paired
+    bare = n1 * norm2 + l1 * lowered + r1 * raised + p1 * paired
+    low = n2 * norm2 + l2 * lowered + r2 * raised + p2 * paired
+    high = n3 * norm2 + l3 * lowered + r3 * raised + p3 * paired
+    number = n4 * norm2 + l4 * lowered + r4 * raised + p4 * paired
+    mixed_number = n5 * norm2 + l5 * lowered + r5 * raised + p5 * paired
+    ab = n6 * norm2 + l6 * lowered + r6 * raised + p6 * paired
+    c2 = n7 * norm2 + l7 * lowered + r7 * raised + p7 * paired
+    d2 = n8 * norm2 + l8 * lowered + r8 * raised + p8 * paired
+    # var = <X^2> - <X>^2 takes three values: bare for the quadratures of
+    # a and b, low for X_c and Y_d, high for Y_c and X_d
+    var_bare, var_low, var_high = bare - zero * zero, low - zero * zero, high - zero * zero
+    # math.sqrt refuses a negative product; x * y and y * x round alike,
+    # so modes c and d share theirs
+    bare_product, mixed_product = math.sqrt(var_bare * var_bare), math.sqrt(var_low * var_high)
+    s_bare, s_low, s_high = var_bare - 0.5, var_low - 0.5, var_high - 0.5
+    return MomentTable(None, (
+        zero, zero, zero, zero, zero, zero, zero, zero,  # first
+        bare, bare, bare, bare, low, high, high, low,  # second
+        bare_product, bare_product, mixed_product, mixed_product,  # products
+        s_bare, s_bare, s_bare, s_bare, s_low, s_high, s_high, s_low,  # squeezing
+        number, number, mixed_number, mixed_number, ab, zero, zero, zero, c2, d2), 0.0)
 
 
 def herald(state: TwoModeState, n_detected: int) -> HeraldResult:

@@ -111,8 +111,9 @@ class ThermalEnv(FrozenRecord):
 def _require_order(name: str, n: int) -> None:
     """ValueError naming a pair order that is not a nonnegative whole
     number: tanh(r) ** (2 * n) is complex for a negative r and a
-    fractional n."""
-    if not (n >= 0 and n % 1 == 0):  # a NaN or an infinity too
+    fractional n. A bool is refused too, as every other gate refuses
+    one, though Python counts it as a whole number."""
+    if isinstance(n, bool) or not (n >= 0 and n % 1 == 0):  # a NaN or an infinity too
         raise ValueError(f"{name} must be nonnegative and whole, not {n!r}")
 
 

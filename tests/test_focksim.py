@@ -3,14 +3,13 @@
 import contextlib
 import gc
 import math
-import operator
 import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -667,16 +666,15 @@ def test_a_negative_variance_product_raises(monkeypatch):
     monkeypatch.setattr(focksim, "_table_coefficients", lambda: coefficients)
     with pytest.raises(ValueError, match="math domain error"):
         measure_moments(vacuum_state(4))
-    # diagonal_moments evaluates each distinct collapsed row of
-    # _diagonal_forms once and expands the values; X_a shares its row with
-    # Y_a, so the negated row is appended and the expansion reads it for
-    # X_a alone
-    forms, expand = focksim._diagonal_forms()
-    rows = list(expand(range(len(forms))))
-    forms = (*forms, tuple(-value for value in forms[rows[row]]))
-    rows[row] = len(forms) - 1
-    monkeypatch.setattr(focksim, "_diagonal_forms",
-                        lambda: (forms, operator.itemgetter(*rows)))
+    # diagonal_moments evaluates each distinct form of _diagonal_forms once,
+    # and X_a and Y_a share one, so negating it would negate both variances
+    # and leave their product positive; the form X_c and Y_d share is
+    # negated instead, which makes the mode c and d products negative
+    forms = list(focksim._diagonal_forms())
+    low = forms.index(collapsed_rows()[8 + QUAD_KEYS.index("X_c")])
+    assert forms[low] == collapsed_rows()[8 + QUAD_KEYS.index("Y_d")]
+    forms[low] = tuple(-value for value in forms[low])
+    monkeypatch.setattr(focksim, "_diagonal_forms", lambda: tuple(forms))
     with pytest.raises(ValueError, match="math domain error"):
         diagonal_moments([1.0, 0.0, 0.0, 0.0])
 
@@ -1137,21 +1135,46 @@ def test_diagonal_moments_requires_a_normalized_column():
     assert vacuum == measure_moments(vacuum_state(3))
 
 
-def test_distinct_diagonal_forms_give_every_entry_bit_for_bit():
-    # diagonal_moments evaluates the 9 distinct rows of _diagonal_forms and
-    # expands them to the 26 table entries; forming every row, the
-    # reference, collapsed here from _table_forms itself, gives the same
-    # bits at each cutoff that oracle runs reach with f/omega_bar in
-    # (0, 0.95) and (0.95, 0.999), the benchmark's oracle ramp
-    every_row = []
+def collapsed_rows():
+    """Every row of _table_forms collapsed onto the four Gram sums of
+    _DIAGONAL_GRAM, one per table entry in _table_forms order, formed
+    here from _table_forms itself."""
+    rows = []
     for row in focksim._table_forms():
         collapsed = [complex(sum(row[5 * i + j] for i, j in entries))
                      for entries in focksim._DIAGONAL_GRAM]
         assert all(value.imag == 0.0 for value in collapsed)
-        every_row.append(tuple(value.real + 0.0 for value in collapsed))
-    forms, expand = focksim._diagonal_forms()
+        rows.append(tuple(value.real + 0.0 for value in collapsed))
+    return rows
+
+
+def every_row_moments(column):
+    """The reference for diagonal_moments: all 26 collapsed rows formed,
+    one per entry, and the table derived in the generic _moment_table."""
+    squares = [c * c for c in column]
+    levels = [float(k) for k in range(1, len(column))]
+    norm2 = sum(squares)
+    lowered = sum(k * s for k, s in zip(levels, squares[1:]))
+    raised = sum(k * s for k, s in zip(levels, squares))
+    paired = sum(k * (c * d) for k, c, d in zip(levels, column, column[1:]))
+    every = [a * norm2 + b * lowered + c * raised + d * paired
+             for a, b, c, d in collapsed_rows()]
+    return focksim._moment_table(norm2, every, 0.0)
+
+
+def hex_values(table):
+    return [value.hex() for value in table.values]
+
+
+def test_distinct_diagonal_forms_give_every_entry_bit_for_bit():
+    # diagonal_moments evaluates the 9 distinct collapsed rows of
+    # _diagonal_forms and writes the 38 table values from them; forming
+    # every row, the reference, gives the same bits at each cutoff that
+    # oracle runs reach with f/omega_bar in (0, 0.95) and (0.95, 0.999),
+    # the benchmark's oracle ramp
+    forms = focksim._diagonal_forms()
     assert len(set(forms)) == len(forms) == 9
-    assert expand(forms) == tuple(every_row)
+    assert forms == tuple(dict.fromkeys(collapsed_rows()))
     cutoffs = {}
     for low, high, count in ((0.0, 0.95, 140), (0.95, 0.999, 60)):
         for i in range(count):
@@ -1161,17 +1184,31 @@ def test_distinct_diagonal_forms_give_every_entry_bit_for_bit():
     assert len(cutoffs) == 78 and min(cutoffs) == 3 and max(cutoffs) == 123
     for cutoff, r in cutoffs.items():
         column = vacuum_column(cutoff, r)
-        squares = [c * c for c in column]
-        levels = [float(k) for k in range(1, cutoff)]
-        norm2 = sum(squares)
-        lowered = sum(k * s for k, s in zip(levels, squares[1:]))
-        raised = sum(k * s for k, s in zip(levels, squares))
-        paired = sum(k * (c * d) for k, c, d in zip(levels, column, column[1:]))
-        every = [a * norm2 + b * lowered + c * raised + d * paired
-                 for a, b, c, d in every_row]
-        reference = focksim._moment_table(norm2, every, 0.0)
-        assert ([value.hex() for value in diagonal_moments(column).values]
-                == [value.hex() for value in reference.values]), cutoff
+        assert (hex_values(diagonal_moments(column))
+                == hex_values(every_row_moments(column))), cutoff
+
+
+@st.composite
+def normalized_columns(draw):
+    """A real column of 2 to CUTOFF_CAP levels, of mixed signs, with exact
+    zeros and -0.0 among its amplitudes, scaled to unit norm."""
+    amplitude = (st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+                 | st.sampled_from([0.0, -0.0]))
+    column = draw(st.lists(amplitude, min_size=2, max_size=CUTOFF_CAP))
+    top = max(map(abs, column))
+    assume(top > 1e-100)
+    column = [c / top for c in column]
+    norm = math.sqrt(sum(c * c for c in column))
+    return [c / norm for c in column]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(column=normalized_columns())
+def test_distinct_diagonal_forms_give_every_entry_bit_for_bit_on_any_column(column):
+    # the straight-line table against the every-row reference on columns
+    # no squeezed vacuum makes: a negative pair sum, signed zeros and
+    # levels left empty reach every form, the variances and their products
+    assert hex_values(diagonal_moments(column)) == hex_values(every_row_moments(column))
 
 
 def test_diagonal_moments_takes_a_column_the_cutoff_gate_admits():
@@ -1248,6 +1285,70 @@ def test_choose_cutoff():
     # tanh(20) == 1.0 in doubles: refused before log(t) = 0 divides
     with pytest.raises(CutoffTooSmall, match="tanh\\(r\\) rounds to 1"):
         choose_cutoff(20.0)
+    # a flux_tol that is NaN or not positive is a bad argument, not a
+    # physics failure: a NaN would drop the flux bound (cutoff 3 at
+    # r = 0.01, where 1e-8 gives 4), and -1.0 would end in CutoffTooSmall
+    assert choose_cutoff(0.01, flux_tol=1e-8) == 4
+    for flux_tol in (math.nan, -1.0, 0.0, -0.0, -math.inf):
+        with pytest.raises(ValueError, match="flux_tol must be positive"):
+            choose_cutoff(0.01, flux_tol=flux_tol)
+
+
+def pair_tail_search(r, flux_tol):
+    """choose_cutoff's search written on two gated pair_tail calls per
+    step, the closed forms it reads: the reference for the search on
+    tanh(|r|) ** (2 n)."""
+    t = math.tanh(abs(r))
+    if t == 0.0:
+        return 2
+    if t >= 1.0:
+        raise CutoffTooSmall(f"tanh(r) rounds to 1 at r = {r:g}")
+    n = max(2, math.ceil(math.log(TAIL_TOL) / (2.0 * math.log(t))))
+    while n <= CUTOFF_CAP and (pair_tail(r, n) > TAIL_TOL
+                               or n * pair_tail(r, n - 1) > flux_tol):
+        n += 1
+    if n > CUTOFF_CAP:
+        raise CutoffTooSmall(
+            f"tail mass {TAIL_TOL:g} and top-level flux {flux_tol:g} at r = {r:g} "
+            f"need cutoff > cap {CUTOFF_CAP}")
+    return n
+
+
+def search_outcome(search, r, flux_tol):
+    try:
+        return search(r, flux_tol)
+    except CutoffTooSmall as error:
+        return str(error)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@example(magnitude=5e-324, sign=1.0, flux_tol=math.inf)
+@example(magnitude=EDGE_R, sign=-1.0, flux_tol=math.inf)
+@example(magnitude=math.nextafter(EDGE_R, math.inf), sign=1.0, flux_tol=1e-12)
+@example(magnitude=1.4, sign=1.0, flux_tol=1e-300)
+@given(magnitude=st.floats(5e-324, EDGE_R), sign=st.sampled_from([1.0, -1.0]),
+       flux_tol=st.sampled_from([math.inf, 1e-8, 1e-12, 1e-300]))
+def test_choose_cutoff_is_the_pair_tail_search(magnitude, sign, flux_tol):
+    # the cutoff, or the CutoffTooSmall text past the cap, is the one the
+    # search on pair_tail gives, for either sign of r
+    r = sign * magnitude
+    assert (search_outcome(choose_cutoff, r, flux_tol)
+            == search_outcome(pair_tail_search, r, flux_tol))
+
+
+def test_choose_cutoff_is_the_pair_tail_search_at_every_tail_edge():
+    # where tanh(r) ** (2 n) crosses TAIL_TOL the first guess, from the
+    # logarithms, can fall one level short, and only the tail test moves
+    # it on; random draws almost never land there, so 81 floats around
+    # each level's edge are walked, past the cap's edge too
+    for n in range(2, CUTOFF_CAP + 1):
+        r = math.atanh(TAIL_TOL ** (1.0 / (2 * n)))
+        for _ in range(40):
+            r = math.nextafter(r, 0.0)
+        for _ in range(81):
+            assert (search_outcome(choose_cutoff, r, math.inf)
+                    == search_outcome(pair_tail_search, r, math.inf)), r
+            r = math.nextafter(r, math.inf)
 
 
 def test_state_validation_and_accessors():

@@ -58,6 +58,14 @@ def test_vacuum_limit():
         pair_probability(0.3, -1)
     with pytest.raises(ValueError):
         pair_tail(0.3, -2)
+    # a bool is refused, as every other gate refuses one, not read as the
+    # order 1 or 0
+    for order in (True, False):
+        with pytest.raises(ValueError, match=f"^n must be nonnegative and whole, not {order}$"):
+            pair_probability(0.3, order)
+        with pytest.raises(ValueError,
+                           match=f"^n_min must be nonnegative and whole, not {order}$"):
+            pair_tail(0.3, order)
 
 
 
