@@ -21,7 +21,7 @@ oracle's first array, so `check`, a sweep or a run with the oracle off,
 and a run whose oracle takes the pure-Python vacuum series (the
 reference device's does) never load it. No verb loads `dataclasses` or
 `inspect`: brisq's records are plain classes, whose methods are not
-generated at start-up.
+generated at start-up. Nor `csv`: brisq writes its CSV lines itself.
 The `brisq` console script and `python -m brisq.cli` enter through
 entry(), which exits without a last garbage collection of the import
 heap; main(argv) serves in-process callers and leaves the collector as
@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import gc
 import json
 import math
+import operator
 import sys
 from typing import Any, Iterable, Iterator, NoReturn, Sequence
 
@@ -50,7 +50,9 @@ EXIT_PHYSICS = 3
 EXIT_MISMATCH = 4
 
 _DB_KEYS = tuple(f"db_{quad}" for quad in QUAD_KEYS)
-_S_KEYS = tuple(f"S_{quad}" for quad in QUAD_KEYS)
+_S_CELLS = operator.itemgetter(*(f"S_{quad}" for quad in QUAD_KEYS))
+_HALVES = (0.5,) * len(QUAD_KEYS)
+_TENS = (10.0,) * len(QUAD_KEYS)
 
 
 # one parser per process, built at the first main() call: parse_args
@@ -90,6 +92,13 @@ def _decibels(squeezing: float) -> float:
     return 10.0 * math.log10((squeezing + 0.5) / 0.5)
 
 
+def _decibel_cells(squeezings: Iterable[float]) -> Iterator[float]:
+    """_decibels of each of the len(QUAD_KEYS) squeezings, in its order
+    of operations, with no Python call per value."""
+    return map(operator.mul, _TENS, map(math.log10, map(
+        operator.truediv, map(operator.add, squeezings, _HALVES), _HALVES)))
+
+
 def _flatten(value: Any, prefix: str = "") -> dict[str, Any]:
     """Nested dicts and lists as one CSV row with dotted keys."""
     if isinstance(value, dict):
@@ -104,34 +113,87 @@ def _flatten(value: Any, prefix: str = "") -> dict[str, Any]:
     return out
 
 
-class _Echo:
-    """A file whose write returns the text, so writerow returns its line."""
-    def write(self, text: str) -> str:
-        return text
+def _field(cell: Any) -> str:
+    """A CSV field: None is empty, and text holding a comma, a quote, CR
+    or LF is quoted, its quotes doubled."""
+    text = "" if cell is None else str(cell)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _line(cells: Sequence[Any]) -> str:
+    """The cells as one line of csv.writer's excel dialect, CRLF-ended.
+
+    The cells joined as text are the line, unless it shows a field that
+    needs _field: a quote, CR or LF, a None, or more commas than go
+    between the cells. A line of one empty field is written "".
+    """
+    line = ",".join(map(str, cells))
+    if ('"' in line or "\r" in line or "\n" in line or "None" in line
+            or line.count(",") >= len(cells) or not line):
+        line = ",".join(map(_field, cells))
+        if not line and len(cells) == 1:
+            line = '""'
+    return line + "\r\n"
 
 
 def _csv(header: Sequence[str], rows: Iterable[dict[str, Any]]) -> Iterator[str]:
     """CSV of the rows under the header, a line as each row arrives; a
     row leaves the columns it lacks empty."""
-    writer = csv.writer(_Echo())
-    yield writer.writerow(header)
+    yield _line(header)
     blanks = ("",) * len(header)
     for row in rows:
-        yield writer.writerow(map(row.get, header, blanks))
+        yield _line([*map(row.get, header, blanks)])
+
+
+# the sweep grid's place in a sweep header while the rest is rendered, and
+# the C encoder's rendering of the grid's items four levels deep
+_GRID = "@sweep.values@"
+_GRID_ITEMS = json.JSONEncoder(allow_nan=False, separators=(",\n        ", ": ")).encode
+
+
+def _json_header(header: dict[str, Any]) -> str:
+    """json.dumps(header, indent=2, allow_nan=False), the sweep grid at
+    header["scenario"]["sweep"]["values"] rendered by the C encoder.
+
+    The grid is a list four levels deep, so indent=2 puts its items on
+    lines of eight spaces and its closing bracket on a line of six: the
+    C encoder, given those separators, writes its items, and the rest
+    goes through json.dumps with the grid's place held by _GRID. Any
+    other header, a grid holding a container or a value the encoder
+    refuses, or one whose text might hold _GRID's, goes through
+    json.dumps whole, which writes it or raises as it would.
+    """
+    try:
+        scenario = header["scenario"]
+        sweep = scenario["sweep"]
+        grid = sweep["values"]
+        # "[" marks a grid that cannot be spliced, as a nested list would
+        items = _GRID_ITEMS(grid)[1:-1] if type(grid) is list and grid else "["
+    except (LookupError, TypeError, ValueError):
+        items = "["
+    if "[" not in items and "{" not in items:
+        text = json.dumps({**header, "scenario": {**scenario, "sweep": {
+            **sweep, "values": _GRID}}}, indent=2, allow_nan=False)
+        place = f'"{_GRID}"'
+        if text.count(place) == 1:
+            return text.replace(place, f"[\n        {items}\n      ]")
+    return json.dumps(header, indent=2, allow_nan=False)
 
 
 def _json_sweep(header: dict[str, Any], rows: Iterable[dict[str, Any]]) -> Iterator[str]:
     """json.dumps({**header, "rows": [*rows]}, indent=2, allow_nan=False)
     in pieces, each row rendered as it arrives.
 
-    The header, not empty, goes through json.dumps. Each row (there is
+    The header, not empty, goes through _json_header. Each row (there is
     at least one) is a non-empty dict of scalars, with no container to
     check for cycles; it goes through JSONEncoder without indent, the C
     encoder, given the separators that indent=2 puts between a row's
     items, so its keys and values are written as json.dumps writes them
     and a NaN or infinity raises ValueError.
     """
-    head = json.dumps(header, indent=2, allow_nan=False)
+    head = _json_header(header)
     yield head[:-2] + ',\n  "rows": ['  # head ends in "\n}"
     encode = json.JSONEncoder(allow_nan=False, check_circular=False,
                               separators=(",\n      ", ": ")).encode
@@ -211,8 +273,7 @@ def main(argv: list[str] | None = None) -> int:
             nonlocal misses
             for row in rows:
                 if args.db and row["status"] == "ok":
-                    row.update(zip(_DB_KEYS,
-                                   map(_decibels, map(row.__getitem__, _S_KEYS))))
+                    row.update(zip(_DB_KEYS, _decibel_cells(_S_CELLS(row))))
                 misses += row.get("oracle_ok") is False
                 yield row
 

@@ -16,15 +16,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brisq.cli import (
-    EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _csv, _decibels,
-    _flatten, _json_sweep, main)
+    EXIT_MISMATCH, EXIT_OK, EXIT_PHYSICS, EXIT_SCENARIO, _csv, _decibel_cells,
+    _decibels, _flatten, _json_sweep, main)
 from brisq import cli, focksim, pipeline
 from brisq.pipeline import OracleConfig, Scenario
-from brisq.squeezing import CROSS_KEYS, TABLE_SIZE, full_moment_table
+from brisq.squeezing import CROSS_KEYS, QUAD_KEYS, TABLE_SIZE, full_moment_table
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -131,6 +131,22 @@ def test_decibel_table():
         10.0 * math.log10(math.exp(-1.0)), rel=1e-12)
     assert _decibels(squeezed["Y_c"]) == pytest.approx(
         10.0 * math.log10(math.exp(1.0)), rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.lists(st.one_of(
+    st.floats(min_value=-0.5, exclude_min=True), st.floats(),
+    st.sampled_from([-0.5, -0.0, 0.0, 5e-324, -0.4999999999999999, 1e308])),
+    min_size=len(QUAD_KEYS), max_size=len(QUAD_KEYS)))
+def test_decibel_cells_are_the_scalar_decibels_bit_for_bit(squeezings):
+    # a sweep's --db cells: C-level maps in _decibels' order of operations
+    try:
+        want = [_decibels(value).hex() for value in squeezings]
+    except ValueError:  # log10 of a variance at or below zero
+        with pytest.raises(ValueError, match="math domain error"):
+            list(_decibel_cells(squeezings))
+        return
+    assert [value.hex() for value in _decibel_cells(squeezings)] == want
 
 
 def test_run_oracle_mismatch_still_writes_report(tmp_path, capsys):
@@ -627,6 +643,16 @@ SCALARS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308]),
     st.integers(), st.booleans(), st.none(), TEXT)
+# cells for each of the CSV writer's branches: the characters that quote a
+# field, None and the text "None", an empty field, and the floats JSON refuses
+CELLS = st.one_of(SCALARS, st.sampled_from(
+    [",", '"', "\r", "\n", '""', "None", "", None, True, False, 0, -0.0,
+     math.nan, math.inf, -math.inf]))
+# a sweep grid: empty, of one value or many, or not a list of scalars
+GRIDS = st.one_of(st.lists(SCALARS, min_size=1, max_size=1),
+                  st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+                  st.lists(st.one_of(SCALARS, st.lists(SCALARS, max_size=2)), max_size=4),
+                  SCALARS)
 
 
 @st.composite
@@ -639,16 +665,48 @@ def row_lists(draw):
                            min_size=1, max_size=6))
     columns = draw(st.permutations(list(dict.fromkeys(
         error_keys + ok_keys + draw(st.lists(TEXT, max_size=2))))))
-    return columns, [{key: draw(SCALARS) for key in keys} for keys in shapes]
+    return columns, [{key: draw(CELLS) for key in keys} for keys in shapes]
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(table=row_lists(), parameter=TEXT, scenario=st.dictionaries(TEXT, SCALARS))
+@st.composite
+def scenarios(draw):
+    """A sweep header's scenario: any dict of scalars, or one holding a
+    sweep block whose values are a grid, among its other keys."""
+    scenario = draw(st.dictionaries(TEXT, SCALARS))
+    if draw(st.booleans()):
+        sweep = {**draw(st.dictionaries(TEXT, SCALARS, max_size=2)), "values": draw(GRIDS)}
+        items = list(scenario.items())
+        items.insert(draw(st.integers(0, len(items))), ("sweep", sweep))
+        scenario = dict(items)
+    return scenario
+
+
+def json_cell(cell):
+    """A cell JSON accepts: a NaN or infinity as its repr."""
+    return repr(cell) if isinstance(cell, float) and not math.isfinite(cell) else cell
+
+
+GRID_HEADER = {"parameter": "drive.flux_in", "scenario": {
+    "geometry": "backward", "sweep": {"parameter": "drive.flux_in", "values": [1e12]}}}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(table=row_lists(), parameter=TEXT, scenario=scenarios())
+@example(table=(["a"], [{"a": None}, {"a": ""}, {"a": "None"}, {"a": '"'}]),
+         parameter="", scenario={})
+@example(table=([""], [{"": ","}, {"": "\r"}, {"": "\n"}, {"": True}, {"": 7}]),
+         parameter="p", scenario=GRID_HEADER["scenario"])
+@example(table=(["x", "y"], [{"x": -0.0, "y": math.nan}, {"x": math.inf, "y": -math.inf},
+                             {"x": None, "y": None}, {"x": "a,b", "y": 'say "hi"'}]),
+         parameter="p", scenario={"sweep": {"values": [0.5 * n for n in range(200)]}})
+@example(table=(["x"], [{"x": 1.0}]), parameter="p",
+         scenario={"sweep": {"values": ["@sweep.values@"]}, "@sweep.values@": 1})
 def test_sweep_writers_match_the_library_writers(table, parameter, scenario):
     columns, rows = table
     header = {"parameter": parameter, "scenario": scenario}
-    assert "".join(_json_sweep(header, rows)) == json.dumps(
-        {**header, "rows": rows}, indent=2, allow_nan=False)
+    json_rows = [dict(zip(row, map(json_cell, row.values()))) for row in rows]
+    assert "".join(_json_sweep(header, json_rows)) == json.dumps(
+        {**header, "rows": json_rows}, indent=2, allow_nan=False)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=columns, restval="")
     writer.writeheader()
@@ -665,6 +723,34 @@ def test_json_sweep_refuses_non_finite_floats(value):
         json.dumps({**header, "rows": rows}, indent=2, allow_nan=False)
     with pytest.raises(ValueError, match=message):
         "".join(_json_sweep(header, rows))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_sweep_refuses_a_non_finite_grid_value(value):
+    header = copy.deepcopy(GRID_HEADER)
+    header["scenario"]["sweep"]["values"].append(value)
+    message = "Out of range float values are not JSON compliant"
+    with pytest.raises(ValueError, match=message):
+        json.dumps(header, indent=2, allow_nan=False)
+    with pytest.raises(ValueError, match=message):
+        "".join(_json_sweep(header, [{"value": 1.0}]))
+
+
+def test_a_run_with_a_null_cell_writes_the_csv_of_csv_writer(tmp_path, capsys):
+    # every run's oracle.cutoff, and here k_pump, is None: an empty field
+    raw = read_scenario(RUN_SCENARIO)
+    raw["k_pump"] = None
+    path = write_scenario(tmp_path, raw)
+    assert main(["run", path]) == EXIT_OK
+    payload = _flatten(json.loads(capsys.readouterr().out))
+    assert payload["scenario.k_pump"] is None
+    out = tmp_path / "run.csv"
+    assert main(["run", path, "--format", "csv", "--out", str(out)]) == EXIT_OK
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(payload)
+    writer.writerow(payload.values())
+    assert out.read_bytes() == buffer.getvalue().encode("utf-8")
 
 
 def test_flatten():
@@ -753,9 +839,10 @@ def test_no_verb_reads_a_sector_block(monkeypatch, capsys):
 
 def test_a_clean_interpreter_loads_no_threading_for_the_cli():
     # under -S no site hook imports anything first, so this sees what the
-    # CLI itself loads: the numpy loader's guard needs no lock
+    # CLI itself loads: the numpy loader's guard needs no lock, and brisq
+    # writes its CSV lines itself
     code = ("import sys, brisq.cli\n"
-            "print([m for m in ('threading', 'numpy') if m in sys.modules])\n")
+            "print([m for m in ('threading', 'numpy', 'csv', '_csv') if m in sys.modules])\n")
     assert _fresh_python(code, flags=("-S",)) == "[]"
 
 
