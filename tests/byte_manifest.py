@@ -3,9 +3,10 @@ exit code and the SHA-256 of its stdout, its stderr and its --out file.
 
 Every output is hashed twice: as written, and with the oracle's table and
 deviation values masked, since those may move by rounding when a
-numerical kernel changes. tests/test_byte_manifest.py replays the matrix
-in process through cli.main and compares both hashes with the blessed
-file, tests/golden/manifest.json.
+numerical kernel or the numpy and BLAS under it change.
+tests/test_byte_manifest.py replays the matrix in process through
+cli.main and compares the masked hashes with the blessed file,
+tests/golden/manifest.json; this script lists every hash that moved.
 
     python tests/byte_manifest.py                 list what moved
     python tests/byte_manifest.py --dump DIR      ... and write every output under DIR
